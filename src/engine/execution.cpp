@@ -205,8 +205,16 @@ RunResult run_app(const AppSpec& app, const RunOptions& options) {
   memsim::MachineConfig cfg = options.node;
   HMEM_ASSERT_MSG(!cfg.tiers.empty(), "node config has no memory tiers");
   cfg.mode = memsim::MemMode::kFlat;
-  cfg.llc.size_bytes = std::max<std::uint64_t>(
-      16ULL * 1024, floor_pow2(cfg.llc.size_bytes / ranks));
+  // Each rank gets a power-of-two share of the LLC's sets, at least 16 KiB
+  // worth (and at least one set), so the geometry stays valid for any
+  // associativity the config allows.
+  const std::uint64_t set_bytes =
+      static_cast<std::uint64_t>(cfg.llc.line_bytes) * cfg.llc.ways;
+  const std::uint64_t rank_sets = floor_pow2(
+      cfg.llc.size_bytes / set_bytes / static_cast<std::uint64_t>(ranks));
+  cfg.llc.size_bytes =
+      set_bytes *
+      std::max<std::uint64_t>({1, 16 * 1024 / set_bytes, rank_sets});
   for (memsim::TierSpec& tier : cfg.tiers) {
     tier.capacity_bytes /= static_cast<std::uint64_t>(ranks);
   }
@@ -760,17 +768,16 @@ RunResult run_app(const AppSpec& app, const RunOptions& options) {
 
       if (use_kernel) {
         // Compiled path: hand the burst to the kernel. The frame aliases
-        // the live LLC way state (the kernel mutates tags/LRU in place,
+        // the live LLC way state (the kernel mutates tags/recency in place,
         // exactly as Cache::access would) and the phase accumulators.
         PhaseKernel& kp = *kprograms[p];
         const memsim::Cache::Tables llc = machine.llc().tables();
         kernel::Frame frame;
         frame.tags = llc.tags;
-        frame.lru = llc.lru;
+        frame.order = llc.order;
         frame.ways = llc.ways;
         frame.line_shift = llc.line_shift;
         frame.set_mask = llc.set_mask;
-        frame.tick = *llc.tick;
         frame.n_accesses = n_accesses;
         frame.tier_sim = phase_tier_sim.data();
         if (kp.use_native) {
@@ -781,7 +788,6 @@ RunResult run_app(const AppSpec& app, const RunOptions& options) {
           kernel::run_bytecode(kp.program, frame, rng,
                                prof ? &miss_records : nullptr);
         }
-        *llc.tick = frame.tick;
         phase_latency_ns = frame.latency_ns;
         total_misses_sim += frame.misses;
       } else {

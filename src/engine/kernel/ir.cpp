@@ -244,11 +244,11 @@ void run_impl(const Program& p, Frame& f, Xoshiro256& rng,
   const InstanceSlot* const insts = p.instances.data();
   apps::AccessGenerator* const* const gens = p.gens.data();
   memsim::Address* const tags = f.tags;
-  std::uint64_t* const lru = f.lru;
+  std::uint64_t* const order = f.order;
   const std::uint64_t ways = f.ways;
+  const std::uint32_t top_shift = static_cast<std::uint32_t>(4 * (ways - 1));
   const std::uint64_t line_shift = f.line_shift;
   const std::uint64_t set_mask = f.set_mask;
-  std::uint64_t tick = f.tick;
   double latency = f.latency_ns;
   std::uint64_t misses = f.misses;
 
@@ -302,17 +302,16 @@ void run_impl(const Program& p, Frame& f, Xoshiro256& rng,
       if (served) break;
     }
 
-    // Inline LLC probe: the exact Cache::access sequence (tick increment,
-    // hit stamp, first-minimal-stamp victim), minus the interpreter-only
-    // hit/miss counters.
-    ++tick;
+    // Inline LLC probe: the exact Cache::access sequence (touch on a hit,
+    // evict on a miss), minus the interpreter-only hit/miss counters.
     const std::uint64_t tag = addr >> line_shift;
-    const std::size_t base =
-        static_cast<std::size_t>((tag & set_mask) * ways);
+    const std::uint64_t set = tag & set_mask;
+    memsim::Address* const set_tags = tags + set * ways;
     bool hit = false;
     for (std::uint64_t w = 0; w < ways; ++w) {
-      if (tags[base + w] == tag) {
-        lru[base + w] = tick;
+      if (set_tags[w] == tag) {
+        memsim::Cache::touch(order[set], static_cast<std::uint32_t>(w),
+                             top_shift);
         hit = true;
         break;
       }
@@ -321,15 +320,7 @@ void run_impl(const Program& p, Frame& f, Xoshiro256& rng,
       latency += p.llc_latency_ns;
       continue;
     }
-    std::uint64_t victim = 0;
-    std::uint64_t best = lru[base];
-    for (std::uint64_t w = 1; w < ways; ++w) {
-      const bool better = lru[base + w] < best;
-      best = better ? lru[base + w] : best;
-      victim = better ? w : victim;
-    }
-    tags[base + victim] = tag;
-    lru[base + victim] = tick;
+    set_tags[memsim::Cache::evict(order[set], top_shift)] = tag;
     latency += miss_latency;
     f.tier_sim[miss_tier] += memsim::kCacheLineBytes;
     ++misses;
@@ -339,7 +330,6 @@ void run_impl(const Program& p, Frame& f, Xoshiro256& rng,
     }
   }
 
-  f.tick = tick;
   f.latency_ns = latency;
   f.misses = misses;
 }

@@ -133,19 +133,21 @@ std::string verify_program(const Program& program);
 
 /// Mutable per-burst state shared by both backends. The engine fills it
 /// from the live run (cache tables, tier accumulators, RNG state), executes
-/// one phase burst, and reads the accumulated results back. Field layout is
-/// part of the native backend's ABI — it addresses the frame by offset.
+/// one phase burst, and reads the accumulated results back. The native
+/// backend addresses the frame by offsetof displacements baked into its
+/// code. The LLC way state is the cache's own arrays, mutated in place:
+/// tags per way and one recency word per set (memsim::Cache::touch/evict
+/// define its encoding).
 struct Frame {
   std::uint64_t rng_state[4] = {0, 0, 0, 0};  ///< xoshiro256** state in/out
-  std::uint64_t tick = 0;           ///< LLC LRU tick in/out
   double latency_ns = 0.0;          ///< out: summed in access order
   std::uint64_t misses = 0;         ///< out: LLC misses this burst
   std::uint64_t n_accesses = 0;     ///< in: burst length
   std::uint64_t* tier_sim = nullptr;  ///< [n_tiers] simulated bytes served
   std::uint64_t scratch = 0;        ///< native spill slot
   // LLC geometry + way state (memsim::Cache::Tables, flattened).
-  memsim::Address* tags = nullptr;
-  std::uint64_t* lru = nullptr;
+  memsim::Address* tags = nullptr;   ///< sets * ways
+  std::uint64_t* order = nullptr;    ///< recency word per set
   std::uint64_t ways = 0;
   std::uint64_t line_shift = 0;
   std::uint64_t set_mask = 0;

@@ -33,21 +33,26 @@ void NativeKernel::run(Frame&) const {}
 
 namespace {
 
-// The emitted code addresses the Frame by fixed displacements off rbx;
-// these mirror the struct layout and are locked down here.
+// The emitted code addresses the Frame by displacements off rbx, taken
+// from the struct layout here; the prologue/epilogue assume rng_state
+// leads it.
 static_assert(offsetof(Frame, rng_state) == 0);
-static_assert(offsetof(Frame, tick) == 32);
-static_assert(offsetof(Frame, latency_ns) == 40);
-static_assert(offsetof(Frame, misses) == 48);
-static_assert(offsetof(Frame, n_accesses) == 56);
-static_assert(offsetof(Frame, tier_sim) == 64);
-static_assert(offsetof(Frame, scratch) == 72);
-static_assert(offsetof(Frame, tags) == 80);
-static_assert(offsetof(Frame, lru) == 88);
+constexpr int kFrameLatency = offsetof(Frame, latency_ns);
+constexpr int kFrameMisses = offsetof(Frame, misses);
+constexpr int kFrameAccesses = offsetof(Frame, n_accesses);
+constexpr int kFrameTierSim = offsetof(Frame, tier_sim);
+constexpr int kFrameScratch = offsetof(Frame, scratch);
+constexpr int kFrameTags = offsetof(Frame, tags);
+constexpr int kFrameOrder = offsetof(Frame, order);
 static_assert(sizeof(memsim::Address) == 8);
 static_assert(offsetof(InstanceSlot, base) == 0);
 static_assert(offsetof(InstanceSlot, latency_ns) == 8);
 static_assert(offsetof(InstanceSlot, tier) == 16);
+
+// Recency-word constants for the inline hit path (memsim::Cache::touch):
+// the nibble broadcast and the zero-nibble flags.
+constexpr std::uint64_t kNibbleOnes = 0x1111111111111111ULL;
+constexpr std::uint64_t kNibbleHighs = 0x8888888888888888ULL;
 
 // Register numbers (SysV). Persistent state sits in callee-saved registers:
 // rbx = Frame*, rbp = access counter, r12..r15 = xoshiro s0..s3. Everything
@@ -164,7 +169,6 @@ class Asm {
   void lea_sib(int dst, int base, int index, int scale_log) {
     rex(true, dst, index, base); byte(0x8D); sib_mem(dst, base, index, scale_log);
   }
-  void lea_mem(int dst, int base, int disp) { rex(true, dst, 0, base); byte(0x8D); mem(dst, base, disp); }
   void lea_r13x5(int dst) {
     // lea dst, [r13 + r13*4]: rbp-class base forces a disp8 of zero.
     rex(true, dst, kR13, kR13);
@@ -174,7 +178,11 @@ class Asm {
     byte(0);
   }
   void add_rr(int dst, int src) { rex(true, src, 0, dst); byte(0x01); modrm(3, src, dst); }
+  void sub_rr(int dst, int src) { rex(true, src, 0, dst); byte(0x29); modrm(3, src, dst); }
   void and_rr(int dst, int src) { rex(true, src, 0, dst); byte(0x21); modrm(3, src, dst); }
+  void or_rr(int dst, int src) { rex(true, src, 0, dst); byte(0x09); modrm(3, src, dst); }
+  void not_r(int r) { rex(true, 0, 0, r); byte(0xF7); modrm(3, 2, r); }
+  void neg_r(int r) { rex(true, 0, 0, r); byte(0xF7); modrm(3, 3, r); }
   void xor_rr(int dst, int src) { rex(true, src, 0, dst); byte(0x31); modrm(3, src, dst); }
   void xor32_rr(int dst, int src) { rex_opt(src, 0, dst); byte(0x31); modrm(3, src, dst); }
   void cmp_rr(int a, int b) { rex(true, a, 0, b); byte(0x3B); modrm(3, a, b); }  // flags(a - b)
@@ -187,9 +195,9 @@ class Asm {
     rex(true, dst, 0, src); byte(0x69); modrm(3, dst, src); imm32(v);
   }
   void mul_r(int r) { rex(true, 0, 0, r); byte(0xF7); modrm(3, 4, r); }
-  void cmovb_rr(int dst, int src) { rex(true, dst, 0, src); byte(0x0F); byte(0x42); modrm(3, dst, src); }
   void cmovae_rr(int dst, int src) { rex(true, dst, 0, src); byte(0x0F); byte(0x43); modrm(3, dst, src); }
   void inc_r(int r) { rex(true, 0, 0, r); byte(0xFF); modrm(3, 0, r); }
+  void dec_r(int r) { rex(true, 0, 0, r); byte(0xFF); modrm(3, 1, r); }
   void inc_mem(int base, int disp) { rex(true, 0, 0, base); byte(0xFF); mem(0, base, disp); }
   void add_sib_imm8(int base, int index, std::uint8_t v) {
     rex(true, 0, index, base); byte(0x83); sib_mem(0, base, index, 3); byte(v);
@@ -232,7 +240,8 @@ bool NativeKernel::compile(const Program& p, std::uint32_t ways,
   }
   const std::uint64_t n_cols = p.threshold.size();
   if (n_cols == 0 || n_cols > 0x7FFFFFFFULL) return false;
-  if (ways == 0 || ways > 0x7FFFFFFFU) return false;
+  if (ways == 0 || ways > memsim::Cache::kMaxWays) return false;
+  const int top_shift = 4 * static_cast<int>(ways - 1);
 
   jump_table_.assign(p.slot_count(), 0);
   std::vector<std::size_t> block_offset(p.slot_count(), 0);
@@ -254,7 +263,7 @@ bool NativeKernel::compile(const Program& p, std::uint32_t ways,
   a.mov_r_mem(kR14, kRbx, 16);
   a.mov_r_mem(kR15, kRbx, 24);
   a.xor32_rr(kRbp, kRbp);  // k = 0
-  a.cmp_mem0(kRbx, 56);    // n_accesses == 0?
+  a.cmp_mem0(kRbx, kFrameAccesses);  // n_accesses == 0?
   a.je_label(done);
 
   // ---- per-access prelude: draw, alias sample, dispatch.
@@ -345,10 +354,10 @@ bool NativeKernel::compile(const Program& p, std::uint32_t ways,
                    reinterpret_cast<std::uint64_t>(p.instances.data() +
                                                    in->imm0));
         a.add_rr(kRax, kRdx);
-        a.mov_mem_r(kRbx, 72, kRax);  // spill rec* across the C call
+        a.mov_mem_r(kRbx, kFrameScratch, kRax);  // spill rec* across the call
         const Insn& gen = p.code[p.block_start[s] + 1];
         emit_gen_offset(p.gens[gen.a], gen.imm0);
-        a.mov_r_mem(kRsi, kRbx, 72);
+        a.mov_r_mem(kRsi, kRbx, kFrameScratch);
         a.mov_r_mem(kR10, kRsi, 0);   // rec.base
         a.add_rr(kR10, kRax);
         a.mov_r_mem(kR11, kRsi, 16);  // rec.tier
@@ -362,60 +371,81 @@ bool NativeKernel::compile(const Program& p, std::uint32_t ways,
   }
 
   // ---- shared LLC probe: the exact Cache::access sequence with geometry
-  // baked in and the hit scan unrolled.
+  // baked in and the hit scan unrolled. rax = tag, rsi = &tags[set * ways],
+  // rdx = &order[set].
   a.bind(serve);
-  a.inc_mem(kRbx, 32);  // ++tick
   a.mov_rr(kRax, kR10);
   a.shr_ri(kRax, static_cast<int>(line_shift));  // tag
   a.mov_rr(kRcx, kRax);
   a.mov_ri64(kRdi, set_mask);
-  a.and_rr(kRcx, kRdi);
-  a.imul_rri(kRcx, kRcx, ways);
-  a.mov_r_mem(kRsi, kRbx, 80);  // tags
-  a.lea_sib(kRsi, kRsi, kRcx, 3);
-  a.mov_r_mem(kRdx, kRbx, 88);  // lru
+  a.and_rr(kRcx, kRdi);                  // set
+  a.mov_r_mem(kRdx, kRbx, kFrameOrder);
   a.lea_sib(kRdx, kRdx, kRcx, 3);
+  a.imul_rri(kRcx, kRcx, ways);
+  a.mov_r_mem(kRsi, kRbx, kFrameTags);
+  a.lea_sib(kRsi, kRsi, kRcx, 3);
   for (std::uint32_t w = 0; w < ways; ++w) {
     a.cmp_mem_r(kRsi, static_cast<int>(w) * 8, kRax);
     const std::size_t skip = a.jne_short();
-    a.lea_mem(kRcx, kRdx, static_cast<int>(w) * 8);  // &lru[way]
+    a.mov_ri64(kRcx, w * kNibbleOnes);  // the way's id in every nibble
     a.jmp_label(hit);
     a.patch_short(skip);
   }
-  // Miss: first-minimal-stamp victim via cmov (matches the interpreter's
-  // branch-free argmin), then install and account.
-  a.mov_r_mem(kRcx, kRdx, 0);  // best
-  a.xor32_rr(kR8, kR8);        // victim
-  for (std::uint32_t w = 1; w < ways; ++w) {
-    a.mov_r_mem(kR9, kRdx, static_cast<int>(w) * 8);
-    a.mov_ri32(kRdi, w);
-    a.cmp_rr(kR9, kRcx);
-    a.cmovb_rr(kRcx, kR9);
-    a.cmovb_rr(kR8, kRdi);
-  }
-  a.mov_r_mem(kR9, kRbx, 32);       // tick
-  a.mov_sib_r(kRsi, kR8, 3, kRax);  // tags[victim] = tag
-  a.mov_sib_r(kRdx, kR8, 3, kR9);   // lru[victim] = tick
-  a.movsd_x_mem(0, kRbx, 40);
+  // Miss (Cache::evict): pop the least-recent way, push it on top, install.
+  a.mov_r_mem(kR8, kRdx, 0);
+  a.mov_ri32(kRcx, 0xF);
+  a.and_rr(kRcx, kR8);              // victim
+  a.shr_ri(kR8, 4);
+  a.mov_rr(kR9, kRcx);
+  a.shl_ri(kR9, top_shift);
+  a.or_rr(kR8, kR9);
+  a.mov_mem_r(kRdx, 0, kR8);
+  a.mov_sib_r(kRsi, kRcx, 3, kRax);  // tags[victim] = tag
+  a.movsd_x_mem(0, kRbx, kFrameLatency);
   a.addsd(0, 1);                    // latency += miss latency
-  a.movsd_mem_x(kRbx, 40, 0);
-  a.mov_r_mem(kRcx, kRbx, 64);      // tier_sim
+  a.movsd_mem_x(kRbx, kFrameLatency, 0);
+  a.mov_r_mem(kRcx, kRbx, kFrameTierSim);
   a.add_sib_imm8(kRcx, kR11, 64);   // [tier] += kCacheLineBytes
-  a.inc_mem(kRbx, 48);              // ++misses
+  a.inc_mem(kRbx, kFrameMisses);
   a.jmp_label(next);
 
-  a.bind(hit);  // rcx = &lru[way]
-  a.mov_r_mem(kR9, kRbx, 32);
-  a.mov_mem_r(kRcx, 0, kR9);  // lru[way] = tick
-  a.movsd_x_mem(0, kRbx, 40);
+  // Hit (Cache::touch), rcx = way * kNibbleOnes: flag the way's nibble,
+  // splice it out below/above, push it on top. Inline — no call.
+  a.bind(hit);
+  a.mov_r_mem(kR8, kRdx, 0);        // order
+  a.mov_rr(kR9, kR8);
+  a.xor_rr(kR9, kRcx);              // x: zero nibble at the way
+  a.mov_ri64(kRax, kNibbleOnes);
+  a.mov_rr(kRdi, kR9);
+  a.sub_rr(kRdi, kRax);
+  a.not_r(kR9);
+  a.and_rr(kRdi, kR9);
+  a.mov_ri64(kRax, kNibbleHighs);
+  a.and_rr(kRdi, kRax);             // zero = (x - ones) & ~x & highs
+  a.mov_rr(kRax, kRdi);
+  a.neg_r(kRax);
+  a.and_rr(kRax, kRdi);             // zero & -zero
+  a.shr_ri(kRax, 3);
+  a.dec_r(kRax);                    // below
+  a.mov_rr(kR9, kR8);
+  a.and_rr(kR9, kRax);              // order & below
+  a.shr_ri(kR8, 4);
+  a.not_r(kRax);
+  a.and_rr(kR8, kRax);              // (order >> 4) & ~below
+  a.or_rr(kR8, kR9);
+  a.shr_ri(kRcx, 60);               // way
+  a.shl_ri(kRcx, top_shift);
+  a.or_rr(kR8, kRcx);
+  a.mov_mem_r(kRdx, 0, kR8);
+  a.movsd_x_mem(0, kRbx, kFrameLatency);
   a.mov_ri64(kRax, bits_of(p.llc_latency_ns));
   a.movq_x_r(1, kRax);
   a.addsd(0, 1);
-  a.movsd_mem_x(kRbx, 40, 0);
+  a.movsd_mem_x(kRbx, kFrameLatency, 0);
 
   a.bind(next);
   a.inc_r(kRbp);
-  a.cmp_r_mem(kRbp, kRbx, 56);
+  a.cmp_r_mem(kRbp, kRbx, kFrameAccesses);
   a.jb_label(loop);
 
   a.bind(done);
@@ -506,16 +536,16 @@ bool native_self_test() {
   constexpr std::uint32_t kWays = 4;
   constexpr std::uint64_t kSets = 8;
   const auto run = [&](bool native, double* latency, std::uint64_t* misses,
-                       std::uint64_t* tick, std::uint64_t rng_out[4],
+                       std::uint64_t rng_out[4],
                        std::vector<memsim::Address>* tags,
-                       std::vector<std::uint64_t>* lru,
+                       std::vector<std::uint64_t>* order,
                        std::uint64_t tier_sim[2]) {
     tags->assign(kSets * kWays, memsim::Cache::kInvalidTag);
-    lru->assign(kSets * kWays, 0);
+    order->assign(kSets, memsim::Cache::initial_order(kWays));
     tier_sim[0] = tier_sim[1] = 0;
     Frame f;
     f.tags = tags->data();
-    f.lru = lru->data();
+    f.order = order->data();
     f.ways = kWays;
     f.line_shift = 6;
     f.set_mask = kSets - 1;
@@ -534,25 +564,23 @@ bool native_self_test() {
     }
     *latency = f.latency_ns;
     *misses = f.misses;
-    *tick = f.tick;
     return true;
   };
 
   double lat_b = 0, lat_n = 0;
-  std::uint64_t miss_b = 0, miss_n = 0, tick_b = 0, tick_n = 0;
+  std::uint64_t miss_b = 0, miss_n = 0;
   std::uint64_t rng_b[4], rng_n[4], sim_b[2], sim_n[2];
   std::vector<memsim::Address> tags_b, tags_n;
-  std::vector<std::uint64_t> lru_b, lru_n;
-  if (!run(false, &lat_b, &miss_b, &tick_b, rng_b, &tags_b, &lru_b, sim_b)) {
+  std::vector<std::uint64_t> order_b, order_n;
+  if (!run(false, &lat_b, &miss_b, rng_b, &tags_b, &order_b, sim_b)) {
     return false;
   }
-  if (!run(true, &lat_n, &miss_n, &tick_n, rng_n, &tags_n, &lru_n, sim_n)) {
+  if (!run(true, &lat_n, &miss_n, rng_n, &tags_n, &order_n, sim_n)) {
     return false;
   }
   return bits_of(lat_b) == bits_of(lat_n) && miss_b == miss_n &&
-         tick_b == tick_n && std::memcmp(rng_b, rng_n, sizeof(rng_b)) == 0 &&
-         tags_b == tags_n && lru_b == lru_n && sim_b[0] == sim_n[0] &&
-         sim_b[1] == sim_n[1];
+         std::memcmp(rng_b, rng_n, sizeof(rng_b)) == 0 && tags_b == tags_n &&
+         order_b == order_n && sim_b[0] == sim_n[0] && sim_b[1] == sim_n[1];
 }
 
 }  // namespace

@@ -5,7 +5,9 @@
 // lives in callee-saved registers for the whole burst, the alias table and
 // every per-slot constant (addresses, tiers, miss latencies, Lemire
 // rejection thresholds) are baked as immediates, the LLC probe is an
-// unrolled tag scan against geometry baked at compile time, and per-object
+// unrolled tag scan against geometry baked at compile time followed by an
+// inline recency-word update (pop/push on a miss, SWAR splice on a hit —
+// memsim::Cache::evict/touch, emitted without a call), and per-object
 // offset generators are reached through one extern "C" shim (their streams
 // are independent, so a C call is bit-identity-safe). Code is placed in W^X
 // pages through common/exec_alloc.hpp: mapped writable, sealed read-execute
@@ -52,9 +54,10 @@ class NativeKernel {
   bool ok() const { return entry_ != nullptr; }
 
   /// Executes one burst. frame.rng_state carries the xoshiro256** state in
-  /// and out; tick / latency_ns / misses / tier_sim accumulate exactly as
-  /// run_bytecode would. Only unprofiled bursts: the resolver never routes
-  /// a profiled run here (miss records stay a bytecode/interpreter job).
+  /// and out; latency_ns / misses / tier_sim accumulate and the LLC tags /
+  /// recency words change exactly as run_bytecode would. Only unprofiled
+  /// bursts: the resolver never routes a profiled run here (miss records
+  /// stay a bytecode/interpreter job).
   void run(Frame& frame) const;
 
  private:

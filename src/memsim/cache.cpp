@@ -1,69 +1,48 @@
 #include "memsim/cache.hpp"
 
+#include <bit>
+
 #include "common/assert.hpp"
 
 namespace hmem::memsim {
 
-namespace {
-bool is_pow2(std::uint64_t x) { return x != 0 && (x & (x - 1)) == 0; }
-
-std::uint32_t log2_pow2(std::uint64_t x) {
-  std::uint32_t shift = 0;
-  while ((1ULL << shift) < x) ++shift;
-  return shift;
-}
-}  // namespace
-
 Cache::Cache(const CacheConfig& config) : config_(config) {
-  HMEM_ASSERT(is_pow2(config.line_bytes));
-  HMEM_ASSERT(config.ways > 0);
+  HMEM_ASSERT(std::has_single_bit(config.line_bytes));
+  HMEM_ASSERT(config.ways > 0 && config.ways <= kMaxWays);
   HMEM_ASSERT(config.size_bytes >=
               static_cast<std::uint64_t>(config.line_bytes) * config.ways);
   sets_ = config.size_bytes /
           (static_cast<std::uint64_t>(config.line_bytes) * config.ways);
-  HMEM_ASSERT_MSG(is_pow2(sets_), "cache size must yield power-of-two sets");
-  line_shift_ = log2_pow2(config.line_bytes);
+  HMEM_ASSERT_MSG(std::has_single_bit(sets_),
+                  "cache size must yield power-of-two sets");
+  line_shift_ =
+      static_cast<std::uint32_t>(std::countr_zero(config.line_bytes));
   set_mask_ = sets_ - 1;
+  top_shift_ = 4 * (config.ways - 1);
   tags_.resize(sets_ * config.ways, kInvalidTag);
-  lru_.resize(sets_ * config.ways, 0);
+  order_.resize(sets_, initial_order(config.ways));
 }
 
 bool Cache::access(Address addr) {
   ++stats_.accesses;
-  ++tick_;
   const Address tag = tag_of(addr);
-  const std::size_t base = set_of(addr) * config_.ways;
-  const Address* tags = &tags_[base];
-  std::uint64_t* lru = &lru_[base];
+  const std::uint64_t set = set_of(addr);
+  Address* tags = &tags_[set * config_.ways];
 
-  // Hit scan first: pure tag compares against the compact SoA array (an
-  // invalid way holds kInvalidTag, which no real address produces, so no
-  // validity check is needed). A tag appears in at most one way, and the
-  // LRU victim is only relevant on a miss — so the stamp array is not even
-  // read on the hit path.
+  // Hit scan: pure tag compares against the compact tag array (an invalid
+  // way holds kInvalidTag, which no real address produces, so no validity
+  // check is needed). A tag appears in at most one way.
   for (std::uint32_t w = 0; w < config_.ways; ++w) {
     if (tags[w] == tag) {
-      lru[w] = tick_;
+      touch(order_[set], w, top_shift_);
       ++stats_.hits;
       return true;
     }
   }
-  // Miss: victim = first way with the minimal stamp (0 = invalid), exactly
-  // the order-sensitive choice the AoS scan made. Ternary form so the
-  // argmin compiles to conditional moves: the comparison outcome is
-  // data-dependent noise, and mispredicted branches here cost ~3x the whole
-  // scan (measured; see PR notes).
-  std::uint32_t lru_way = 0;
-  std::uint64_t best = lru[0];
-  for (std::uint32_t w = 1; w < config_.ways; ++w) {
-    const bool better = lru[w] < best;
-    best = better ? lru[w] : best;
-    lru_way = better ? w : lru_way;
-  }
+  const std::uint32_t victim = evict(order_[set], top_shift_);
   ++stats_.misses;
-  if (lru[lru_way] != 0) ++stats_.evictions;
-  tags_[base + lru_way] = tag;
-  lru[lru_way] = tick_;
+  if (tags[victim] != kInvalidTag) ++stats_.evictions;
+  tags[victim] = tag;
   return false;
 }
 
@@ -78,8 +57,7 @@ bool Cache::contains(Address addr) const {
 
 void Cache::flush() {
   tags_.assign(tags_.size(), kInvalidTag);
-  lru_.assign(lru_.size(), 0);
-  tick_ = 0;
+  order_.assign(order_.size(), initial_order(config_.ways));
 }
 
 }  // namespace hmem::memsim

@@ -1,6 +1,7 @@
 #include "memsim/machine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -314,11 +315,24 @@ MachineConfig MachineConfig::from_config(const Config& config) {
   cfg.mem_cache_block_bytes = config.get_bytes(
       "machine", "mem_cache_block", cfg.mem_cache_block_bytes);
 
-  cfg.llc.size_bytes = config.get_bytes("llc", "size", 32ULL * kMiB);
-  cfg.llc.line_bytes =
-      static_cast<std::uint32_t>(config.get_bytes("llc", "line", 64));
-  cfg.llc.ways =
-      static_cast<std::uint32_t>(config.get_int("llc", "ways", 16));
+  // [llc] geometry: the Cache constructor asserts these, so a file must
+  // fail here, naming the key, before any run builds one.
+  const std::uint64_t llc_size = config.get_bytes("llc", "size", 32ULL * kMiB);
+  const std::uint64_t llc_line = config.get_bytes("llc", "line", 64);
+  const long long llc_ways = config.get_int("llc", "ways", 16);
+  if (!std::has_single_bit(llc_line) || llc_line > (1ULL << 30))
+    bad_machine("[llc] line must be a power of two up to 1G");
+  if (llc_ways < 1 || llc_ways > static_cast<long long>(Cache::kMaxWays))
+    bad_machine("[llc] ways must be in 1.." +
+                std::to_string(Cache::kMaxWays));
+  const std::uint64_t set_bytes =
+      llc_line * static_cast<std::uint64_t>(llc_ways);
+  if (llc_size % set_bytes != 0 || !std::has_single_bit(llc_size / set_bytes))
+    bad_machine("[llc] size must be a power-of-two number of sets of "
+                "line * ways bytes");
+  cfg.llc.size_bytes = llc_size;
+  cfg.llc.line_bytes = static_cast<std::uint32_t>(llc_line);
+  cfg.llc.ways = static_cast<std::uint32_t>(llc_ways);
   cfg.llc_latency_ns =
       config.get_double("llc", "latency_ns", cfg.llc_latency_ns);
 

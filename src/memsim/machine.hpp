@@ -126,9 +126,10 @@ struct MachineConfig {
   ///   [llc]                 size, line, ways, latency_ns
   ///   [tier <name>]         capacity, latency_ns, per_core_bw_gbs,
   ///                         peak_bw_gbs, relative_performance
-  /// Tier sections appear in address-map order. Throws std::runtime_error
-  /// on invalid input (no tiers, duplicate names, zero capacity,
-  /// non-positive relative performance).
+  /// Tier sections appear in address-map order. Throws ConfigError on
+  /// invalid input (no tiers, duplicate names, zero capacity, non-positive
+  /// relative performance, an [llc] line that is not a power of two, ways
+  /// outside 1..16, or a size that is not a power-of-two set count).
   static MachineConfig from_config(const Config& config);
 
   std::size_t tier_count() const { return tiers.size(); }

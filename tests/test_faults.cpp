@@ -487,6 +487,23 @@ TEST_F(FaultsTest, CliExitCodes) {
   EXPECT_EQ(run_tool("hmem_run hpcg --faults io_read:p=9"), 2);
   EXPECT_EQ(run_tool("hmem_run hpcg --condition warp"), 2);
   EXPECT_EQ(run_tool("hmem_workload check /nonexistent.ini"), 2);
+  // Machine files whose [llc] geometry no cache can be built from.
+  const std::string machine = temp_path("cli_machine.ini");
+  for (const char* llc : {"ways = 0", "ways = 17", "line = 48",
+                          "size = 1M\nways = 12"}) {
+    {
+      std::ofstream ini(machine);
+      ini << "[llc]\n" << llc << "\n[tier DDR]\ncapacity = 16G\n";
+    }
+    EXPECT_EQ(run_tool("hmem_run snap --machine " + machine), 2) << llc;
+  }
+  // A 12-way LLC is valid: each rank's share keeps a power-of-two set count.
+  {
+    std::ofstream ini(machine);
+    ini << "[llc]\nsize = 24M\nways = 12\n[tier DDR]\ncapacity = 64G\n";
+  }
+  EXPECT_EQ(run_tool("hmem_run snap --condition ddr --machine " + machine), 0);
+  std::remove(machine.c_str());
 
   // 3: data and I/O errors, in both strict and (all-dead) salvage mode.
   EXPECT_EQ(run_tool("hmem_advise /nonexistent.trace 64M"), 3);

@@ -57,6 +57,7 @@
 #include "common/prng.hpp"
 #include "engine/execution.hpp"
 #include "engine/kernel/ir.hpp"
+#include "memsim/cache.hpp"
 #include "trace/format.hpp"
 #include "trace/merge.hpp"
 #include "trace/salvage.hpp"
@@ -601,6 +602,31 @@ void mutate_kernel_program(Xoshiro256& rng, engine::kernel::Program& p) {
   }
 }
 
+/// True when a set's recency word is well formed against its tags: each of
+/// the ways 0..ways-1 sits in the low `ways` nibbles exactly once, nothing
+/// sits above them, and the still-empty ways are the least-recent ones in
+/// ascending id order (an empty way is only ever reached by evict()).
+bool recency_word_consistent(std::uint64_t order,
+                             const memsim::Address* set_tags,
+                             std::uint64_t ways) {
+  std::uint32_t seen = 0;
+  std::uint64_t empty_seen = 0;
+  bool valid_seen = false;
+  for (std::uint64_t n = 0; n < ways; ++n) {
+    const std::uint64_t way = (order >> (4 * n)) & 0xF;
+    if (way >= ways) return false;
+    seen |= 1u << way;
+    if (set_tags[way] == memsim::Cache::kInvalidTag) {
+      if (valid_seen || way < empty_seen) return false;
+      empty_seen = way + 1;
+    } else {
+      valid_seen = true;
+    }
+  }
+  const std::uint64_t above = ways == 16 ? 0 : order >> (4 * ways);
+  return seen == (1u << ways) - 1 && above == 0;
+}
+
 TEST(Fuzz, MutatedKernelProgramsAreRejectedOrRunSafely) {
   using engine::kernel::Frame;
   const int iters = fuzz_iters();
@@ -627,13 +653,14 @@ TEST(Fuzz, MutatedKernelProgramsAreRejectedOrRunSafely) {
     const std::uint64_t sets = 1ULL << rng.below(5);
     const std::uint64_t ways = rng.below(4) + 1;
     std::vector<memsim::Address> tags(sets * ways, ~0ULL);
-    std::vector<std::uint64_t> lru(sets * ways, 0);
+    std::vector<std::uint64_t> order(
+        sets, memsim::Cache::initial_order(static_cast<std::uint32_t>(ways)));
     std::vector<std::uint64_t> tier_sim(fuzz.p.n_tiers, 0);
     Frame frame;
     frame.n_accesses = 128;
     frame.tier_sim = tier_sim.data();
     frame.tags = tags.data();
-    frame.lru = lru.data();
+    frame.order = order.data();
     frame.ways = ways;
     frame.line_shift = 6;
     frame.set_mask = sets - 1;
@@ -641,7 +668,17 @@ TEST(Fuzz, MutatedKernelProgramsAreRejectedOrRunSafely) {
     std::pmr::vector<engine::kernel::MissRecord> records;
     engine::kernel::run_bytecode(fuzz.p, frame, access_rng,
                                  rng.below(2) != 0 ? &records : nullptr);
-    EXPECT_EQ(frame.tick, 128u) << "iteration " << i;
+    // Every set's recency word must still order exactly its own ways, and
+    // every filled way must be paid for by a miss.
+    std::uint64_t filled = 0;
+    for (std::uint64_t s = 0; s < sets; ++s) {
+      EXPECT_TRUE(recency_word_consistent(order[s], &tags[s * ways], ways))
+          << "iteration " << i << " set " << s;
+      for (std::uint64_t w = 0; w < ways; ++w) {
+        filled += tags[s * ways + w] != memsim::Cache::kInvalidTag;
+      }
+    }
+    EXPECT_LE(filled, frame.misses) << "iteration " << i;
     EXPECT_LE(frame.misses, 128u) << "iteration " << i;
     ++executed;
   }

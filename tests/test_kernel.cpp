@@ -481,6 +481,66 @@ TEST(KernelDifferential, ProfiledRunsMatchTheOracle) {
   }
 }
 
+/// An app whose whole working set fits a 1 MiB per-rank LLC (or, with
+/// `overflow`, exceeds it by about a third, so hits and evictions interleave).
+/// Bundled apps at pipeline scale almost never hit, so this is what drives
+/// the kernels' hit paths: every hit reorders a set's recency word from
+/// whatever position the way held.
+apps::AppSpec llc_resident_app(bool overflow) {
+  apps::AppSpec app;
+  app.name = overflow ? "llc-overflow" : "llc-resident";
+  app.fom_unit = "it/s";
+  app.iterations = 3;
+  app.accesses_per_iteration = 40000;
+  app.access_scale = 1;  // llc_misses then counts simulated misses
+  app.stack_bytes = 64ULL << 10;
+  app.objects = {
+      apps::ObjectSpec{.name = "hot",
+                       .size_bytes = overflow ? (1ULL << 20) : (384ULL << 10),
+                       .pattern = apps::AccessPattern::kRandom},
+      apps::ObjectSpec{.name = "warm", .size_bytes = 128ULL << 10},
+      apps::ObjectSpec{.name = "tiles",
+                       .size_bytes = 32ULL << 10,
+                       .pattern = apps::AccessPattern::kRandom,
+                       .instances = 4},
+  };
+  apps::PhaseSpec phase;
+  phase.name = "main";
+  phase.object_weights = {0.6, 0.2, 0.1};
+  phase.stack_weight = 0.1;
+  app.phases = {phase};
+  return app;
+}
+
+TEST(KernelDifferential, LlcResidentRunsHitThroughEveryBackend) {
+  memsim::MachineConfig node =
+      memsim::MachineConfig::knl7250(memsim::MemMode::kFlat);
+  node.llc.size_bytes = 1ULL << 20;  // 1024 sets x 16 ways
+  for (const bool overflow : {false, true}) {
+    const apps::AppSpec app = llc_resident_app(overflow);
+    ASSERT_EQ(apps::validate(app), "");
+    for (const engine::Condition condition :
+         {engine::Condition::kDdr, engine::Condition::kNumactl}) {
+      engine::RunOptions opts;
+      opts.condition = condition;
+      opts.node = node;
+      opts.kernel = KernelKind::kInterp;
+      const engine::RunResult oracle = engine::run_app(app, opts);
+      const std::uint64_t accesses =
+          app.iterations * app.accesses_per_iteration;
+      // Resident: only cold misses; overflow: still mostly hits.
+      EXPECT_LT(oracle.llc_misses * (overflow ? 2 : 4), accesses) << app.name;
+      EXPECT_GT(oracle.llc_misses, 0u) << app.name;
+      for (const KernelKind k : compiled_kernels()) {
+        opts.kernel = k;
+        expect_same_run(oracle, engine::run_app(app, opts),
+                        app.name + "/" + engine::condition_name(condition) +
+                            "/" + engine::kernel::kernel_name(k));
+      }
+    }
+  }
+}
+
 TEST(KernelDifferential, CacheModeIsKernelInvariant) {
   const apps::AppSpec app = shrink(apps::make_hpcg());
   engine::RunOptions opts;

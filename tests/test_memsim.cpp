@@ -1,8 +1,12 @@
 // Unit and property tests for the memory-system simulator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
+#include "common/error.hpp"
 #include "common/prng.hpp"
 #include "common/units.hpp"
 #include "memsim/cache.hpp"
@@ -175,6 +179,120 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(CacheParam{4096, 1}, CacheParam{4096, 4},
                       CacheParam{16384, 2}, CacheParam{65536, 16},
                       CacheParam{262144, 8}));
+
+// ------------------------------------------------- stamp-LRU oracle ----
+
+/// Independent reference model: true LRU by 64-bit last-touch stamps, a
+/// cache-wide tick, and a first-minimal-stamp argmin for the victim (0 =
+/// empty way). This is the replacement the recency word must reproduce.
+class StampLru {
+ public:
+  struct Outcome {
+    bool hit = false;
+    std::uint32_t way = 0;  ///< way hit, or way filled on a miss
+    bool evicted = false;   ///< the miss displaced a valid line
+  };
+
+  StampLru(std::uint64_t sets, std::uint32_t ways)
+      : ways_(ways),
+        tags_(sets * ways, Cache::kInvalidTag),
+        stamps_(sets * ways, 0) {}
+
+  Outcome access(std::uint64_t set, Address tag) {
+    ++tick_;
+    const std::size_t base = set * ways_;
+    for (std::uint32_t w = 0; w < ways_; ++w) {
+      if (tags_[base + w] == tag) {
+        stamps_[base + w] = tick_;
+        return {true, w, false};
+      }
+    }
+    std::uint32_t victim = 0;
+    for (std::uint32_t w = 1; w < ways_; ++w) {
+      if (stamps_[base + w] < stamps_[base + victim]) victim = w;
+    }
+    const bool evicted = stamps_[base + victim] != 0;
+    tags_[base + victim] = tag;
+    stamps_[base + victim] = tick_;
+    return {false, victim, evicted};
+  }
+
+  void flush() {
+    std::fill(tags_.begin(), tags_.end(), Cache::kInvalidTag);
+    std::fill(stamps_.begin(), stamps_.end(), 0);
+    tick_ = 0;
+  }
+
+ private:
+  std::uint32_t ways_;
+  std::uint64_t tick_ = 0;
+  std::vector<Address> tags_;
+  std::vector<std::uint64_t> stamps_;
+};
+
+class RecencyWordOracle : public ::testing::TestWithParam<std::uint32_t> {};
+
+TEST_P(RecencyWordOracle, MatchesStampLruAccessForAccess) {
+  const std::uint32_t ways = GetParam();
+  constexpr std::uint64_t kSets = 64;
+  const std::uint64_t lines = kSets * ways;
+  Cache cache(CacheConfig{lines * kCacheLineBytes, 64, ways});
+  StampLru oracle(kSets, ways);
+  Xoshiro256 rng(0x57A3ULL + ways);
+  std::uint64_t evictions = 0;
+
+  // Footprints in lines: random far beyond the cache (almost every access
+  // misses), LLC-resident (hits after warm-up, no evictions), and just over
+  // capacity (hits and evictions interleave, so hits reorder the words).
+  const std::uint64_t footprints[] = {4 * lines, lines * 3 / 4 + 1,
+                                      lines + lines / 8 + 1};
+  for (const std::uint64_t footprint : footprints) {
+    for (int i = 0; i < 6000; ++i) {
+      if (footprint == footprints[1] && i == 3000) {
+        cache.flush();  // mid-stream: both models restart from empty sets
+        oracle.flush();
+      }
+      const Address addr = rng.below(footprint) * kCacheLineBytes +
+                           rng.below(kCacheLineBytes);
+      const StampLru::Outcome want =
+          oracle.access(cache.set_of(addr), cache.tag_of(addr));
+      const bool hit = cache.access(addr);
+      ASSERT_EQ(hit, want.hit) << "access " << i << " ways " << ways;
+      const Cache::Tables t = cache.tables();
+      const Address* set_tags = t.tags + cache.set_of(addr) * ways;
+      ASSERT_EQ(set_tags[want.way], cache.tag_of(addr))
+          << "access " << i << " ways " << ways;
+      evictions += want.evicted ? 1 : 0;
+    }
+  }
+  EXPECT_EQ(cache.stats().evictions, evictions);
+  EXPECT_GT(cache.stats().hits, 0u);
+  EXPECT_GT(evictions, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Ways, RecencyWordOracle,
+                         ::testing::Values(1u, 2u, 3u, 4u, 8u, 12u, 16u));
+
+TEST(Cache, RecencyWordPrimitives) {
+  // 4 ways, least recent first: 0 1 2 3.
+  std::uint64_t order = Cache::initial_order(4);
+  EXPECT_EQ(order, 0x3210u);
+  EXPECT_EQ(Cache::evict(order, 12), 0u);  // 1 2 3 0
+  EXPECT_EQ(order, 0x0321u);
+  Cache::touch(order, 2, 12);  // 1 3 0 2
+  EXPECT_EQ(order, 0x2031u);
+  Cache::touch(order, 2, 12);  // already most recent: unchanged
+  EXPECT_EQ(order, 0x2031u);
+  Cache::touch(order, 1, 12);  // least recent moves to the top: 3 0 2 1
+  EXPECT_EQ(order, 0x1203u);
+  // The full 16-way word uses every nibble, including the top one.
+  std::uint64_t full = Cache::initial_order(16);
+  EXPECT_EQ(full, 0xFEDCBA9876543210ULL);
+  Cache::touch(full, 0, 60);
+  EXPECT_EQ(full, 0x0FEDCBA987654321ULL);
+  EXPECT_EQ(Cache::evict(full, 60), 1u);
+  EXPECT_EQ(full, 0x10FEDCBA98765432ULL);
+}
 
 // -------------------------------------------------------- mcdram cache ----
 
@@ -433,6 +551,28 @@ TEST(MachineConfig, FromConfigRejectsDegenerateInput) {
   EXPECT_THROW(MachineConfig::from_config(Config::parse(
                    "[tier a]\ncapacity = 1G\nrelative_performance = -2\n")),
                std::runtime_error);  // non-positive performance
+  // [llc] geometry the cache cannot build: each must name its key.
+  const auto llc_error = [](const std::string& llc) {
+    try {
+      MachineConfig::from_config(
+          Config::parse("[llc]\n" + llc + "[tier a]\ncapacity = 1G\n"));
+    } catch (const ConfigError& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  EXPECT_NE(llc_error("ways = 0\n").find("[llc] ways"), std::string::npos);
+  EXPECT_NE(llc_error("ways = 17\n").find("[llc] ways"), std::string::npos);
+  EXPECT_NE(llc_error("ways = -3\n").find("[llc] ways"), std::string::npos);
+  EXPECT_NE(llc_error("line = 48\n").find("[llc] line"), std::string::npos);
+  EXPECT_NE(llc_error("line = 0\n").find("[llc] line"), std::string::npos);
+  EXPECT_NE(llc_error("size = 0\n").find("[llc] size"), std::string::npos);
+  EXPECT_NE(llc_error("size = 48K\n").find("[llc] size"), std::string::npos);
+  EXPECT_NE(llc_error("size = 1M\nways = 12\n").find("[llc] size"),
+            std::string::npos);  // 1M / 768 sets is not a whole power of two
+  // Non-power-of-two associativity is fine when the set count is one.
+  EXPECT_EQ(llc_error("size = 768K\nways = 12\n"), "accepted");
+  EXPECT_EQ(llc_error("size = 1M\nways = 16\nline = 64\n"), "accepted");
 }
 
 }  // namespace
