@@ -4,9 +4,11 @@
 // Three measurements, all on the bundled HPCG signature:
 //  * kernels: every available access kernel (interp, bytecode, native) is
 //    first checked bit-identical to the interpreter on a short run, then
-//    timed serially best-of-reps. --check-ordering fails the bench when a
-//    compiled kernel times slower than the interpreter it replaces — the
-//    regression guard CI's Release smoke runs.
+//    timed serially best-of-reps — unprofiled, and profiled (the stage-1
+//    run: miss records plus PEBS emission) for the two compiled kernels.
+//    --check-ordering fails the bench when a compiled kernel times slower
+//    than the interpreter it replaces, or profiled native slower than
+//    profiled bytecode — the regression guard CI's Release smoke runs.
 //  * serial: the selected kernel's (--kernel; default native, degrading
 //    down the fallback ladder) accesses per wall-clock second, compared
 //    against --baseline-aps (default: the PR-3 interpreter figure) for the
@@ -69,11 +71,12 @@ std::uint64_t accesses_per_run(const apps::AppSpec& app) {
 
 engine::RunResult rank_run(const apps::AppSpec& app,
                            const memsim::MachineConfig& node, int rank,
-                           KernelKind kernel) {
+                           KernelKind kernel, bool profiled = false) {
   engine::RunOptions opts;
   opts.condition = engine::Condition::kDdr;
   opts.node = node;
   opts.kernel = kernel;
+  opts.profile = profiled;
   opts.seed = 42 + static_cast<std::uint64_t>(rank) * engine::kRankSeedStride;
   return engine::run_app(app, opts);
 }
@@ -82,7 +85,22 @@ bool same_result(const engine::RunResult& a, const engine::RunResult& b) {
   return a.fom == b.fom && a.time_s == b.time_s &&
          a.llc_misses == b.llc_misses && a.dram_bytes() == b.dram_bytes() &&
          a.fast_hwm_bytes == b.fast_hwm_bytes &&
-         a.slow_bytes() == b.slow_bytes();
+         a.slow_bytes() == b.slow_bytes() && a.samples == b.samples &&
+         a.monitoring_overhead == b.monitoring_overhead;
+}
+
+/// Best-of-reps accesses/second of one kernel; 0 when a run fails.
+double time_kernel(const apps::AppSpec& app,
+                   const memsim::MachineConfig& node, KernelKind kernel,
+                   bool profiled, int reps, std::uint64_t accesses) {
+  double best = 1e300;
+  for (int rep = 0; rep < reps; ++rep) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const auto run = rank_run(app, node, 0, kernel, profiled);
+    best = std::min(best, seconds_since(t0));
+    if (run.fom <= 0) return 0;
+  }
+  return static_cast<double>(accesses) / best;
 }
 
 }  // namespace
@@ -152,8 +170,7 @@ int main(int argc, char** argv) {
 
   const bool native = engine::kernel::native_available();
   const KernelKind selected =
-      engine::kernel::resolve_kernel(requested, /*cache_mode=*/false,
-                                     /*profiled=*/false);
+      engine::kernel::resolve_kernel(requested, /*cache_mode=*/false);
   std::vector<KernelKind> kernels = {KernelKind::kInterp,
                                      KernelKind::kBytecode};
   if (native) kernels.push_back(KernelKind::kNative);
@@ -164,19 +181,22 @@ int main(int argc, char** argv) {
   apps::AppSpec short_app = app;
   short_app.iterations =
       std::max<std::uint64_t>(1, app.iterations / (4 * std::max(1, scale)));
-  const engine::RunResult oracle =
-      rank_run(short_app, node, 0, KernelKind::kInterp);
-  for (const KernelKind k : kernels) {
-    if (k == KernelKind::kInterp) continue;
-    const engine::RunResult got = rank_run(short_app, node, 0, k);
-    if (!same_result(oracle, got)) {
-      std::fprintf(stderr,
-                   "kernel %s diverges from the interpreter "
-                   "(fom %.17g vs %.17g, misses %llu vs %llu)\n",
-                   engine::kernel::kernel_name(k), got.fom, oracle.fom,
-                   static_cast<unsigned long long>(got.llc_misses),
-                   static_cast<unsigned long long>(oracle.llc_misses));
-      return 1;
+  for (const bool profiled : {false, true}) {
+    const engine::RunResult oracle =
+        rank_run(short_app, node, 0, KernelKind::kInterp, profiled);
+    for (const KernelKind k : kernels) {
+      if (k == KernelKind::kInterp) continue;
+      const engine::RunResult got = rank_run(short_app, node, 0, k, profiled);
+      if (!same_result(oracle, got)) {
+        std::fprintf(stderr,
+                     "%skernel %s diverges from the interpreter "
+                     "(fom %.17g vs %.17g, misses %llu vs %llu)\n",
+                     profiled ? "profiled " : "",
+                     engine::kernel::kernel_name(k), got.fom, oracle.fom,
+                     static_cast<unsigned long long>(got.llc_misses),
+                     static_cast<unsigned long long>(oracle.llc_misses));
+        return 1;
+      }
     }
   }
 
@@ -185,28 +205,30 @@ int main(int argc, char** argv) {
               "best of %d reps\n",
               app.name.c_str(),
               static_cast<unsigned long long>(accesses), reps);
-  double kernel_aps[3] = {0, 0, 0};  // interp, bytecode, native
-  for (const KernelKind k : kernels) {
-    double best = 1e300;
-    for (int rep = 0; rep < reps; ++rep) {
-      const auto t0 = std::chrono::steady_clock::now();
-      const auto run = rank_run(app, node, 0, k);
-      best = std::min(best, seconds_since(t0));
-      if (run.fom <= 0) {
+  double kernel_aps[3] = {0, 0, 0};    // interp, bytecode, native
+  double profiled_aps[3] = {0, 0, 0};  // bytecode and native only
+  for (const bool profiled : {false, true}) {
+    for (const KernelKind k : kernels) {
+      if (profiled && k == KernelKind::kInterp) continue;
+      const double aps = time_kernel(app, node, k, profiled, reps, accesses);
+      if (aps <= 0) {
         std::fprintf(stderr, "serial run produced no result\n");
         return 1;
       }
+      (profiled ? profiled_aps : kernel_aps)[static_cast<int>(k) - 1] = aps;
+      std::printf("  %-8s%s: %.0f accesses/sec (%.3f s/run)%s\n",
+                  engine::kernel::kernel_name(k),
+                  profiled ? " (profiled)" : "", aps,
+                  static_cast<double>(accesses) / aps,
+                  !profiled && k == selected ? "  <- selected" : "");
     }
-    const double aps = static_cast<double>(accesses) / best;
-    kernel_aps[static_cast<int>(k) - 1] = aps;
-    std::printf("  %-8s: %.0f accesses/sec (%.3f s/run)%s\n",
-                engine::kernel::kernel_name(k), aps, best,
-                k == selected ? "  <- selected" : "");
   }
   if (!native) std::printf("  native  : unavailable on this build/host\n");
   const double interp_aps = kernel_aps[0];
   const double bytecode_aps = kernel_aps[1];
   const double native_aps = kernel_aps[2];
+  const double profiled_bytecode_aps = profiled_aps[1];
+  const double profiled_native_aps = profiled_aps[2];
   if (check_ordering) {
     // A compiled kernel slower than the interpreter it replaces is a
     // regression regardless of absolute throughput.
@@ -218,6 +240,12 @@ int main(int argc, char** argv) {
     if (native && native_aps < interp_aps) {
       std::fprintf(stderr, "ordering violation: native (%.0f) slower "
                            "than interp (%.0f)\n", native_aps, interp_aps);
+      return 1;
+    }
+    if (native && profiled_native_aps < profiled_bytecode_aps) {
+      std::fprintf(stderr, "ordering violation: profiled native (%.0f) "
+                           "slower than profiled bytecode (%.0f)\n",
+                   profiled_native_aps, profiled_bytecode_aps);
       return 1;
     }
   }
@@ -283,7 +311,7 @@ int main(int argc, char** argv) {
       final_speedup /
       static_cast<double>(std::min(job_counts.back(), hardware_jobs()));
 
-  char buffer[1536];
+  char buffer[2048];
   std::snprintf(buffer, sizeof(buffer),
                 "{\n"
                 "  \"bench\": \"engine_throughput\",\n"
@@ -295,6 +323,8 @@ int main(int argc, char** argv) {
                 "  \"interp_accesses_per_sec\": %.0f,\n"
                 "  \"bytecode_accesses_per_sec\": %.0f,\n"
                 "  \"native_accesses_per_sec\": %.0f,\n"
+                "  \"profiled_bytecode_accesses_per_sec\": %.0f,\n"
+                "  \"profiled_native_accesses_per_sec\": %.0f,\n"
                 "  \"serial_accesses_per_sec\": %.0f,\n"
                 "  \"baseline_accesses_per_sec\": %.0f,\n"
                 "  \"serial_speedup_vs_baseline\": %.3f,\n"
@@ -308,7 +338,8 @@ int main(int argc, char** argv) {
                 app.name.c_str(), node.name.c_str(),
                 engine::kernel::kernel_name(selected),
                 static_cast<unsigned long long>(accesses), reps, interp_aps,
-                bytecode_aps, native_aps, serial_aps, baseline_aps,
+                bytecode_aps, native_aps, profiled_bytecode_aps,
+                profiled_native_aps, serial_aps, baseline_aps,
                 baseline_aps > 0 ? serial_aps / baseline_aps : 0.0,
                 ranks, job_counts.back(), hardware_jobs(), final_speedup,
                 final_efficiency);

@@ -15,7 +15,8 @@ std::uint64_t lines_for(std::uint64_t object_bytes) {
 
 AccessGenerator::AccessGenerator(const ObjectSpec& object, std::uint64_t seed)
     : pattern_(object.pattern),
-      gen_(make_workload_gen(object, lines_for(object.size_bytes), seed)) {}
+      gen_(make_workload_gen(object, lines_for(object.size_bytes), seed)),
+      inline_(gen_->inline_state()) {}
 
 AccessGenerator::AccessGenerator(AccessPattern pattern,
                                  std::uint64_t object_bytes,
@@ -26,6 +27,7 @@ AccessGenerator::AccessGenerator(AccessPattern pattern,
   object.pattern = pattern;
   pattern_ = pattern;
   gen_ = make_workload_gen(object, lines_for(object_bytes), seed);
+  inline_ = gen_->inline_state();
 }
 
 }  // namespace hmem::apps

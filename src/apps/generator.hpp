@@ -30,9 +30,15 @@ class AccessGenerator {
 
   AccessPattern pattern() const { return pattern_; }
 
+  /// The stream's inline state (seq, stride, random, random-permute), which
+  /// compiled kernels step in place instead of calling next_offset(); empty
+  /// for the call-out patterns. Stable for the generator's lifetime.
+  const InlineGen& inline_state() const { return inline_; }
+
  private:
   AccessPattern pattern_;
   std::unique_ptr<WorkloadGen> gen_;
+  InlineGen inline_;
 };
 
 }  // namespace hmem::apps

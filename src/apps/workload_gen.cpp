@@ -16,47 +16,24 @@ constexpr std::uint64_t kDefaultStrideLines = 67;
 
 }  // namespace
 
-SeqWorkloadGen::SeqWorkloadGen(std::uint64_t lines, std::uint64_t seed)
-    : lines_(lines) {
-  HMEM_ASSERT(lines_ > 0);
+WalkWorkloadGen::WalkWorkloadGen(std::uint64_t lines, std::uint64_t seed,
+                                 std::uint64_t stride_lines) {
+  HMEM_ASSERT(lines > 0);
+  // Reduce the stride mod the object length up front: (p + s) % L and
+  // (p + s % L) % L walk the same sequence, and a pre-reduced stride lets
+  // the step wrap with a compare-and-subtract instead of a division.
+  walk_.lines = lines;
+  walk_.stride = stride_lines % lines;
   // Start at a deterministic but seed-dependent phase so different runs
   // (and different objects) are decorrelated. The draw order matches the
   // original AccessGenerator bit for bit.
   hmem::Xoshiro256 rng(seed);
-  position_ = rng.below(lines_);
-}
-
-std::uint64_t SeqWorkloadGen::next_line() {
-  const std::uint64_t line = position_;
-  if (++position_ == lines_) position_ = 0;
-  return line;
+  walk_.position = rng.below(lines);
 }
 
 RandomWorkloadGen::RandomWorkloadGen(std::uint64_t lines, std::uint64_t seed)
-    : lines_(lines), rng_(seed) {
-  HMEM_ASSERT(lines_ > 0);
-}
-
-std::uint64_t RandomWorkloadGen::next_line() { return rng_.below(lines_); }
-
-StrideWorkloadGen::StrideWorkloadGen(std::uint64_t lines, std::uint64_t seed,
-                                     std::uint64_t stride_lines)
-    : lines_(lines) {
-  HMEM_ASSERT(lines_ > 0);
-  // Reduce the stride mod the object length up front: (p + s) % L and
-  // (p + s % L) % L walk the same sequence, and a pre-reduced stride lets
-  // next_line() wrap with a compare-and-subtract instead of a division.
-  stride_lines_ =
-      (stride_lines == 0 ? kDefaultStrideLines : stride_lines) % lines_;
-  hmem::Xoshiro256 rng(seed);
-  position_ = rng.below(lines_);
-}
-
-std::uint64_t StrideWorkloadGen::next_line() {
-  const std::uint64_t line = position_;
-  position_ += stride_lines_;  // pre-reduced: one wrap at most
-  if (position_ >= lines_) position_ -= lines_;
-  return line;
+    : state_{lines, hmem::Xoshiro256(seed)} {
+  HMEM_ASSERT(lines > 0);
 }
 
 RandomPermuteWorkloadGen::RandomPermuteWorkloadGen(std::uint64_t lines,
@@ -70,13 +47,9 @@ RandomPermuteWorkloadGen::RandomPermuteWorkloadGen(std::uint64_t lines,
     const std::uint64_t j = rng.below(i + 1);
     std::swap(table_[i], table_[j]);
   }
-  position_ = rng.below(lines);
-}
-
-std::uint64_t RandomPermuteWorkloadGen::next_line() {
-  const std::uint64_t line = table_[position_];
-  if (++position_ == table_.size()) position_ = 0;
-  return line;
+  state_.table = table_.data();
+  state_.lines = lines;
+  state_.position = rng.below(lines);
 }
 
 ZipfWorkloadGen::ZipfWorkloadGen(std::uint64_t lines, std::uint64_t seed,
@@ -145,12 +118,13 @@ std::unique_ptr<WorkloadGen> make_workload_gen(const ObjectSpec& object,
                                                std::uint64_t seed) {
   switch (object.pattern) {
     case AccessPattern::kStream:
-      return std::make_unique<SeqWorkloadGen>(lines, seed);
+      return std::make_unique<WalkWorkloadGen>(lines, seed, 1);
     case AccessPattern::kRandom:
       return std::make_unique<RandomWorkloadGen>(lines, seed);
     case AccessPattern::kStrided:
-      return std::make_unique<StrideWorkloadGen>(lines, seed,
-                                                 object.stride_lines);
+      return std::make_unique<WalkWorkloadGen>(
+          lines, seed,
+          object.stride_lines == 0 ? kDefaultStrideLines : object.stride_lines);
     case AccessPattern::kRandomPermute:
       return std::make_unique<RandomPermuteWorkloadGen>(lines, seed);
     case AccessPattern::kZipf:

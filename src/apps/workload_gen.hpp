@@ -3,8 +3,9 @@
 // Each generator produces a deterministic stream of cache-line indices
 // within one object; AccessGenerator adapts the stream to byte offsets for
 // the engine. The design follows FlashX's workload.h: one tiny abstract
-// interface, one concrete class per pattern, state fully owned by the
-// generator so a (pattern, size, seed) triple replays bit-identically.
+// interface, one concrete class per pattern (seq is the stride-1 walk),
+// state fully owned by the generator so a (pattern, size, seed) triple
+// replays bit-identically.
 //
 // The three legacy patterns (seq, random, stride) reproduce the original
 // AccessGenerator's RNG draw order exactly — existing traces, FOMs and
@@ -32,6 +33,61 @@
 
 namespace hmem::apps {
 
+// ---- Inline state -----------------------------------------------------------
+// The patterns the compiled access kernels run without a call (seq, stride,
+// random, random-permute) keep their whole state in one of these structs.
+// The generator class steps it through the member below, the bytecode VM
+// calls the same member on the same object, and the native emitter emits the
+// same sequence against the object's address: one definition, three
+// executors, one stream.
+
+/// A wrapping walk over `lines` lines: seq is the stride-1 walk, stride a
+/// walk with a pre-reduced stride. Invariant: stride < lines, position <
+/// lines, so a step wraps at most once.
+struct LineWalk {
+  std::uint64_t lines = 0;
+  std::uint64_t stride = 0;
+  std::uint64_t position = 0;
+
+  std::uint64_t step() {
+    const std::uint64_t line = position;
+    position += stride;
+    if (position >= lines) position -= lines;
+    return line;
+  }
+};
+
+/// Independent uniform draws over `lines` lines. The native emitter steps
+/// `rng` as four raw words (Xoshiro256 is standard-layout, state first).
+struct RandomLines {
+  std::uint64_t lines = 0;
+  hmem::Xoshiro256 rng;
+
+  std::uint64_t step() { return rng.below(lines); }
+};
+
+/// Replays a permutation `table` of `lines` entries from `position`.
+/// Invariant: position < lines.
+struct PermuteLines {
+  const std::uint32_t* table = nullptr;
+  std::uint64_t lines = 0;
+  std::uint64_t position = 0;
+
+  std::uint64_t step() {
+    const std::uint64_t line = table[position];
+    if (++position == lines) position = 0;
+    return line;
+  }
+};
+
+/// The inline state a generator exposes to compiled kernels: at most one
+/// member is set; none means kernels call out through next_line().
+struct InlineGen {
+  LineWalk* walk = nullptr;
+  RandomLines* random = nullptr;
+  PermuteLines* permute = nullptr;
+};
+
 /// One access-pattern stream over `lines` cache lines.
 class WorkloadGen {
  public:
@@ -39,44 +95,35 @@ class WorkloadGen {
 
   /// Next line index in [0, lines).
   virtual std::uint64_t next_line() = 0;
+
+  /// State a compiled kernel may step in place instead of calling
+  /// next_line(); both advance the same stream.
+  virtual InlineGen inline_state() { return {}; }
 };
 
-/// Sequential walk; starts at a seed-dependent phase so distinct objects
-/// (and runs) are decorrelated, then wraps forever.
-class SeqWorkloadGen final : public WorkloadGen {
+/// Wrapping walk (seq and stride); starts at a seed-dependent phase so
+/// distinct objects (and runs) are decorrelated. The stride is pre-reduced
+/// mod the object length so the wrap is a compare-and-subtract.
+class WalkWorkloadGen final : public WorkloadGen {
  public:
-  SeqWorkloadGen(std::uint64_t lines, std::uint64_t seed);
-  std::uint64_t next_line() override;
+  WalkWorkloadGen(std::uint64_t lines, std::uint64_t seed,
+                  std::uint64_t stride_lines);
+  std::uint64_t next_line() override { return walk_.step(); }
+  InlineGen inline_state() override { return {.walk = &walk_}; }
 
  private:
-  std::uint64_t lines_;
-  std::uint64_t position_;
+  LineWalk walk_;
 };
 
 /// Independent uniform draws.
 class RandomWorkloadGen final : public WorkloadGen {
  public:
   RandomWorkloadGen(std::uint64_t lines, std::uint64_t seed);
-  std::uint64_t next_line() override;
+  std::uint64_t next_line() override { return state_.step(); }
+  InlineGen inline_state() override { return {.random = &state_}; }
 
  private:
-  std::uint64_t lines_;
-  hmem::Xoshiro256 rng_;
-};
-
-/// Fixed-stride walk (gather-like). The stride is pre-reduced mod the
-/// object length so the wrap is a compare-and-subtract; stride 0 keeps the
-/// historical default of 67 lines.
-class StrideWorkloadGen final : public WorkloadGen {
- public:
-  StrideWorkloadGen(std::uint64_t lines, std::uint64_t seed,
-                    std::uint64_t stride_lines);
-  std::uint64_t next_line() override;
-
- private:
-  std::uint64_t lines_;
-  std::uint64_t position_;
-  std::uint64_t stride_lines_;
+  RandomLines state_;
 };
 
 /// Replays a fixed Fisher-Yates permutation of all lines: every line is
@@ -84,11 +131,12 @@ class StrideWorkloadGen final : public WorkloadGen {
 class RandomPermuteWorkloadGen final : public WorkloadGen {
  public:
   RandomPermuteWorkloadGen(std::uint64_t lines, std::uint64_t seed);
-  std::uint64_t next_line() override;
+  std::uint64_t next_line() override { return state_.step(); }
+  InlineGen inline_state() override { return {.permute = &state_}; }
 
  private:
   std::vector<std::uint32_t> table_;
-  std::uint64_t position_;
+  PermuteLines state_;  ///< cursor over table_
 };
 
 /// Bounded power-law over line indices: P(line = k) ~ (k+1)^-alpha via O(1)

@@ -14,8 +14,10 @@
 #include "callstack/unwind.hpp"
 #include "common/alias.hpp"
 #include "common/assert.hpp"
+#include "common/error.hpp"
 #include "common/fault.hpp"
 #include "common/prng.hpp"
+#include "common/units.hpp"
 #include "engine/kernel/ir.hpp"
 #include "engine/kernel/native.hpp"
 #include "profiler/profiler.hpp"
@@ -44,9 +46,32 @@ struct ObjectState {
   std::unique_ptr<apps::AccessGenerator> generator;
 };
 
-// LLC-miss records share the kernel layer's type so a compiled-kernel burst
-// can append to the same buffer the interpreter fills.
+// LLC-miss records share the kernel layer's type so every backend writes
+// the same buffer.
 using MissRecord = kernel::MissRecord;
+
+/// One phase's miss records, written by index by whichever backend runs the
+/// burst. Uninitialized storage from the run's scratch resource: pages are
+/// touched only as misses land, like a reserved-but-unfilled vector.
+class MissBuffer {
+ public:
+  MissBuffer(std::pmr::memory_resource* resource, std::size_t capacity)
+      : alloc_(resource),
+        capacity_(capacity),
+        data_(capacity == 0 ? nullptr : alloc_.allocate(capacity)) {}
+  ~MissBuffer() {
+    if (data_ != nullptr) alloc_.deallocate(data_, capacity_);
+  }
+  MissBuffer(const MissBuffer&) = delete;
+  MissBuffer& operator=(const MissBuffer&) = delete;
+
+  MissRecord* data() const { return data_; }
+
+ private:
+  std::pmr::polymorphic_allocator<MissRecord> alloc_;
+  std::size_t capacity_;
+  MissRecord* data_;
+};
 
 /// Compiled form of one phase plus the epochs it was compiled against. The
 /// program bakes live-instance addresses, so it is stale the moment the
@@ -317,6 +342,43 @@ RunResult run_app(const AppSpec& app, const RunOptions& options) {
     }
   }
 
+  // ---- Feasibility -------------------------------------------------------
+  // An allocation lives inside one tier, so an instance (or the stack)
+  // larger than every tier this condition may place it in can never be
+  // allocated: reject the input before simulating anything, naming the
+  // object and the tier. Exhaustion that only builds up over the run (many
+  // objects filling the fallback tier) is caught at the failing allocation.
+  const memsim::TierIndex fallback = cache_mode ? cache_backing : slowest;
+  memsim::TierIndex roomiest = fallback;
+  if (options.condition != Condition::kDdr && !cache_mode) {
+    for (memsim::TierIndex t = 0; t < n_tiers; ++t) {
+      if (cfg.tiers[t].capacity_bytes > cfg.tiers[roomiest].capacity_bytes) {
+        roomiest = t;
+      }
+    }
+  }
+  const auto out_of_memory = [&](const std::string& what,
+                                 std::uint64_t bytes, memsim::TierIndex tier,
+                                 bool tier_full) {
+    return ResourceError(
+        "simulated out of memory: " + what + " (" + format_bytes(bytes) +
+        ") " + (tier_full ? "found no room left in" : "does not fit") +
+        " the " + cfg.tiers[tier].name + " tier (" +
+        format_bytes(cfg.tiers[tier].capacity_bytes) + " per rank at " +
+        std::to_string(ranks) + " ranks)");
+  };
+  const std::uint64_t room = cfg.tiers[roomiest].capacity_bytes;
+  if (app.stack_bytes > room) {
+    throw out_of_memory("the stack of app '" + app.name + "'",
+                        app.stack_bytes, roomiest, false);
+  }
+  for (const ObjectSpec& obj : app.objects) {
+    if (obj.size_bytes > room) {
+      throw out_of_memory("object '" + obj.name + "'", obj.size_bytes,
+                          roomiest, false);
+    }
+  }
+
   // ---- Profiler & site database -----------------------------------------
   // An external SiteDb (streamed-shard runs, shared multi-rank databases)
   // is aliased without ownership; otherwise the run owns a fresh one.
@@ -379,7 +441,12 @@ RunResult run_app(const AppSpec& app, const RunOptions& options) {
       runtime::AllocOutcome out =
           obj.is_static ? policy->allocate_static(obj.size_bytes)
                         : policy->allocate(obj.size_bytes, stacks[i]);
-      HMEM_ASSERT_MSG(out.addr != 0, "simulated out of memory");
+      if (out.addr == 0) {
+        throw out_of_memory("object '" + obj.name + "' (instance " +
+                                std::to_string(inst + 1) + " of " +
+                                std::to_string(obj.instances) + ")",
+                            obj.size_bytes, fallback, true);
+      }
       state[i].instances.push_back(out.addr);
       state[i].tiers.push_back(out.tier);
       now_ns += out.cost_ns;
@@ -405,7 +472,10 @@ RunResult run_app(const AppSpec& app, const RunOptions& options) {
   // variables stay unattributed, exactly as in the paper.
   const runtime::AllocOutcome stack_region =
       policy->allocate_static(app.stack_bytes);
-  HMEM_ASSERT(stack_region.addr != 0);
+  if (stack_region.addr == 0) {
+    throw out_of_memory("the stack of app '" + app.name + "'",
+                        app.stack_bytes, fallback, true);
+  }
   now_ns += stack_region.cost_ns;
 
   for (std::size_t i = 0; i < n_objects; ++i) {
@@ -529,8 +599,11 @@ RunResult run_app(const AppSpec& app, const RunOptions& options) {
             break;
           }
         }
-        HMEM_ASSERT_MSG(found < schedule->phases.size(),
-                        "schedule is missing a placement for an app phase");
+        if (found == schedule->phases.size()) {
+          throw ConfigError("placement schedule has no phase '" +
+                            app.phases[p].name + "' of app '" + app.name +
+                            "' (was it advised from another app's trace?)");
+        }
         sched_of_phase[p] = found;
       }
     }
@@ -624,28 +697,27 @@ RunResult run_app(const AppSpec& app, const RunOptions& options) {
   std::pmr::vector<std::uint64_t> total_tier_sim(n_tiers, 0, scratch);
   std::uint64_t total_misses_sim = 0;
   double cumulative_instructions = 0;
-  std::pmr::vector<MissRecord> miss_records(scratch);
+  // Sized for the worst case: every access of the longest phase misses.
+  std::uint64_t max_accesses = 0;
   if (prof) {
-    // Worst case: every access of the longest phase misses.
-    std::uint64_t max_accesses = 0;
     for (const auto& phase : app.phases) {
       max_accesses = std::max(
           max_accesses, static_cast<std::uint64_t>(std::llround(
                             static_cast<double>(app.accesses_per_iteration) *
                             phase.access_share)));
     }
-    miss_records.reserve(max_accesses);
   }
+  const MissBuffer miss_records(scratch, max_accesses);
   std::vector<PhaseTable> tables(app.phases.size());
 
   // ---- Kernel selection ---------------------------------------------------
   // The interpreter loop below is the oracle; the compiled kernels
   // (engine/kernel) execute the identical per-access semantics from a
-  // flattened program and are bit-identical on every result field. The
-  // request resolves through the fallback ladder (cache mode -> interp,
-  // profiled native -> bytecode, no native support -> bytecode).
-  const kernel::KernelKind kern = kernel::resolve_kernel(
-      options.kernel, cache_mode, options.profile);
+  // flattened program — profiled or not — and are bit-identical on every
+  // result field and trace byte. The request resolves through the fallback
+  // ladder (cache mode -> interp, no native support -> bytecode).
+  const kernel::KernelKind kern =
+      kernel::resolve_kernel(options.kernel, cache_mode);
   const bool use_kernel = kern != kernel::KernelKind::kInterp;
   std::vector<std::unique_ptr<PhaseKernel>> kprograms;
   if (use_kernel) kprograms.resize(app.phases.size());
@@ -754,7 +826,7 @@ RunResult run_app(const AppSpec& app, const RunOptions& options) {
             kp.use_native =
                 !fault::inject(fault::Site::kKernelCompile) &&
                 kp.native.compile(kp.program, llc.ways, llc.line_shift,
-                                  llc.set_mask);
+                                  llc.set_mask, prof.has_value());
           }
         }
       }
@@ -764,7 +836,7 @@ RunResult run_app(const AppSpec& app, const RunOptions& options) {
           phase.access_share));
       std::fill(phase_tier_sim.begin(), phase_tier_sim.end(), 0);
       double phase_latency_ns = 0;
-      miss_records.clear();
+      std::uint64_t n_records = 0;
 
       if (use_kernel) {
         // Compiled path: hand the burst to the kernel. The frame aliases
@@ -780,16 +852,17 @@ RunResult run_app(const AppSpec& app, const RunOptions& options) {
         frame.set_mask = llc.set_mask;
         frame.n_accesses = n_accesses;
         frame.tier_sim = phase_tier_sim.data();
+        if (prof) frame.miss_out = miss_records.data();
         if (kp.use_native) {
           rng.save_state(frame.rng_state);
           kp.native.run(frame);
           rng.restore_state(frame.rng_state);
         } else {
-          kernel::run_bytecode(kp.program, frame, rng,
-                               prof ? &miss_records : nullptr);
+          kernel::run_bytecode(kp.program, frame, rng);
         }
         phase_latency_ns = frame.latency_ns;
         total_misses_sim += frame.misses;
+        if (prof) n_records = frame.misses;
       } else {
         // Interpreter (oracle) path: semantics mirrored insn-for-insn by
         // the compiled kernels above.
@@ -845,7 +918,7 @@ RunResult run_app(const AppSpec& app, const RunOptions& options) {
           if (fill_bytes != 0) phase_tier_sim[cache_front] += fill_bytes;
           if (!res.llc_hit) {
             ++total_misses_sim;
-            if (prof) miss_records.push_back({k, addr, is_write});
+            if (prof) miss_records.data()[n_records++] = {k, addr, is_write};
           }
         }
       }
@@ -882,11 +955,17 @@ RunResult run_app(const AppSpec& app, const RunOptions& options) {
       const double phase_ns = phase_s * 1e9;
 
       if (prof) {
-        for (const MissRecord& rec : miss_records) {
+        // Every record stands for the same miss count, so the sampler can
+        // skip the records that cannot fire in O(1); only firing records
+        // take the per-miss path (same events, same overhead sum order).
+        const double denom =
+            static_cast<double>(std::max<std::uint64_t>(1, n_accesses));
+        for (std::uint64_t r = 0;;) {
+          r += prof->skip_quiet_misses(n_records - r, miss_count_per_sim);
+          if (r == n_records) break;
+          const MissRecord& rec = miss_records.data()[r++];
           const double t =
-              now_ns + phase_ns * static_cast<double>(rec.order) /
-                           static_cast<double>(std::max<std::uint64_t>(
-                               1, n_accesses));
+              now_ns + phase_ns * static_cast<double>(rec.order) / denom;
           prof->on_llc_miss(t, rec.addr, rec.is_write, miss_count_per_sim);
         }
       }

@@ -114,10 +114,10 @@ struct RunOptions {
   /// autohbw size threshold (paper: 1 MiB).
   std::uint64_t autohbw_threshold = 1ULL << 20;
   /// Which access-loop backend executes the inner simulation loop. All
-  /// kernels are bit-identical on every RunResult field; the request is
-  /// resolved through the fallback ladder in engine/kernel/kernel.hpp
-  /// (cache mode -> interp, profiled native -> bytecode, missing native
-  /// support -> bytecode). kAuto consults HMEM_KERNEL, then bytecode.
+  /// kernels are bit-identical on every RunResult field and, in profiled
+  /// runs, every trace byte; the request is resolved through the fallback
+  /// ladder in engine/kernel/kernel.hpp (cache mode -> interp, missing
+  /// native support -> bytecode). kAuto consults HMEM_KERNEL, then bytecode.
   kernel::KernelKind kernel = kernel::KernelKind::kAuto;
 
   /// Memory resource backing the run's scratch state: the simulated tier
@@ -205,7 +205,10 @@ struct RunResult {
   std::optional<runtime::AutoHbwStats> autohbw;
 };
 
-/// Runs one application once under the given options.
+/// Runs one application once under the given options. Throws
+/// ResourceError when an object or the stack cannot be allocated in the
+/// simulated machine (naming it and the tier), and ConfigError when a
+/// dynamic run's schedule has no placement for one of the app's phases.
 RunResult run_app(const apps::AppSpec& app, const RunOptions& options);
 
 }  // namespace hmem::engine

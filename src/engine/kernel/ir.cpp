@@ -17,12 +17,26 @@ const char* op_name(Op op) {
       return "pick_addr";
     case Op::kAddGenOffset:
       return "add_gen_offset";
+    case Op::kWalkOffset:
+      return "walk_offset";
+    case Op::kRandomOffset:
+      return "random_offset";
+    case Op::kPermuteOffset:
+      return "permute_offset";
     case Op::kServeFixed:
       return "serve_fixed";
     case Op::kServePicked:
       return "serve_picked";
   }
   return "?";
+}
+
+Op offset_op(const apps::AccessGenerator& gen) {
+  const apps::InlineGen& state = gen.inline_state();
+  if (state.walk != nullptr) return Op::kWalkOffset;
+  if (state.random != nullptr) return Op::kRandomOffset;
+  if (state.permute != nullptr) return Op::kPermuteOffset;
+  return Op::kAddGenOffset;
 }
 
 // ---- Compiler --------------------------------------------------------------
@@ -85,7 +99,7 @@ Program compile_program(const AliasTable& alias, std::uint64_t write_threshold,
       fixed.imm0 = base;
       p.code.push_back(fixed);
       Insn gen;
-      gen.op = Op::kAddGenOffset;
+      gen.op = offset_op(*target.gen);
       gen.a = gen_index;
       gen.imm0 = target.size_bytes;
       p.code.push_back(gen);
@@ -112,7 +126,7 @@ Program compile_program(const AliasTable& alias, std::uint64_t write_threshold,
       }
       p.code.push_back(pick);
       Insn gen;
-      gen.op = Op::kAddGenOffset;
+      gen.op = offset_op(*target.gen);
       gen.a = gen_index;
       gen.imm0 = target.size_bytes;
       p.code.push_back(gen);
@@ -135,6 +149,45 @@ std::string defect(const char* what, std::size_t where) {
   std::ostringstream os;
   os << what << " (at " << where << ")";
   return os.str();
+}
+
+bool is_offset_op(Op op) {
+  return op == Op::kAddGenOffset || op == Op::kWalkOffset ||
+         op == Op::kRandomOffset || op == Op::kPermuteOffset;
+}
+
+/// The inline-state invariants an offset op's step relies on; "" when the
+/// generator's state is safe to step with `op`. Every step preserves them.
+const char* offset_state_defect(Op op, const apps::InlineGen& state) {
+  switch (op) {
+    case Op::kWalkOffset:
+      if (state.walk == nullptr) return "walk op on a generator without a walk";
+      if (state.walk->lines == 0) return "walk with zero lines";
+      if (state.walk->stride >= state.walk->lines) {
+        return "walk stride not below its line count";
+      }
+      if (state.walk->position >= state.walk->lines) {
+        return "walk position outside its lines";
+      }
+      return "";
+    case Op::kRandomOffset:
+      if (state.random == nullptr) {
+        return "random op on a generator without random state";
+      }
+      if (state.random->lines == 0) return "random draw over zero lines";
+      return "";
+    case Op::kPermuteOffset:
+      if (state.permute == nullptr || state.permute->table == nullptr) {
+        return "permute op on a generator without a table";
+      }
+      if (state.permute->lines == 0) return "permute over zero lines";
+      if (state.permute->position >= state.permute->lines) {
+        return "permute position outside the table";
+      }
+      return "";
+    default:
+      return "";  // call-outs own their state
+  }
 }
 
 }  // namespace
@@ -200,11 +253,14 @@ std::string verify_program(const Program& p) {
           }
         }
         const Insn& gen = p.code[at + 1];
-        if (gen.op != Op::kAddGenOffset) {
-          return defect("object block missing add_gen_offset", s);
+        if (!is_offset_op(gen.op)) {
+          return defect("object block missing an offset op", s);
         }
         if (gen.a >= p.gens.size()) return defect("generator out of range", s);
         if (gen.imm0 == 0) return defect("zero-size offset clamp", s);
+        const char* bad_state =
+            offset_state_defect(gen.op, p.gens[gen.a]->inline_state());
+        if (*bad_state != '\0') return defect(bad_state, s);
         const Insn& serve = p.code[at + 2];
         if (picked) {
           if (serve.op != Op::kServePicked) {
@@ -231,11 +287,17 @@ std::string verify_program(const Program& p) {
 
 namespace {
 
+constexpr std::uint64_t kLine = memsim::kCacheLineBytes;
+
+/// The interpreter's offset clamp: an offset past the object maps to 0.
+inline std::uint64_t clamp_offset(std::uint64_t offset, std::uint64_t size) {
+  return offset >= size ? 0 : offset;
+}
+
 /// The executor body, specialized on whether miss records are collected so
 /// the steady-state (non-profiled) loop carries no record-keeping at all.
 template <bool Profiled>
-void run_impl(const Program& p, Frame& f, Xoshiro256& rng,
-              std::pmr::vector<MissRecord>* out) {
+void run_impl(const Program& p, Frame& f, Xoshiro256& rng) {
   const std::uint64_t n_cols = p.threshold.size();
   const std::uint64_t* const thr = p.threshold.data();
   const std::uint32_t* const ali = p.alias.data();
@@ -284,12 +346,21 @@ void run_impl(const Program& p, Frame& f, Xoshiro256& rng,
           miss_tier = rec.tier;
           break;
         }
-        case Op::kAddGenOffset: {
-          std::uint64_t offset = gens[in->a]->next_offset();
-          if (offset >= in->imm0) offset = 0;
-          addr += offset;
+        case Op::kAddGenOffset:
+          addr += clamp_offset(gens[in->a]->next_offset(), in->imm0);
           break;
-        }
+        case Op::kWalkOffset:
+          addr += clamp_offset(
+              gens[in->a]->inline_state().walk->step() * kLine, in->imm0);
+          break;
+        case Op::kRandomOffset:
+          addr += clamp_offset(
+              gens[in->a]->inline_state().random->step() * kLine, in->imm0);
+          break;
+        case Op::kPermuteOffset:
+          addr += clamp_offset(
+              gens[in->a]->inline_state().permute->step() * kLine, in->imm0);
+          break;
         case Op::kServeFixed:
           miss_latency = in->f;
           miss_tier = in->a;
@@ -323,11 +394,11 @@ void run_impl(const Program& p, Frame& f, Xoshiro256& rng,
     set_tags[memsim::Cache::evict(order[set], top_shift)] = tag;
     latency += miss_latency;
     f.tier_sim[miss_tier] += memsim::kCacheLineBytes;
-    ++misses;
     if constexpr (Profiled) {
       const bool is_write = (draw >> p.write_shift) < p.write_threshold;
-      out->push_back(MissRecord{k, addr, is_write});
+      f.miss_out[misses] = MissRecord{k, addr, is_write};
     }
+    ++misses;
   }
 
   f.latency_ns = latency;
@@ -336,12 +407,11 @@ void run_impl(const Program& p, Frame& f, Xoshiro256& rng,
 
 }  // namespace
 
-void run_bytecode(const Program& program, Frame& frame, Xoshiro256& rng,
-                  std::pmr::vector<MissRecord>* misses) {
-  if (misses != nullptr) {
-    run_impl<true>(program, frame, rng, misses);
+void run_bytecode(const Program& program, Frame& frame, Xoshiro256& rng) {
+  if (frame.miss_out != nullptr) {
+    run_impl<true>(program, frame, rng);
   } else {
-    run_impl<false>(program, frame, rng, nullptr);
+    run_impl<false>(program, frame, rng);
   }
 }
 

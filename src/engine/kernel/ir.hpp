@@ -22,12 +22,17 @@
 // Per access the executor runs: one structured 64-bit draw (layout shared
 // with the interpreter — see kAliasCoinBits in execution.cpp), an alias
 // sample selecting a slot, then that slot's block:
-//   (kStackAddr | kFixedAddr kAddGenOffset | kPickAddr kAddGenOffset)
+//   (kStackAddr | kFixedAddr <offset> | kPickAddr <offset>)
 //   (kServeFixed | kServePicked)
-// The serve op probes the LLC in place and accounts the miss. Two backends
-// execute the same program: the portable bytecode VM here and the optional
-// x86-64 native emitter (native.hpp). The interpreter remains the oracle:
-// all backends are bit-identical on every RunResult field.
+// where <offset> is one of the offset ops: seq/stride walks, random draws
+// and random-permute cursors run inline on the generator's own state
+// (apps/workload_gen.hpp LineWalk, RandomLines, PermuteLines); zipf,
+// pointer-chase and bursty call out through kAddGenOffset. The serve op
+// probes the LLC in place, accounts the miss and, in profiled bursts,
+// writes a miss record into the frame's buffer. Two backends execute the
+// same program: the portable bytecode VM here and the optional x86-64
+// native emitter (native.hpp). The interpreter remains the oracle: all
+// backends are bit-identical on every RunResult field and trace byte.
 //
 // verify() checks every structural invariant before a program may run, and
 // is the contract the fuzz harness drives: a defect-injected stream must be
@@ -35,7 +40,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory_resource>
 #include <string>
 #include <vector>
 
@@ -54,17 +58,25 @@ enum class Op : std::uint8_t {
   kStackAddr,     ///< addr = imm0 + below(imm1) * line;  a unused
   kFixedAddr,     ///< addr = imm0 (single-instance object base)
   kPickAddr,      ///< rec = instances[imm0 + below(a)]; addr = rec.base
-  kAddGenOffset,  ///< off = gens[a]->next_offset(); off >= imm0 -> 0; addr += off
+  // Offset ops, each followed by: off >= imm0 -> 0; addr += off.
+  kAddGenOffset,  ///< off = gens[a]->next_offset() (call-out patterns)
+  kWalkOffset,    ///< off = gens[a]'s LineWalk::step() * line
+  kRandomOffset,  ///< off = gens[a]'s RandomLines::step() * line
+  kPermuteOffset, ///< off = gens[a]'s PermuteLines::step() * line
   kServeFixed,    ///< LLC probe; miss served by tier a at latency f
   kServePicked,   ///< LLC probe; miss served by rec.tier at rec.latency_ns
 };
 
 const char* op_name(Op op);
 
+/// The offset op that runs `gen`: inline on its state when it has one,
+/// otherwise the kAddGenOffset call-out.
+Op offset_op(const apps::AccessGenerator& gen);
+
 struct Insn {
   Op op = Op::kServeFixed;
   std::uint32_t a = 0;     ///< count / generator index / tier
-  std::uint64_t imm0 = 0;  ///< base address / clamp size / first instance
+  std::uint64_t imm0 = 0;  ///< base address / offset clamp / first instance
   std::uint64_t imm1 = 0;  ///< stack lines
   double f = 0.0;          ///< baked miss latency (kServeFixed)
 };
@@ -131,6 +143,14 @@ Program compile_program(const AliasTable& alias, std::uint64_t write_threshold,
 /// here so the executors can run without per-access bounds checks.
 std::string verify_program(const Program& program);
 
+/// LLC-miss record written by profiled bursts, in access order. Mirrors the
+/// interpreter's records exactly (same order index, address, write coin).
+struct MissRecord {
+  std::uint64_t order = 0;  ///< access index within the phase burst
+  memsim::Address addr = 0;
+  bool is_write = false;
+};
+
 /// Mutable per-burst state shared by both backends. The engine fills it
 /// from the live run (cache tables, tier accumulators, RNG state), executes
 /// one phase burst, and reads the accumulated results back. The native
@@ -144,7 +164,12 @@ struct Frame {
   std::uint64_t misses = 0;         ///< out: LLC misses this burst
   std::uint64_t n_accesses = 0;     ///< in: burst length
   std::uint64_t* tier_sim = nullptr;  ///< [n_tiers] simulated bytes served
+  /// Profiled bursts only: the miss with running count m (before the
+  /// increment) is recorded at miss_out[m], so the buffer needs room for
+  /// misses + n_accesses records. Null runs the burst unprofiled.
+  MissRecord* miss_out = nullptr;
   std::uint64_t scratch = 0;        ///< native spill slot
+  std::uint64_t draw = 0;           ///< native spill slot (profiled draw)
   // LLC geometry + way state (memsim::Cache::Tables, flattened).
   memsim::Address* tags = nullptr;   ///< sets * ways
   std::uint64_t* order = nullptr;    ///< recency word per set
@@ -153,21 +178,10 @@ struct Frame {
   std::uint64_t set_mask = 0;
 };
 
-/// LLC-miss record emitted for profiled runs, in access order. Mirrors the
-/// interpreter's records exactly (same order index, address, write coin).
-struct MissRecord {
-  std::uint64_t order = 0;  ///< access index within the phase burst
-  memsim::Address addr = 0;
-  bool is_write = false;
-};
-
 /// Executes one phase burst through the bytecode VM. The program must have
 /// passed verify_program. `rng` is consumed exactly as the interpreter
-/// would (frame.rng_state is ignored by this backend). When `misses` is
-/// non-null every LLC miss is recorded (profiled runs). The record vector
-/// is pmr so profiled sweep cells can collect into a per-cell arena; a
-/// default-constructed pmr::vector behaves exactly like std::vector.
-void run_bytecode(const Program& program, Frame& frame, Xoshiro256& rng,
-                  std::pmr::vector<MissRecord>* misses);
+/// would (frame.rng_state is ignored by this backend). With a non-null
+/// frame.miss_out every LLC miss is recorded (profiled runs).
+void run_bytecode(const Program& program, Frame& frame, Xoshiro256& rng);
 
 }  // namespace hmem::engine::kernel

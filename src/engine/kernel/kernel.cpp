@@ -32,8 +32,7 @@ std::optional<KernelKind> parse_kernel(const std::string& name) {
 
 std::string kernel_list() { return "interp, bytecode, native, auto"; }
 
-KernelKind resolve_kernel(KernelKind requested, bool cache_mode,
-                          bool profiled) {
+KernelKind resolve_kernel(KernelKind requested, bool cache_mode) {
   KernelKind kind = requested;
   if (kind == KernelKind::kAuto) {
     kind = KernelKind::kBytecode;
@@ -48,7 +47,7 @@ KernelKind resolve_kernel(KernelKind requested, bool cache_mode,
   // The analytic cache-mode model interleaves rng.uniform() draws with the
   // access stream; only the interpreter implements it.
   if (cache_mode) return KernelKind::kInterp;
-  if (kind == KernelKind::kNative && (profiled || !native_available())) {
+  if (kind == KernelKind::kNative && !native_available()) {
     kind = KernelKind::kBytecode;
   }
   // Injected compile failures walk the same ladder a real backend failure

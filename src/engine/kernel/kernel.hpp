@@ -9,9 +9,10 @@
 // `native` request on a machine without the backend silently runs bytecode;
 // the cache-mode condition always runs the interpreter (its analytic
 // memory-side-cache model draws from the main RNG mid-access, which the
-// compiled kernels deliberately do not model); profiled runs cap at
-// bytecode (miss-record collection). `auto` consults the HMEM_KERNEL
-// environment variable, then defaults to bytecode.
+// compiled kernels deliberately do not model). Profiled runs resolve like
+// any other flat-mode run: both compiled backends write miss records.
+// `auto` consults the HMEM_KERNEL environment variable, then defaults to
+// bytecode.
 #pragma once
 
 #include <atomic>
@@ -43,8 +44,14 @@ std::string kernel_list();
 
 /// Applies the fallback ladder: requested -> what actually runs. Never
 /// fails; unsatisfiable requests degrade (native -> bytecode -> interp).
-KernelKind resolve_kernel(KernelKind requested, bool cache_mode,
-                          bool profiled);
+KernelKind resolve_kernel(KernelKind requested, bool cache_mode);
+
+/// Same ladder; profiling does not change what runs. Kept for callers that
+/// describe the run with a profiled flag.
+inline KernelKind resolve_kernel(KernelKind requested, bool cache_mode,
+                                 bool /*profiled*/) {
+  return resolve_kernel(requested, cache_mode);
+}
 
 /// Read-mostly cache of compiled Programs, shared across sweep cells.
 ///

@@ -2,6 +2,8 @@
 
 #include <cstddef>
 #include <cstring>
+#include <memory>
+#include <type_traits>
 
 #include "apps/generator.hpp"
 #include "memsim/cache.hpp"
@@ -13,9 +15,10 @@
 
 namespace hmem::engine::kernel {
 
-// Out-of-line target for the emitted code's per-object offset draws. The
-// generator's stream is independent of the main RNG, so crossing a C call
-// boundary here cannot perturb bit-identity.
+// Out-of-line target for the emitted code's call-out offset draws (zipf,
+// pointer-chase, bursty; the other patterns step inline). The generator's
+// stream is independent of the main RNG, so crossing a C call boundary here
+// cannot perturb bit-identity.
 extern "C" std::uint64_t hmem_kernel_gen_next(void* gen) {
   return static_cast<apps::AccessGenerator*>(gen)->next_offset();
 }
@@ -24,7 +27,7 @@ extern "C" std::uint64_t hmem_kernel_gen_next(void* gen) {
 
 bool native_available() { return false; }
 bool NativeKernel::compile(const Program&, std::uint32_t, std::uint32_t,
-                           std::uint64_t) {
+                           std::uint64_t, bool) {
   return false;
 }
 void NativeKernel::run(Frame&) const {}
@@ -41,13 +44,27 @@ constexpr int kFrameLatency = offsetof(Frame, latency_ns);
 constexpr int kFrameMisses = offsetof(Frame, misses);
 constexpr int kFrameAccesses = offsetof(Frame, n_accesses);
 constexpr int kFrameTierSim = offsetof(Frame, tier_sim);
+constexpr int kFrameMissOut = offsetof(Frame, miss_out);
 constexpr int kFrameScratch = offsetof(Frame, scratch);
+constexpr int kFrameDraw = offsetof(Frame, draw);
 constexpr int kFrameTags = offsetof(Frame, tags);
 constexpr int kFrameOrder = offsetof(Frame, order);
 static_assert(sizeof(memsim::Address) == 8);
 static_assert(offsetof(InstanceSlot, base) == 0);
 static_assert(offsetof(InstanceSlot, latency_ns) == 8);
 static_assert(offsetof(InstanceSlot, tier) == 16);
+// A miss record is three words; the emitted store writes is_write as a
+// whole word (0 or 1 in its low byte, zeros over the padding).
+static_assert(sizeof(MissRecord) == 24);
+static_assert(offsetof(MissRecord, order) == 0);
+static_assert(offsetof(MissRecord, addr) == 8);
+static_assert(offsetof(MissRecord, is_write) == 16);
+// Inline generator state, stepped in place (apps/workload_gen.hpp).
+constexpr int kWalkPosition = offsetof(apps::LineWalk, position);
+constexpr int kPermutePosition = offsetof(apps::PermuteLines, position);
+// RandomLines::rng is stepped as four raw xoshiro256** words, s0 first.
+static_assert(std::is_standard_layout_v<Xoshiro256> &&
+              sizeof(Xoshiro256) == 32);
 
 // Recency-word constants for the inline hit path (memsim::Cache::touch):
 // the nibble broadcast and the zero-nibble flags.
@@ -188,6 +205,8 @@ class Asm {
   void cmp_rr(int a, int b) { rex(true, a, 0, b); byte(0x3B); modrm(3, a, b); }  // flags(a - b)
   void cmp_r_mem(int a, int base, int disp) { rex(true, a, 0, base); byte(0x3B); mem(a, base, disp); }
   void cmp_mem_r(int base, int disp, int r) { rex(true, r, 0, base); byte(0x39); mem(r, base, disp); }
+  void xor_r_mem(int dst, int base, int disp) { rex(true, dst, 0, base); byte(0x33); mem(dst, base, disp); }
+  void adc_ri8(int r, std::uint8_t v) { rex(true, 0, 0, r); byte(0x83); modrm(3, 2, r); byte(v); }
   void shl_ri(int r, int n) { rex(true, 0, 0, r); byte(0xC1); modrm(3, 4, r); byte(static_cast<std::uint8_t>(n)); }
   void shr_ri(int r, int n) { rex(true, 0, 0, r); byte(0xC1); modrm(3, 5, r); byte(static_cast<std::uint8_t>(n)); }
   void rol_ri(int r, int n) { rex(true, 0, 0, r); byte(0xC1); modrm(3, 0, r); byte(static_cast<std::uint8_t>(n)); }
@@ -232,12 +251,14 @@ class Asm {
 }  // namespace
 
 bool NativeKernel::compile(const Program& p, std::uint32_t ways,
-                           std::uint32_t line_shift, std::uint64_t set_mask) {
+                           std::uint32_t line_shift, std::uint64_t set_mask,
+                           bool profiled) {
   if (!ExecutableAllocator::supported()) return false;
   if (entry_ != nullptr) {
     alloc_.release(entry_);
     entry_ = nullptr;
   }
+  profiled_ = profiled;
   const std::uint64_t n_cols = p.threshold.size();
   if (n_cols == 0 || n_cols > 0x7FFFFFFFULL) return false;
   if (ways == 0 || ways > memsim::Cache::kMaxWays) return false;
@@ -269,6 +290,7 @@ bool NativeKernel::compile(const Program& p, std::uint32_t ways,
   // ---- per-access prelude: draw, alias sample, dispatch.
   a.bind(loop);
   a.call_label(rng_next);  // rax = draw (clobbers rdi)
+  if (profiled) a.mov_mem_r(kRbx, kFrameDraw, kRax);  // for the write coin
   a.mov32_rr(kRcx, kRax);  // zero-extended low 32 bits
   a.imul_rri(kRcx, kRcx, static_cast<std::uint32_t>(n_cols));
   a.shr_ri(kRcx, 32);      // column
@@ -304,14 +326,96 @@ bool NativeKernel::compile(const Program& p, std::uint32_t ways,
     a.jmp_label(retry);
     a.bind(ok);
   };
-  // Call the AccessGenerator shim; returns the raw offset in rax, which is
-  // then clamped to [0, size) exactly as the interpreter does.
-  const auto emit_gen_offset = [&](apps::AccessGenerator* gen,
-                                   std::uint64_t size) {
-    a.mov_ri64(kRdi, reinterpret_cast<std::uint64_t>(gen));
-    a.mov_ri64(kRax, reinterpret_cast<std::uint64_t>(&hmem_kernel_gen_next));
-    a.call_r(kRax);
-    a.mov_ri64(kRcx, size);
+  // One xoshiro256** step on the four state words at [rsi] (an object's
+  // RandomLines::rng): draw in rax, state written back. rsi survives;
+  // rcx, rdx, rdi, r8 and r9 are clobbered.
+  const auto emit_state_step = [&]() {
+    a.mov_r_mem(kRdx, kRsi, 8);      // s1
+    a.lea_sib(kRax, kRdx, kRdx, 2);  // s1 * 5
+    a.rol_ri(kRax, 7);
+    a.lea_sib(kRax, kRax, kRax, 3);  // * 9
+    a.mov_rr(kRcx, kRdx);
+    a.shl_ri(kRcx, 17);              // t
+    a.mov_r_mem(kRdi, kRsi, 16);
+    a.xor_r_mem(kRdi, kRsi, 0);      // s2 ^= s0
+    a.mov_r_mem(kR8, kRsi, 24);
+    a.xor_rr(kR8, kRdx);             // s3 ^= s1
+    a.xor_rr(kRdx, kRdi);            // s1 ^= s2
+    a.mov_r_mem(kR9, kRsi, 0);
+    a.xor_rr(kR9, kR8);              // s0 ^= s3
+    a.xor_rr(kRdi, kRcx);            // s2 ^= t
+    a.rol_ri(kR8, 45);               // s3 = rotl(s3, 45)
+    a.mov_mem_r(kRsi, 0, kR9);
+    a.mov_mem_r(kRsi, 8, kRdx);
+    a.mov_mem_r(kRsi, 16, kRdi);
+    a.mov_mem_r(kRsi, 24, kR8);
+  };
+  // An offset op: the object's next line, scaled to bytes in rax and
+  // clamped to [0, size) exactly as the interpreter does. Walks, random
+  // draws and permute cursors step the generator's own state in place with
+  // its constant fields baked in; the remaining patterns call the
+  // AccessGenerator shim. Clobbers every caller-saved register.
+  const auto emit_offset = [&](const Insn& off) {
+    apps::AccessGenerator* const gen = p.gens[off.a];
+    const apps::InlineGen& state = gen->inline_state();
+    switch (off.op) {
+      case Op::kWalkOffset: {
+        const apps::LineWalk& walk = *state.walk;
+        a.mov_ri64(kRsi, reinterpret_cast<std::uint64_t>(&walk));
+        a.mov_r_mem(kRax, kRsi, kWalkPosition);  // line
+        a.mov_ri64(kRdx, walk.stride);
+        a.add_rr(kRdx, kRax);
+        a.mov_ri64(kRdi, walk.lines);
+        a.mov_rr(kRcx, kRdx);
+        a.sub_rr(kRcx, kRdi);     // borrows unless the walk wraps
+        a.cmovae_rr(kRdx, kRcx);
+        a.mov_mem_r(kRsi, kWalkPosition, kRdx);
+        a.shl_ri(kRax, 6);
+        break;
+      }
+      case Op::kRandomOffset: {
+        // Xoshiro256::below(lines) on the object's own generator.
+        const apps::RandomLines& random = *state.random;
+        const std::uint64_t bound = random.lines;
+        Asm::Label retry, ok;
+        a.mov_ri64(kRsi, reinterpret_cast<std::uint64_t>(&random.rng));
+        a.bind(retry);
+        emit_state_step();
+        a.mov_ri64(kRcx, bound);
+        a.mul_r(kRcx);  // rdx:rax = draw * bound
+        a.cmp_rr(kRax, kRcx);
+        a.jae_label(ok);
+        a.mov_ri64(kRdi, (0 - bound) % bound);
+        a.cmp_rr(kRax, kRdi);
+        a.jb_label(retry);
+        a.bind(ok);
+        a.mov_rr(kRax, kRdx);
+        a.shl_ri(kRax, 6);
+        break;
+      }
+      case Op::kPermuteOffset: {
+        const apps::PermuteLines& permute = *state.permute;
+        a.mov_ri64(kRsi, reinterpret_cast<std::uint64_t>(&permute));
+        a.mov_r_mem(kRcx, kRsi, kPermutePosition);
+        a.mov_ri64(kRdi, reinterpret_cast<std::uint64_t>(permute.table));
+        a.mov32_r_sib(kRax, kRdi, kRcx, 2);  // line = table[position]
+        a.inc_r(kRcx);
+        a.xor32_rr(kRdx, kRdx);
+        a.mov_ri64(kRdi, permute.lines);
+        a.cmp_rr(kRcx, kRdi);
+        a.cmovae_rr(kRcx, kRdx);  // ++position == lines -> 0
+        a.mov_mem_r(kRsi, kPermutePosition, kRcx);
+        a.shl_ri(kRax, 6);
+        break;
+      }
+      default:
+        a.mov_ri64(kRdi, reinterpret_cast<std::uint64_t>(gen));
+        a.mov_ri64(kRax,
+                   reinterpret_cast<std::uint64_t>(&hmem_kernel_gen_next));
+        a.call_r(kRax);
+        break;
+    }
+    a.mov_ri64(kRcx, off.imm0);
     a.xor32_rr(kRdx, kRdx);
     a.cmp_rr(kRax, kRcx);
     a.cmovae_rr(kRax, kRdx);
@@ -339,8 +443,7 @@ bool NativeKernel::compile(const Program& p, std::uint32_t ways,
         break;
       }
       case Op::kFixedAddr: {
-        const Insn& gen = p.code[p.block_start[s] + 1];
-        emit_gen_offset(p.gens[gen.a], gen.imm0);
+        emit_offset(p.code[p.block_start[s] + 1]);
         a.mov_ri64(kR10, in->imm0);
         a.add_rr(kR10, kRax);
         const Insn& sv = p.code[p.block_start[s] + 2];
@@ -354,9 +457,8 @@ bool NativeKernel::compile(const Program& p, std::uint32_t ways,
                    reinterpret_cast<std::uint64_t>(p.instances.data() +
                                                    in->imm0));
         a.add_rr(kRax, kRdx);
-        a.mov_mem_r(kRbx, kFrameScratch, kRax);  // spill rec* across the call
-        const Insn& gen = p.code[p.block_start[s] + 1];
-        emit_gen_offset(p.gens[gen.a], gen.imm0);
+        a.mov_mem_r(kRbx, kFrameScratch, kRax);  // spill rec* across the offset
+        emit_offset(p.code[p.block_start[s] + 1]);
         a.mov_r_mem(kRsi, kRbx, kFrameScratch);
         a.mov_r_mem(kR10, kRsi, 0);   // rec.base
         a.add_rr(kR10, kRax);
@@ -406,6 +508,22 @@ bool NativeKernel::compile(const Program& p, std::uint32_t ways,
   a.movsd_mem_x(kRbx, kFrameLatency, 0);
   a.mov_r_mem(kRcx, kRbx, kFrameTierSim);
   a.add_sib_imm8(kRcx, kR11, 64);   // [tier] += kCacheLineBytes
+  if (profiled) {
+    // miss_out[misses] = {k, addr, draw's write coin}.
+    a.mov_r_mem(kRcx, kRbx, kFrameMisses);
+    a.lea_sib(kRcx, kRcx, kRcx, 1);  // * 3 words
+    a.mov_r_mem(kRdx, kRbx, kFrameMissOut);
+    a.lea_sib(kRdx, kRdx, kRcx, 3);
+    a.mov_mem_r(kRdx, 0, kRbp);
+    a.mov_mem_r(kRdx, 8, kR10);
+    a.mov_r_mem(kRax, kRbx, kFrameDraw);
+    a.shr_ri(kRax, static_cast<int>(p.write_shift));
+    a.mov_ri64(kRcx, p.write_threshold);
+    a.xor32_rr(kR8, kR8);
+    a.cmp_rr(kRax, kRcx);
+    a.adc_ri8(kR8, 0);               // is_write = coin < threshold
+    a.mov_mem_r(kRdx, 16, kR8);
+  }
   a.inc_mem(kRbx, kFrameMisses);
   a.jmp_label(next);
 
@@ -495,92 +613,192 @@ bool NativeKernel::compile(const Program& p, std::uint32_t ways,
 
 void NativeKernel::run(Frame& frame) const {
   HMEM_ASSERT(entry_ != nullptr);
+  HMEM_ASSERT_MSG((frame.miss_out != nullptr) == profiled_,
+                  "miss buffer must match the compiled profiling mode");
   reinterpret_cast<void (*)(Frame*)>(entry_)(&frame);
 }
 
 namespace {
 
-/// One-time emit-and-execute check: a small synthetic program run through
-/// both backends from identical state must agree on every output bit. A
-/// failure (broken mmap policy, emitter regression on an exotic toolchain)
-/// downgrades the process to the bytecode VM.
-bool native_self_test() {
+/// The self-test's program: two stack blocks, then one object block per
+/// generator in `gens` — fixed-address blocks, except a three-instance pick
+/// for gens[1] — served from alternating tiers.
+Program self_test_program(
+    const std::vector<std::unique_ptr<apps::AccessGenerator>>& gens) {
   Program p;
-  p.threshold = {1, 2};  // col 0 diverts half its coins to col 1
-  p.alias = {1, 0};
+  const std::size_t n = 2 + gens.size();
+  for (std::size_t c = 0; c < n; ++c) {
+    p.threshold.push_back(1 + c % 2);  // odd columns keep every coin
+    p.alias.push_back(static_cast<std::uint32_t>((c + 3) % n));
+  }
   p.coin_mask = 1;
-  p.write_threshold = 0;
-  p.write_shift = 63;
-  p.block_start = {0, 2};
-  Insn stack0;
-  stack0.op = Op::kStackAddr;
-  stack0.imm0 = 1ULL << 20;
-  stack0.imm1 = 96;  // non-power-of-two: exercises the rejection path
-  Insn serve0;
-  serve0.op = Op::kServeFixed;
-  serve0.a = 0;
-  serve0.f = 130.0;
-  Insn stack1;
-  stack1.op = Op::kStackAddr;
-  stack1.imm0 = 1ULL << 21;
-  stack1.imm1 = 64;
-  Insn serve1;
-  serve1.op = Op::kServeFixed;
-  serve1.a = 1;
-  serve1.f = 155.0;
-  p.code = {stack0, serve0, stack1, serve1};
+  p.write_threshold = 512;  // about a quarter of the accesses write
+  p.write_shift = 53;
   p.llc_latency_ns = 10.0;
   p.n_tiers = 2;
-  if (!verify_program(p).empty()) return false;
+  const auto serve_fixed = [&](std::uint32_t tier) {
+    Insn serve;
+    serve.op = Op::kServeFixed;
+    serve.a = tier;
+    serve.f = tier == 0 ? 130.0 : 155.0;
+    p.code.push_back(serve);
+  };
+  for (const std::uint64_t lines : {96, 64}) {  // 96: Lemire's threshold
+    p.block_start.push_back(static_cast<std::uint32_t>(p.code.size()));
+    Insn stack;
+    stack.op = Op::kStackAddr;
+    stack.imm0 = (lines == 96 ? 1ULL : 2ULL) << 20;
+    stack.imm1 = lines;
+    p.code.push_back(stack);
+    serve_fixed(lines == 96 ? 0 : 1);
+  }
+  for (std::size_t g = 0; g < gens.size(); ++g) {
+    p.block_start.push_back(static_cast<std::uint32_t>(p.code.size()));
+    const memsim::Address base = (4ULL + g) << 20;
+    Insn head;
+    if (g == 1) {
+      head.op = Op::kPickAddr;
+      head.imm0 = p.instances.size();
+      head.a = 3;
+      for (std::uint64_t i = 0; i < 3; ++i) {
+        InstanceSlot slot;
+        slot.base = base + (i << 16);
+        slot.latency_ns = 100.0 + static_cast<double>(i);
+        slot.tier = i % 2;
+        p.instances.push_back(slot);
+      }
+    } else {
+      head.op = Op::kFixedAddr;
+      head.imm0 = base;
+    }
+    p.code.push_back(head);
+    Insn off;
+    off.op = offset_op(*gens[g]);
+    off.a = static_cast<std::uint32_t>(p.gens.size());
+    off.imm0 = 40 * memsim::kCacheLineBytes;  // clamps the longer streams
+    p.gens.push_back(gens[g].get());
+    p.code.push_back(off);
+    if (g == 1) {
+      Insn serve;
+      serve.op = Op::kServePicked;
+      p.code.push_back(serve);
+    } else {
+      serve_fixed(static_cast<std::uint32_t>(g % 2));
+    }
+  }
+  return p;
+}
 
+/// Everything one self-test burst can change.
+struct SelfTestOutcome {
+  double latency = 0;
+  std::uint64_t misses = 0;
+  std::uint64_t rng[4] = {0, 0, 0, 0};
+  std::uint64_t tier_sim[2] = {0, 0};
+  std::vector<memsim::Address> tags;
+  std::vector<std::uint64_t> order;
+  std::vector<MissRecord> records;
+  std::vector<std::uint64_t> gen_next;  ///< each stream's next offsets after
+
+  bool operator==(const SelfTestOutcome& o) const {
+    if (bits_of(latency) != bits_of(o.latency) || misses != o.misses ||
+        std::memcmp(rng, o.rng, sizeof(rng)) != 0 ||
+        std::memcmp(tier_sim, o.tier_sim, sizeof(tier_sim)) != 0 ||
+        tags != o.tags || order != o.order || gen_next != o.gen_next ||
+        records.size() != o.records.size()) {
+      return false;
+    }
+    for (std::size_t r = 0; r < records.size(); ++r) {
+      if (records[r].order != o.records[r].order ||
+          records[r].addr != o.records[r].addr ||
+          records[r].is_write != o.records[r].is_write) {
+        return false;
+      }
+    }
+    return true;
+  }
+};
+
+/// One-time emit-and-execute check: a synthetic program covering every
+/// block shape and offset op (stride walk, seq walk, random, permute, and
+/// a bursty call-out) runs through both backends from identical state,
+/// unprofiled and profiled, and must agree on every output bit — frame
+/// results, LLC state, RNG state, each generator's stream position and
+/// every miss record. A failure (broken mmap policy, emitter regression on
+/// an exotic toolchain) downgrades the process to the bytecode VM, so a
+/// mis-emitted path can never reach a result or a trace.
+bool native_self_test() {
   constexpr std::uint32_t kWays = 4;
   constexpr std::uint64_t kSets = 8;
-  const auto run = [&](bool native, double* latency, std::uint64_t* misses,
-                       std::uint64_t rng_out[4],
-                       std::vector<memsim::Address>* tags,
-                       std::vector<std::uint64_t>* order,
-                       std::uint64_t tier_sim[2]) {
-    tags->assign(kSets * kWays, memsim::Cache::kInvalidTag);
-    order->assign(kSets, memsim::Cache::initial_order(kWays));
-    tier_sim[0] = tier_sim[1] = 0;
+  constexpr std::uint64_t kAccesses = 512;
+  const auto object = [](apps::AccessPattern pattern, std::uint64_t lines,
+                         std::uint64_t stride) {
+    apps::ObjectSpec spec;
+    spec.name = "self-test";
+    spec.size_bytes = lines * memsim::kCacheLineBytes;
+    spec.pattern = pattern;
+    spec.stride_lines = stride;
+    return spec;
+  };
+  // Short streams, so every walk and cursor wraps within the burst.
+  const apps::ObjectSpec specs[] = {
+      object(apps::AccessPattern::kStrided, 50, 7),
+      object(apps::AccessPattern::kRandom, 1000, 0),
+      object(apps::AccessPattern::kStream, 30, 0),
+      object(apps::AccessPattern::kRandomPermute, 20, 0),
+      object(apps::AccessPattern::kBursty, 300, 0),
+  };
+
+  const auto run = [&](bool native, bool profiled, SelfTestOutcome* out) {
+    std::vector<std::unique_ptr<apps::AccessGenerator>> gens;
+    for (const apps::ObjectSpec& spec : specs) {
+      gens.push_back(
+          std::make_unique<apps::AccessGenerator>(spec, 0x5eed + gens.size()));
+    }
+    const Program p = self_test_program(gens);
+    if (!verify_program(p).empty()) return false;
+    out->tags.assign(kSets * kWays, memsim::Cache::kInvalidTag);
+    out->order.assign(kSets, memsim::Cache::initial_order(kWays));
+    if (profiled) out->records.resize(kAccesses);
     Frame f;
-    f.tags = tags->data();
-    f.order = order->data();
+    f.tags = out->tags.data();
+    f.order = out->order.data();
     f.ways = kWays;
     f.line_shift = 6;
     f.set_mask = kSets - 1;
-    f.n_accesses = 512;
-    f.tier_sim = tier_sim;
+    f.n_accesses = kAccesses;
+    f.tier_sim = out->tier_sim;
+    f.miss_out = profiled ? out->records.data() : nullptr;
     Xoshiro256 rng(0x5e1f7e57ULL);
     if (native) {
       NativeKernel kern;
-      if (!kern.compile(p, kWays, 6, kSets - 1)) return false;
+      if (!kern.compile(p, kWays, 6, kSets - 1, profiled)) return false;
       rng.save_state(f.rng_state);
       kern.run(f);
-      for (int i = 0; i < 4; ++i) rng_out[i] = f.rng_state[i];
+      for (int i = 0; i < 4; ++i) out->rng[i] = f.rng_state[i];
     } else {
-      run_bytecode(p, f, rng, nullptr);
-      rng.save_state(rng_out);
+      run_bytecode(p, f, rng);
+      rng.save_state(out->rng);
     }
-    *latency = f.latency_ns;
-    *misses = f.misses;
+    out->latency = f.latency_ns;
+    out->misses = f.misses;
+    if (profiled) out->records.resize(f.misses);
+    for (const auto& gen : gens) {
+      for (int i = 0; i < 4; ++i) out->gen_next.push_back(gen->next_offset());
+    }
     return true;
   };
 
-  double lat_b = 0, lat_n = 0;
-  std::uint64_t miss_b = 0, miss_n = 0;
-  std::uint64_t rng_b[4], rng_n[4], sim_b[2], sim_n[2];
-  std::vector<memsim::Address> tags_b, tags_n;
-  std::vector<std::uint64_t> order_b, order_n;
-  if (!run(false, &lat_b, &miss_b, rng_b, &tags_b, &order_b, sim_b)) {
-    return false;
+  for (const bool profiled : {false, true}) {
+    SelfTestOutcome bytecode, native;
+    if (!run(false, profiled, &bytecode) || !run(true, profiled, &native)) {
+      return false;
+    }
+    if (!(bytecode == native)) return false;
+    // The burst must actually have exercised the miss path it checks.
+    if (profiled && bytecode.records.empty()) return false;
   }
-  if (!run(true, &lat_n, &miss_n, rng_n, &tags_n, &order_n, sim_n)) {
-    return false;
-  }
-  return bits_of(lat_b) == bits_of(lat_n) && miss_b == miss_n &&
-         std::memcmp(rng_b, rng_n, sizeof(rng_b)) == 0 && tags_b == tags_n &&
-         order_b == order_n && sim_b[0] == sim_n[0] && sim_b[1] == sim_n[1];
+  return true;
 }
 
 }  // namespace

@@ -7,19 +7,26 @@
 // rejection thresholds) are baked as immediates, the LLC probe is an
 // unrolled tag scan against geometry baked at compile time followed by an
 // inline recency-word update (pop/push on a miss, SWAR splice on a hit —
-// memsim::Cache::evict/touch, emitted without a call), and per-object
-// offset generators are reached through one extern "C" shim (their streams
-// are independent, so a C call is bit-identity-safe). Code is placed in W^X
-// pages through common/exec_alloc.hpp: mapped writable, sealed read-execute
-// before the first call.
+// memsim::Cache::evict/touch, emitted without a call). Per-object offsets
+// are inline too: seq/stride walks (add, compare, cmov), random draws (a
+// xoshiro256** step on the object's own state plus Lemire) and
+// random-permute cursors step the generator's state in place
+// (apps/workload_gen.hpp). Only zipf, pointer-chase and bursty call out,
+// through one extern "C" shim (their streams are independent, so a C call
+// is bit-identity-safe). Profiled bursts keep each access's draw and, on a
+// miss, store {access index, address, write coin} into the frame's miss
+// buffer. Code is placed in W^X pages through common/exec_alloc.hpp: mapped
+// writable, sealed read-execute before the first call.
 //
 // The backend is compiled in only on x86-64 POSIX builds with the
 // HMEM_NATIVE_KERNEL CMake option on; everywhere else native_available()
 // returns false and compile() fails, which the kernel resolver turns into
 // a silent fallback to the bytecode VM. Availability includes a one-time
-// emit-and-execute self-test differenced against run_bytecode, so a
-// mis-assembling toolchain or a hardened-kernel mmap policy degrades to
-// the portable path instead of corrupting results.
+// emit-and-execute self-test differenced against run_bytecode — stack,
+// walk, random, permute, pick and call-out blocks, unprofiled and profiled
+// (miss records compared one by one) — so a mis-assembling toolchain or a
+// hardened-kernel mmap policy degrades to the portable path instead of
+// corrupting results or traces.
 #pragma once
 
 #include <cstdint>
@@ -44,25 +51,28 @@ class NativeKernel {
   /// Emits machine code for `program` against the given LLC geometry (the
   /// constants from memsim::Cache::tables()). The program must have passed
   /// verify_program and must stay alive and unmodified for the lifetime of
-  /// the emitted code — its table buffers are baked in by address. Returns
+  /// the emitted code — its table buffers and its generators' inline state
+  /// are baked in by address. `profiled` emits the miss-record path. Returns
   /// false (kernel left empty) when the backend is unavailable or a
   /// constant does not fit the emitted encoding; the caller falls back to
   /// the bytecode VM.
   bool compile(const Program& program, std::uint32_t ways,
-               std::uint32_t line_shift, std::uint64_t set_mask);
+               std::uint32_t line_shift, std::uint64_t set_mask,
+               bool profiled);
 
   bool ok() const { return entry_ != nullptr; }
 
   /// Executes one burst. frame.rng_state carries the xoshiro256** state in
-  /// and out; latency_ns / misses / tier_sim accumulate and the LLC tags /
-  /// recency words change exactly as run_bytecode would. Only unprofiled
-  /// bursts: the resolver never routes a profiled run here (miss records
-  /// stay a bytecode/interpreter job).
+  /// and out; latency_ns / misses / tier_sim accumulate, the LLC tags /
+  /// recency words and the generators' state change, and a profiled kernel
+  /// writes frame.miss_out exactly as run_bytecode would. frame.miss_out
+  /// must be set exactly when the kernel was compiled profiled.
   void run(Frame& frame) const;
 
  private:
   ExecutableAllocator alloc_;
   void* entry_ = nullptr;
+  bool profiled_ = false;
   /// Per-slot entry addresses, indexed by the alias sample; the dispatch
   /// `jmp [table + slot*8]` bakes this vector's address.
   std::vector<std::uint64_t> jump_table_;

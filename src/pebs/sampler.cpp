@@ -61,6 +61,17 @@ std::uint64_t PebsSampler::on_llc_misses(double time_ns, Address addr,
   return fires;
 }
 
+std::uint64_t PebsSampler::skip_quiet(std::uint64_t max_groups,
+                                      std::uint64_t count) {
+  HMEM_ASSERT(count > 0 && countdown_ > 0);
+  // A group fires when it reaches the countdown, so the groups that leave
+  // it positive are the first (countdown - 1) / count.
+  const std::uint64_t quiet = std::min(max_groups, (countdown_ - 1) / count);
+  countdown_ -= quiet * count;
+  misses_seen_ += quiet * count;
+  return quiet;
+}
+
 void PebsSampler::reset() {
   misses_seen_ = 0;
   samples_taken_ = 0;

@@ -59,6 +59,13 @@ class PebsSampler {
   std::uint64_t on_llc_misses(double time_ns, Address addr, bool is_write,
                               std::uint64_t count);
 
+  /// Skip-ahead over quiet miss groups: of up to `max_groups` groups of
+  /// `count` misses each (count > 0), consumes in O(1) the leading groups
+  /// that cannot fire — exactly as calling on_llc_misses(count) once per
+  /// group would, firing none — and returns how many it consumed. When the
+  /// result is below `max_groups`, the next group fires.
+  std::uint64_t skip_quiet(std::uint64_t max_groups, std::uint64_t count);
+
   std::uint64_t misses_seen() const { return misses_seen_; }
   std::uint64_t samples_taken() const { return samples_taken_; }
   const SamplerConfig& config() const { return config_; }

@@ -54,6 +54,15 @@ class Profiler {
   void on_llc_miss(double time_ns, Address addr, bool is_write,
                    std::uint64_t count = 1);
 
+  /// Skips, in O(1), the leading misses of up to `max_misses` misses of
+  /// `count` real misses each that cannot fire a sample; returns how many.
+  /// Skipped misses cost nothing and emit nothing, exactly as feeding them
+  /// through on_llc_miss one at a time would.
+  std::uint64_t skip_quiet_misses(std::uint64_t max_misses,
+                                  std::uint64_t count) {
+    return sampler_.skip_quiet(max_misses, count);
+  }
+
   void on_phase(double time_ns, const std::string& name, bool begin);
   void on_counter(double time_ns, const std::string& name, double value);
 

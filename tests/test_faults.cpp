@@ -29,6 +29,7 @@
 #include <sys/wait.h>
 #endif
 
+#include "advisor/schedule_report.hpp"
 #include "apps/app_config.hpp"
 #include "apps/workloads.hpp"
 #include "common/atomic_file.hpp"
@@ -36,6 +37,7 @@
 #include "common/fault.hpp"
 #include "common/prng.hpp"
 #include "engine/execution.hpp"
+#include "engine/pipeline.hpp"
 #include "engine/sweep_store.hpp"
 #include "trace/format.hpp"
 #include "trace/merge.hpp"
@@ -200,6 +202,48 @@ TEST_F(FaultsTest, KernelCompileFaultsFallThroughBitIdentical) {
   EXPECT_EQ(faulted.time_s, interp.time_s);
   EXPECT_EQ(faulted.llc_misses, interp.llc_misses);
   EXPECT_EQ(faulted.samples, interp.samples);
+}
+
+TEST_F(FaultsTest, InfeasibleRunsThrowTypedErrors) {
+  engine::RunOptions options;
+  options.condition = engine::Condition::kDdr;
+  // An object larger than every tier it could live in: rejected before the
+  // simulation starts, naming the object and the tier.
+  apps::AppSpec app = tiny_app();
+  app.objects[1].size_bytes = 900ULL << 30;
+  try {
+    engine::run_app(app, options);
+    ADD_FAILURE() << "expected a ResourceError";
+  } catch (const ResourceError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("'b'"), std::string::npos) << what;
+    EXPECT_NE(what.find("DDR"), std::string::npos) << what;
+  }
+  // Objects that each fit but together exhaust the fallback tier: caught at
+  // the failing allocation, naming the object and instance.
+  app = tiny_app();
+  app.objects[1].size_bytes = 40ULL << 30;
+  app.objects[1].instances = 4;
+  try {
+    engine::run_app(app, options);
+    ADD_FAILURE() << "expected a ResourceError";
+  } catch (const ResourceError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("'b' (instance 3 of 4)"), std::string::npos) << what;
+    EXPECT_NE(what.find("no room"), std::string::npos) << what;
+  }
+  // A static schedule without a placement for one of the app's phases.
+  advisor::PlacementSchedule schedule;
+  for (const char* phase : {"main", "other"}) {
+    advisor::PhasePlacement entry;
+    entry.phase = phase;
+    entry.placement.tiers.resize(2);
+    schedule.phases.push_back(entry);
+  }
+  schedule.phases[0].phase = "elsewhere";
+  options.condition = engine::Condition::kDynamic;
+  options.schedule = &schedule;
+  EXPECT_THROW(engine::run_app(tiny_app(), options), ConfigError);
 }
 
 // ------------------------------------------------ chunk-level salvage ----
@@ -504,6 +548,35 @@ TEST_F(FaultsTest, CliExitCodes) {
   }
   EXPECT_EQ(run_tool("hmem_run snap --condition ddr --machine " + machine), 0);
   std::remove(machine.c_str());
+
+  // A per-phase schedule advised from lulesh names none of snap's phases:
+  // running snap under it is a configuration error, not an abort.
+  const std::string schedule = temp_path("cli_schedule.txt");
+  {
+    engine::PipelineOptions popts;
+    popts.per_phase = true;
+    const engine::PipelineResult lulesh =
+        engine::run_pipeline(apps::app_by_name("lulesh"), popts);
+    ASSERT_GT(lulesh.schedule.phases.size(), 1u);
+    std::ofstream out_file(schedule);
+    out_file << advisor::write_schedule_report(lulesh.schedule);
+  }
+  EXPECT_EQ(run_tool("hmem_run snap --placement " + schedule), 2);
+  std::remove(schedule.c_str());
+
+  // 4: a valid app whose objects fit no tier of the machine (every snap
+  // object at 900G against knl's per-rank DDR share).
+  const std::string huge = temp_path("cli_huge.ini");
+  {
+    apps::AppSpec snap = apps::app_by_name("snap");
+    for (apps::ObjectSpec& object : snap.objects) object.size_bytes = 900ULL << 30;
+    std::ofstream ini(huge);
+    ini << apps::to_config_text(snap);
+  }
+  EXPECT_EQ(run_tool("hmem_run --app-config " + huge + " --condition ddr"), 4);
+  EXPECT_EQ(run_tool("hmem_run --app-config " + huge + " --condition numactl"),
+            4);
+  std::remove(huge.c_str());
 
   // 3: data and I/O errors, in both strict and (all-dead) salvage mode.
   EXPECT_EQ(run_tool("hmem_advise /nonexistent.trace 64M"), 3);

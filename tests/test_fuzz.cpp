@@ -441,9 +441,27 @@ struct FuzzKernelProgram {
   engine::kernel::Program p;
   std::vector<std::unique_ptr<apps::AccessGenerator>> owned_gens;
 
-  void add_gen(const apps::ObjectSpec& spec, std::uint64_t seed) {
-    owned_gens.push_back(std::make_unique<apps::AccessGenerator>(spec, seed));
+  /// Adds a generator of a random pattern — inline (seq, stride, random,
+  /// random-permute) or call-out — and returns its offset op.
+  engine::kernel::Insn add_gen(Xoshiro256& rng, std::uint64_t size_bytes) {
+    constexpr apps::AccessPattern kPatterns[] = {
+        apps::AccessPattern::kStream,       apps::AccessPattern::kStrided,
+        apps::AccessPattern::kRandom,       apps::AccessPattern::kRandomPermute,
+        apps::AccessPattern::kZipf,         apps::AccessPattern::kPointerChase,
+        apps::AccessPattern::kBursty};
+    apps::ObjectSpec spec;
+    spec.name = "fuzz";
+    spec.size_bytes = size_bytes;
+    spec.pattern = kPatterns[rng.below(std::size(kPatterns))];
+    spec.stride_lines = rng.below(600);
+    owned_gens.push_back(
+        std::make_unique<apps::AccessGenerator>(spec, rng.next()));
+    engine::kernel::Insn off;
+    off.op = engine::kernel::offset_op(*owned_gens.back());
+    off.a = static_cast<std::uint32_t>(p.gens.size());
+    off.imm0 = size_bytes;
     p.gens.push_back(owned_gens.back().get());
+    return off;
   }
 };
 
@@ -483,30 +501,20 @@ FuzzKernelProgram random_kernel_program(Xoshiro256& rng) {
         break;
       }
       case 1: {  // single-instance object block
-        apps::ObjectSpec spec;
-        spec.name = "fuzz";
-        spec.size_bytes = (rng.below(512) + 1) * 64;
         Insn fixed;
         fixed.op = Op::kFixedAddr;
         fixed.imm0 = (rng.below(4096) + 1) << 12;
-        Insn gen;
-        gen.op = Op::kAddGenOffset;
-        gen.a = static_cast<std::uint32_t>(p.gens.size());
-        gen.imm0 = spec.size_bytes;
+        const Insn gen = out.add_gen(rng, (rng.below(512) + 1) * 64);
         Insn serve;
         serve.op = Op::kServeFixed;
         serve.a = static_cast<std::uint32_t>(tier);
         serve.f = latency;
-        out.add_gen(spec, rng.next());
         p.code.push_back(fixed);
         p.code.push_back(gen);
         p.code.push_back(serve);
         break;
       }
       default: {  // multi-instance pick block
-        apps::ObjectSpec spec;
-        spec.name = "fuzz";
-        spec.size_bytes = (rng.below(512) + 1) * 64;
         const std::uint64_t count = rng.below(4) + 2;
         Insn pick;
         pick.op = Op::kPickAddr;
@@ -519,13 +527,9 @@ FuzzKernelProgram random_kernel_program(Xoshiro256& rng) {
           slot.tier = rng.below(p.n_tiers);
           p.instances.push_back(slot);
         }
-        Insn gen;
-        gen.op = Op::kAddGenOffset;
-        gen.a = static_cast<std::uint32_t>(p.gens.size());
-        gen.imm0 = spec.size_bytes;
+        const Insn gen = out.add_gen(rng, (rng.below(512) + 1) * 64);
         Insn serve;
         serve.op = Op::kServePicked;
-        out.add_gen(spec, rng.next());
         p.code.push_back(pick);
         p.code.push_back(gen);
         p.code.push_back(serve);
@@ -547,7 +551,7 @@ void mutate_kernel_program(Xoshiro256& rng, engine::kernel::Program& p) {
       default: return rng.next();
     }
   };
-  switch (rng.below(12)) {
+  switch (rng.below(13)) {
     case 0:
       p.threshold[rng.below(p.threshold.size())] = wild();
       break;
@@ -575,7 +579,7 @@ void mutate_kernel_program(Xoshiro256& rng, engine::kernel::Program& p) {
       // An earlier mutation in the same round may have emptied `code`.
       if (!p.code.empty()) {
         p.code[rng.below(p.code.size())].op =
-            static_cast<engine::kernel::Op>(rng.below(8));
+            static_cast<engine::kernel::Op>(rng.below(12));
       }
       break;
     case 8:
@@ -596,6 +600,32 @@ void mutate_kernel_program(Xoshiro256& rng, engine::kernel::Program& p) {
     case 10:
       if (!p.gens.empty()) p.gens[rng.below(p.gens.size())] = nullptr;
       break;
+    case 11: {
+      // The inline generator state the offset ops step in place: zero
+      // lines, a stride or position at or past the line count. (A permute
+      // table's length is the generator's own allocation, so its line
+      // count is only ever shrunk to zero here.)
+      if (p.gens.empty()) break;
+      const apps::AccessGenerator* gen = p.gens[rng.below(p.gens.size())];
+      if (gen == nullptr) break;
+      const apps::InlineGen& state = gen->inline_state();
+      if (state.walk != nullptr) {
+        switch (rng.below(3)) {
+          case 0: state.walk->lines = wild(); break;
+          case 1: state.walk->stride = state.walk->lines + rng.below(3); break;
+          default: state.walk->position = wild(); break;
+        }
+      } else if (state.random != nullptr) {
+        state.random->lines = wild();
+      } else if (state.permute != nullptr) {
+        if (rng.below(2) == 0) {
+          state.permute->lines = 0;
+        } else {
+          state.permute->position = state.permute->lines + rng.below(3);
+        }
+      }
+      break;
+    }
     default:
       p.code.resize(rng.below(p.code.size() + 1));
       break;
@@ -665,9 +695,20 @@ TEST(Fuzz, MutatedKernelProgramsAreRejectedOrRunSafely) {
     frame.line_shift = 6;
     frame.set_mask = sets - 1;
     Xoshiro256 access_rng(0xACCE55ULL + static_cast<std::uint64_t>(i));
-    std::pmr::vector<engine::kernel::MissRecord> records;
-    engine::kernel::run_bytecode(fuzz.p, frame, access_rng,
-                                 rng.below(2) != 0 ? &records : nullptr);
+    std::vector<engine::kernel::MissRecord> records(frame.n_accesses);
+    const bool profiled = rng.below(2) != 0;
+    if (profiled) frame.miss_out = records.data();
+    engine::kernel::run_bytecode(fuzz.p, frame, access_rng);
+    // Every step keeps the generator state the verifier accepted valid.
+    EXPECT_EQ(engine::kernel::verify_program(fuzz.p), "")
+        << "iteration " << i;
+    // Profiled: one record per miss, in access order.
+    for (std::uint64_t r = 0; profiled && r < frame.misses; ++r) {
+      EXPECT_LT(records[r].order, frame.n_accesses) << "iteration " << i;
+      if (r > 0) {
+        EXPECT_LT(records[r - 1].order, records[r].order) << "iteration " << i;
+      }
+    }
     // Every set's recency word must still order exactly its own ways, and
     // every filled way must be paid for by a miss.
     std::uint64_t filled = 0;

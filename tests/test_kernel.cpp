@@ -9,6 +9,8 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -21,6 +23,8 @@
 #include "engine/kernel/native.hpp"
 #include "engine/pipeline.hpp"
 #include "memsim/machine.hpp"
+#include "pebs/sampler.hpp"
+#include "trace/format.hpp"
 
 namespace hmem {
 namespace {
@@ -55,9 +59,15 @@ TEST(KernelSelect, LadderNeverFailsAndNeverReturnsAuto) {
     EXPECT_EQ(engine::kernel::resolve_kernel(k, true, false),
               KernelKind::kInterp);
   }
-  // Profiled runs cap at bytecode (miss-record collection).
-  EXPECT_EQ(engine::kernel::resolve_kernel(KernelKind::kNative, false, true),
-            KernelKind::kBytecode);
+  // Profiling never changes the rung: both compiled backends write miss
+  // records, so a profiled request resolves exactly like an unprofiled one.
+  for (const KernelKind k : {KernelKind::kAuto, KernelKind::kInterp,
+                             KernelKind::kBytecode, KernelKind::kNative}) {
+    for (const bool cache_mode : {false, true}) {
+      EXPECT_EQ(engine::kernel::resolve_kernel(k, cache_mode, true),
+                engine::kernel::resolve_kernel(k, cache_mode));
+    }
+  }
   // An explicit native request degrades to bytecode when the backend is
   // compiled out or the host refuses executable pages — never an error.
   const KernelKind native =
@@ -284,6 +294,124 @@ TEST(KernelVerifier, RejectsObjectBlockDefects) {
   }
 }
 
+TEST(KernelVerifier, RejectsMalformedGeneratorState) {
+  using engine::kernel::Insn;
+  using engine::kernel::Op;
+  using engine::kernel::Program;
+  const auto make = [](apps::AccessPattern pattern) {
+    apps::ObjectSpec spec;
+    spec.name = "obj";
+    spec.size_bytes = 100 * 64;
+    spec.pattern = pattern;
+    spec.stride_lines = 7;
+    return std::make_unique<apps::AccessGenerator>(spec, 11);
+  };
+  // Slot 1 of the valid program becomes a fixed block over `gen`.
+  const auto program_over = [](apps::AccessGenerator& gen) {
+    Program p = valid_program();
+    p.gens = {&gen};
+    Insn fixed;
+    fixed.op = Op::kFixedAddr;
+    fixed.imm0 = 1ULL << 20;
+    Insn off;
+    off.op = engine::kernel::offset_op(gen);
+    off.a = 0;
+    off.imm0 = 100 * 64;
+    Insn serve;
+    serve.op = Op::kServeFixed;
+    serve.a = 1;
+    serve.f = 155.0;
+    p.code = {p.code[0], p.code[1], fixed, off, serve};
+    return p;
+  };
+  const auto verdict = [&](apps::AccessGenerator& gen) {
+    return engine::kernel::verify_program(program_over(gen));
+  };
+
+  const auto seq = make(apps::AccessPattern::kStream);
+  const auto stride = make(apps::AccessPattern::kStrided);
+  const auto random = make(apps::AccessPattern::kRandom);
+  const auto permute = make(apps::AccessPattern::kRandomPermute);
+  const auto zipf = make(apps::AccessPattern::kZipf);
+  EXPECT_EQ(engine::kernel::offset_op(*seq), Op::kWalkOffset);
+  EXPECT_EQ(engine::kernel::offset_op(*stride), Op::kWalkOffset);
+  EXPECT_EQ(engine::kernel::offset_op(*random), Op::kRandomOffset);
+  EXPECT_EQ(engine::kernel::offset_op(*permute), Op::kPermuteOffset);
+  EXPECT_EQ(engine::kernel::offset_op(*zipf), Op::kAddGenOffset);
+  for (apps::AccessGenerator* gen :
+       {seq.get(), stride.get(), random.get(), permute.get(), zipf.get()}) {
+    EXPECT_EQ(verdict(*gen), "");
+  }
+
+  apps::LineWalk& walk = *stride->inline_state().walk;
+  EXPECT_EQ(walk.lines, 100u);
+  EXPECT_EQ(walk.stride, 7u);
+  const apps::LineWalk good_walk = walk;
+  walk.lines = 0;
+  EXPECT_NE(verdict(*stride), "") << "walk with zero lines";
+  walk = good_walk;
+  walk.stride = walk.lines;
+  EXPECT_NE(verdict(*stride), "") << "stride not below the line count";
+  walk = good_walk;
+  walk.position = walk.lines;
+  EXPECT_NE(verdict(*stride), "") << "walk position outside its lines";
+  walk = good_walk;
+
+  apps::RandomLines& draws = *random->inline_state().random;
+  draws.lines = 0;
+  EXPECT_NE(verdict(*random), "") << "random draw over zero lines";
+  draws.lines = 100;
+
+  apps::PermuteLines& cursor = *permute->inline_state().permute;
+  cursor.position = cursor.lines;
+  EXPECT_NE(verdict(*permute), "") << "permute position outside the table";
+  cursor.position = 0;
+  cursor.lines = 0;
+  EXPECT_NE(verdict(*permute), "") << "permute over zero lines";
+  cursor.lines = 100;
+
+  // An inline op whose generator lacks that state is rejected; the call-out
+  // op runs any generator.
+  Program mismatched = program_over(*zipf);
+  mismatched.code[3].op = Op::kWalkOffset;
+  EXPECT_NE(engine::kernel::verify_program(mismatched), "");
+  mismatched = program_over(*seq);
+  mismatched.code[3].op = Op::kRandomOffset;
+  EXPECT_NE(engine::kernel::verify_program(mismatched), "");
+  mismatched.code[3].op = Op::kPermuteOffset;
+  EXPECT_NE(engine::kernel::verify_program(mismatched), "");
+  mismatched.code[3].op = Op::kAddGenOffset;
+  EXPECT_EQ(engine::kernel::verify_program(mismatched), "");
+}
+
+TEST(KernelGenerators, InlineStepsMatchTheGeneratorStream) {
+  // The bytecode VM and the native emitter step a generator's inline state;
+  // the interpreter calls next_offset(). Both must advance one stream.
+  for (const apps::AccessPattern pattern :
+       {apps::AccessPattern::kStream, apps::AccessPattern::kStrided,
+        apps::AccessPattern::kRandom, apps::AccessPattern::kRandomPermute}) {
+    for (const std::uint64_t lines : {1, 2, 67, 1000}) {
+      apps::ObjectSpec spec;
+      spec.name = "obj";
+      spec.size_bytes = lines * 64;
+      spec.pattern = pattern;
+      apps::AccessGenerator stepped(spec, 5);
+      apps::AccessGenerator called(spec, 5);
+      const apps::InlineGen& state = stepped.inline_state();
+      for (int i = 0; i < 3000; ++i) {
+        // Alternate the two paths on one generator too.
+        const std::uint64_t line =
+            state.walk != nullptr     ? state.walk->step()
+            : state.random != nullptr ? state.random->step()
+                                      : state.permute->step();
+        ASSERT_EQ(line * 64, called.next_offset())
+            << static_cast<int>(pattern) << " lines " << lines << " @" << i;
+        ASSERT_EQ(stepped.next_offset(), called.next_offset());
+      }
+    }
+  }
+}
+
 // ---- executable allocator --------------------------------------------------
 
 TEST(ExecAlloc, AllocateSealExecuteRelease) {
@@ -451,33 +579,108 @@ TEST(KernelDifferential, FrameworkAndDynamicAcrossAllPresets) {
   }
 }
 
+/// Every block shape and offset op in one app: a stride walk, a seq walk,
+/// random draws behind a three-instance pick, a random-permute cursor, the
+/// zipf, pointer-chase and bursty call-outs, and stack accesses, over two
+/// phases — one with a transient object, so the live set (and the compiled
+/// program) changes mid-iteration.
+apps::AppSpec every_block_app() {
+  using apps::AccessPattern;
+  apps::AppSpec app;
+  app.name = "every-block";
+  app.fom_unit = "it/s";
+  app.iterations = 3;
+  app.accesses_per_iteration = 24000;
+  app.access_scale = 120;  // above period 53: one record fires several
+  app.stack_bytes = 1ULL << 20;
+  app.objects = {
+      apps::ObjectSpec{.name = "strided",
+                       .size_bytes = 24ULL << 20,
+                       .pattern = AccessPattern::kStrided,
+                       .stride_lines = 129},
+      apps::ObjectSpec{.name = "stream", .size_bytes = 16ULL << 20},
+      apps::ObjectSpec{.name = "tiles",
+                       .size_bytes = 6ULL << 20,
+                       .pattern = AccessPattern::kRandom,
+                       .instances = 3},
+      apps::ObjectSpec{.name = "permuted",
+                       .size_bytes = 8ULL << 20,
+                       .pattern = AccessPattern::kRandomPermute},
+      apps::ObjectSpec{.name = "skewed",
+                       .size_bytes = 12ULL << 20,
+                       .pattern = AccessPattern::kZipf},
+      apps::ObjectSpec{.name = "chain",
+                       .size_bytes = 4ULL << 20,
+                       .pattern = AccessPattern::kPointerChase},
+      apps::ObjectSpec{.name = "bursts",
+                       .size_bytes = 10ULL << 20,
+                       .pattern = AccessPattern::kBursty,
+                       .transient_phase = 1},
+  };
+  apps::PhaseSpec first;
+  first.name = "sweep";
+  first.access_share = 0.6;
+  first.object_weights = {0.2, 0.2, 0.15, 0.15, 0.1, 0.1, 0.0};
+  first.stack_weight = 0.1;
+  first.write_fraction = 0.3;
+  apps::PhaseSpec second = first;
+  second.name = "scatter";
+  second.access_share = 0.4;
+  second.object_weights = {0.1, 0.1, 0.2, 0.2, 0.1, 0.1, 0.15};
+  second.stack_weight = 0.05;
+  app.phases = {first, second};
+  return app;
+}
+
+/// A profiled run's trace in the binary shard format: sites, then every
+/// event with its exact time, address, write bit and weight.
+std::string serialized_trace(const engine::RunResult& run) {
+  std::ostringstream out(std::ios::binary);
+  const auto writer = trace::make_trace_writer(out, *run.sites,
+                                               trace::TraceFormat::kBinary);
+  for (const trace::Event& event : run.trace->events()) {
+    writer->on_event(event);
+  }
+  writer->finish();
+  return out.str();
+}
+
 TEST(KernelDifferential, ProfiledRunsMatchTheOracle) {
   const memsim::MachineConfig node =
       memsim::MachineConfig::knl7250(memsim::MemMode::kFlat);
-  for (const char* name : {"hpcg", "churn"}) {
-    const apps::AppSpec app = shrink(apps::app_by_name(name));
-    engine::RunOptions opts;
-    opts.condition = engine::Condition::kNumactl;
-    opts.node = node;
-    opts.profile = true;
-    opts.sampler.period = 53;
-    opts.kernel = KernelKind::kInterp;
-    const engine::RunResult oracle = engine::run_app(app, opts);
-    // Native resolves to bytecode when profiled; request it anyway so the
-    // fallback is what actually executes.
-    for (const KernelKind k : {KernelKind::kBytecode, KernelKind::kNative}) {
-      opts.kernel = k;
-      const engine::RunResult got = engine::run_app(app, opts);
-      const std::string label =
-          std::string(name) + "/profiled/" + engine::kernel::kernel_name(k);
-      expect_same_run(oracle, got, label);
-      EXPECT_EQ(got.samples, oracle.samples) << label;
-      EXPECT_EQ(got.monitoring_overhead, oracle.monitoring_overhead) << label;
-      ASSERT_NE(got.trace, nullptr) << label;
-      ASSERT_NE(oracle.trace, nullptr) << label;
-      EXPECT_EQ(got.trace->size(), oracle.trace->size()) << label;
+  const std::vector<apps::AppSpec> profiled_apps = {
+      shrink(apps::app_by_name("hpcg")), shrink(apps::app_by_name("churn")),
+      shrink(apps::app_by_name("snap")), every_block_app()};
+  for (const apps::AppSpec& app : profiled_apps) {
+    ASSERT_EQ(apps::validate(app), "") << app.name;
+    // The paper's period skips almost every record as a quiet group; at
+    // period 53 every record fires, several samples at a time.
+    for (const std::uint64_t period :
+         {pebs::SamplerConfig{}.period, std::uint64_t{53}}) {
+      engine::RunOptions opts;
+      opts.condition = engine::Condition::kNumactl;
+      opts.node = node;
+      opts.profile = true;
+      opts.sampler.period = period;
+      opts.kernel = KernelKind::kInterp;
+      const engine::RunResult oracle = engine::run_app(app, opts);
+      ASSERT_NE(oracle.trace, nullptr);
+      EXPECT_GT(oracle.samples, 0u) << app.name << " period " << period;
+      const std::string oracle_trace = serialized_trace(oracle);
+      for (const KernelKind k : compiled_kernels()) {
+        opts.kernel = k;
+        const engine::RunResult got = engine::run_app(app, opts);
+        const std::string label = app.name + "/period " +
+                                  std::to_string(period) + "/" +
+                                  engine::kernel::kernel_name(k);
+        expect_same_run(oracle, got, label);
+        EXPECT_EQ(got.samples, oracle.samples) << label;
+        EXPECT_EQ(got.monitoring_overhead, oracle.monitoring_overhead)
+            << label;
+        ASSERT_NE(got.trace, nullptr) << label;
+        EXPECT_TRUE(serialized_trace(got) == oracle_trace) << label;
+      }
     }
-    EXPECT_GT(oracle.samples, 0u) << name;
   }
 }
 

@@ -1,6 +1,10 @@
 // Tests for the PEBS-style sampler.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+
+#include "common/prng.hpp"
 #include "pebs/sampler.hpp"
 
 namespace hmem::pebs {
@@ -117,6 +121,70 @@ TEST(PebsSampler, ResetRestartsCounters) {
     fires += sampler.on_llc_miss(0, 0, false).has_value() ? 1 : 0;
   }
   EXPECT_EQ(fires, 1u);
+}
+
+TEST(PebsSampler, SkipQuietMatchesStepping) {
+  // Property: skip_quiet(limit, count) consumes exactly the groups that
+  // stepping on_llc_misses(count) one group at a time would consume before
+  // the first fire (or the limit), leaving the sampler in the same state —
+  // same counters now, same fires for any continuation.
+  Xoshiro256 rng(0x5b1bULL);
+  for (int trial = 0; trial < 2000; ++trial) {
+    SamplerConfig cfg;
+    cfg.period = 1 + rng.below(trial % 4 == 0 ? 40000 : 300);
+    cfg.jitter = rng.below(2) == 0 ? 0.0 : 0.5 * rng.uniform();
+    cfg.seed = rng.next();
+    // count > period in about a third of the trials.
+    const std::uint64_t count = 1 + rng.below(cfg.period * 3 / 2 + 2);
+    const std::uint64_t limit = rng.below(5000);
+    PebsSampler skipped(cfg), stepped(cfg);
+    // Start from a random point of the countdown, not a fresh arm.
+    const std::uint64_t warmup = rng.below(3 * cfg.period);
+    skipped.on_llc_misses(0, 0, false, warmup);
+    stepped.on_llc_misses(0, 0, false, warmup);
+
+    const std::uint64_t n = skipped.skip_quiet(limit, count);
+    std::uint64_t quiet = 0;
+    while (quiet < limit) {
+      PebsSampler probe = stepped;
+      if (probe.on_llc_misses(0, 0, false, count) != 0) break;
+      stepped = probe;
+      ++quiet;
+    }
+    ASSERT_EQ(n, quiet) << "trial " << trial << " period " << cfg.period
+                        << " count " << count << " limit " << limit;
+    ASSERT_EQ(skipped.misses_seen(), stepped.misses_seen()) << trial;
+    ASSERT_EQ(skipped.samples_taken(), stepped.samples_taken()) << trial;
+    if (n < limit) {
+      // The group after the skip fires, exactly as stepping says.
+      EXPECT_GT(skipped.on_llc_misses(0, 0, false, count), 0u) << trial;
+      stepped.on_llc_misses(0, 0, false, count);
+    }
+    for (int i = 0; i < 50; ++i) {
+      const std::uint64_t more = 1 + rng.below(2 * cfg.period);
+      ASSERT_EQ(skipped.on_llc_misses(0, 0, false, more),
+                stepped.on_llc_misses(0, 0, false, more))
+          << "trial " << trial << " continuation " << i;
+    }
+    EXPECT_EQ(skipped.misses_seen(), stepped.misses_seen()) << trial;
+  }
+}
+
+TEST(PebsSampler, SkipQuietStopsAtTheFiringGroup) {
+  SamplerConfig cfg;
+  cfg.period = 100;
+  cfg.jitter = 0.0;
+  PebsSampler sampler(cfg);
+  // Countdown 100, groups of 30: three quiet groups (90), the fourth fires.
+  EXPECT_EQ(sampler.skip_quiet(10, 30), 3u);
+  EXPECT_EQ(sampler.misses_seen(), 90u);
+  EXPECT_EQ(sampler.skip_quiet(10, 30), 0u);
+  EXPECT_EQ(sampler.on_llc_misses(0, 0, false, 30), 1u);
+  // A limit below the quiet run stops there.
+  EXPECT_EQ(sampler.skip_quiet(2, 30), 2u);
+  // count >= countdown: nothing is quiet.
+  EXPECT_EQ(sampler.skip_quiet(10, 500), 0u);
+  EXPECT_EQ(sampler.skip_quiet(0, 1), 0u);
 }
 
 }  // namespace

@@ -30,8 +30,7 @@
 //                      hbm-ddr-pmem) or a machine config file (default knl)
 //     --kernel k       access-loop backend: interp | bytecode | native |
 //                      auto (default auto = HMEM_KERNEL, then bytecode);
-//                      traces are bit-identical across kernels, and a
-//                      profiled native request falls back to bytecode
+//                      traces are bit-identical across kernels
 //     --checksums      binary format only: guard every event chunk with a
 //                      CRC-32 so later salvage can drop exactly the
 //                      damaged chunks (off by default; adds 5 bytes per

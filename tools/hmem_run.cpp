@@ -39,16 +39,18 @@
 //     kernel      access-loop backend: interp | bytecode | native | auto
 //                 (default auto, which honours HMEM_KERNEL then picks
 //                 bytecode). All kernels produce bit-identical reports;
-//                 unavailable choices fall back down the ladder.
+//                 unavailable choices fall back down the ladder (cache
+//                 condition -> interp, no native support -> bytecode).
 //     replay      recorded trace shard(s); pass every .rank<k> shard of a
 //                 multi-rank profile
 //     --strict    replay only: throw on the first malformed trace byte
 //                 instead of the default chunk-level salvage
 //     --faults s  fault-injection schedule (overrides HMEM_FAULTS)
 //
-// Exit codes: 0 success, 2 usage/config error, 3 data or I/O error,
-// 4 resource exhaustion (e.g. the recorded allocation stream exceeding the
-// simulated machine's capacities).
+// Exit codes: 0 success, 2 usage/config error (including a schedule with
+// no placement for one of the app's phases), 3 data or I/O error, 4 resource
+// exhaustion (an object or the recorded allocation stream exceeding the
+// simulated machine's per-rank tier capacities).
 #include <cstdio>
 #include <cstring>
 #include <fstream>
