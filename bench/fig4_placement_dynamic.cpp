@@ -2,8 +2,8 @@
 // schedule, as a dFOM/MByte comparison across every bundled workload (the
 // paper's eight plus the two phase-shifting stress apps) and every machine
 // preset. The grid is a sweep-engine run: one DDR baseline cell plus one
-// dynamic cell per (app, machine), sharing stage-1 profiles and compiled
-// kernel programs across cells and executing on the worker pool.
+// dynamic cell per (app, machine), sharing stage-1 profiles across cells and
+// executing on the worker pool.
 //
 // The static pipeline structurally cannot beat dynamic on the phase-shift
 // apps (churn, transient): their hot sets do not fit the budget *together*
@@ -226,10 +226,9 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "\nsweep: %zu cell(s) in %.2fs (%.2f cells/s), profile reuse "
-      "%.0f%%, program cache %.0f%% (%zu entries), peak cell scratch %s\n",
+      "%.0f%%, peak cell scratch %s\n",
       stats.cells_computed, stats.wall_seconds, stats.cells_per_second,
-      100.0 * stats.profile_hit_rate(), 100.0 * stats.program_hit_rate(),
-      stats.program_cache_entries,
+      100.0 * stats.profile_hit_rate(),
       format_bytes(stats.arena_peak_cell_bytes).c_str());
 
   std::printf("\n--- CSV ---\n");

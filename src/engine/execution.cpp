@@ -221,15 +221,21 @@ RunResult run_app(const AppSpec& app, const RunOptions& options) {
   const bool cache_mode = options.condition == Condition::kCacheMode;
 
   // ---- Per-rank machine view -------------------------------------------
-  // The Machine always runs flat here: the engine models cache mode with an
-  // analytic residency model (below) because the sampled access stream's
-  // touched footprint is a scaled-down image of the real working set — a
-  // literal tag simulation at line granularity would see a working set
-  // `access_scale` times too small and overestimate the hit rate. The
-  // DirectMappedMemCache component remains available for line-level studies.
+  // The Machine routes flat: the engine models cache mode with an analytic
+  // residency model (below) because the sampled access stream's touched
+  // footprint is a scaled-down image of the real working set — a literal
+  // tag simulation at line granularity would see a working set
+  // `access_scale` times too small and overestimate the hit rate.
   memsim::MachineConfig cfg = options.node;
   HMEM_ASSERT_MSG(!cfg.tiers.empty(), "node config has no memory tiers");
-  cfg.mode = memsim::MemMode::kFlat;
+  // Every condition but the DDR reference needs a second tier: a faster
+  // one to place data in or, in cache mode, a front for the backing tier.
+  if (options.condition != Condition::kDdr && cfg.tiers.size() < 2) {
+    throw ConfigError(std::string("condition '") +
+                      condition_name(options.condition) +
+                      "' needs at least two memory tiers; machine '" +
+                      cfg.name + "' has " + std::to_string(cfg.tiers.size()));
+  }
   // Each rank gets a power-of-two share of the LLC's sets, at least 16 KiB
   // worth (and at least one set), so the geometry stays valid for any
   // associativity the config allows.
@@ -254,8 +260,10 @@ RunResult run_app(const AppSpec& app, const RunOptions& options) {
   // tier, perf.back() the slowest (the unbounded default).
   const std::vector<memsim::TierIndex> perf = cfg.tiers_by_performance();
   const memsim::TierIndex slowest = perf.back();
-  const memsim::TierIndex cache_front = cfg.resolved_cache_front();
-  const memsim::TierIndex cache_backing = cfg.resolved_cache_backing();
+  // Cache mode fronts the slowest tier with the fastest. On a tie for
+  // slowest, slowest_tier() is the first tied tier, perf.back() the last.
+  const memsim::TierIndex cache_front = cfg.fastest_tier();
+  const memsim::TierIndex cache_backing = cfg.slowest_tier();
 
   // Scratch resource for run-local state (allocator bookkeeping, miss
   // records, per-phase accumulators). Everything allocated from it is a
@@ -309,18 +317,15 @@ RunResult run_app(const AppSpec& app, const RunOptions& options) {
       policy = std::make_unique<runtime::DdrPolicy>(*policy_tiers.back());
       break;
     case Condition::kNumactl:
-      HMEM_ASSERT(policy_tiers.size() >= 2);
       policy = std::make_unique<runtime::NumactlPolicy>(policy_tiers);
       break;
     case Condition::kAutoHbw:
-      HMEM_ASSERT(policy_tiers.size() >= 2);
       policy = std::make_unique<runtime::AutoHbwLibPolicy>(
           policy_tiers, options.autohbw_threshold);
       break;
     case Condition::kFramework: {
       HMEM_ASSERT_MSG(options.placement != nullptr,
                       "framework condition requires a Placement");
-      HMEM_ASSERT(policy_tiers.size() >= 2);
       auto fw = std::make_unique<runtime::AutoHbwMalloc>(
           *options.placement, policy_tiers, unwinder, translator,
           options.runtime_options);
@@ -332,7 +337,6 @@ RunResult run_app(const AppSpec& app, const RunOptions& options) {
       HMEM_ASSERT_MSG(
           options.schedule != nullptr && !options.schedule->phases.empty(),
           "dynamic condition requires a PlacementSchedule");
-      HMEM_ASSERT(policy_tiers.size() >= 2);
       auto fw = std::make_unique<runtime::AutoHbwMalloc>(
           options.schedule->phases.front().placement, policy_tiers, unwinder,
           translator, options.runtime_options);
@@ -777,45 +781,9 @@ RunResult run_app(const AppSpec& app, const RunOptions& options) {
             }
             targets.push_back(t);
           }
-          // Shared-cache lookup: compilation is deterministic, so any run
-          // with the same cache prefix would emit this exact program.
-          // Cached entries carry no generator bindings (those are
-          // run-local) — re-bind from this run's targets in the order
-          // compile_program builds them, then re-verify.
-          bool from_cache = false;
-          std::string cache_key;
-          if (options.program_cache != nullptr) {
-            cache_key = options.program_cache_prefix;
-            cache_key += "|p";
-            cache_key += std::to_string(p);
-            cache_key += "|e";
-            cache_key += std::to_string(live_epoch);
-            cache_key += "|a";
-            cache_key += std::to_string(addr_epoch);
-            if (const auto hit = options.program_cache->find(cache_key)) {
-              kp.program = *hit;
-              std::size_t g = 0;
-              for (const kernel::SlotTarget& t : targets) {
-                if (!t.is_stack) {
-                  HMEM_ASSERT(g < kp.program.gens.size());
-                  kp.program.gens[g++] = t.gen;
-                }
-              }
-              HMEM_ASSERT(g == kp.program.gens.size());
-              HMEM_ASSERT(kernel::verify_program(kp.program).empty());
-              from_cache = true;
-            }
-          }
-          if (!from_cache) {
-            kp.program =
-                kernel::compile_program(table.alias, table.write_threshold,
-                                        kWriteCoinShift, targets, machine);
-            if (options.program_cache != nullptr) {
-              options.program_cache->insert(cache_key, kp.program);
-            }
-          }
-          kp.program.live_epoch = live_epoch;
-          kp.program.addr_epoch = addr_epoch;
+          kp.program =
+              kernel::compile_program(table.alias, table.write_threshold,
+                                      kWriteCoinShift, targets, machine);
           kp.live_epoch = live_epoch;
           kp.addr_epoch = addr_epoch;
           kp.use_native = false;
@@ -890,7 +858,7 @@ RunResult run_app(const AppSpec& app, const RunOptions& options) {
             if (offset >= app.objects[idx].size_bytes) offset = 0;
             addr = base + offset;
           }
-          const memsim::AccessResult res = machine.access(addr, is_write);
+          const memsim::AccessResult res = machine.access(addr);
           double latency_ns = res.latency_ns;
           memsim::TierIndex serve_tier = res.tier;
           std::uint64_t serve_bytes = res.tier_bytes;

@@ -95,8 +95,8 @@ struct RunOptions {
 
   std::uint64_t seed = 42;
   /// Node-level machine; the engine derives the per-rank view (LLC share,
-  /// tier capacity shares, bandwidth shares). The memory mode is overridden
-  /// to match the condition.
+  /// tier capacity shares, bandwidth shares). Its memory mode is ignored:
+  /// the condition decides.
   memsim::MachineConfig node = memsim::MachineConfig::knl7250(
       memsim::MemMode::kFlat);
   /// Outstanding misses per core for the latency roofline term (hardware
@@ -128,14 +128,6 @@ struct RunOptions {
   /// Every RunResult field is bit-identical regardless of the resource —
   /// allocator choice can move bytes, never change them.
   std::pmr::memory_resource* scratch = nullptr;
-  /// Shared cache of compiled kernel programs. When set, the engine looks
-  /// up `program_cache_prefix|p<phase>|e<live_epoch>|a<addr_epoch>` before
-  /// compiling and re-binds the cached program's generator pointers to the
-  /// run's own generators on a hit. The caller owns key uniqueness: two
-  /// runs may share a prefix only if they would compile byte-identical
-  /// programs for it (same app, machine, placement shape, seeds).
-  kernel::ProgramCache* program_cache = nullptr;
-  std::string program_cache_prefix;
 };
 
 /// Real (scale-corrected) DRAM traffic one tier carried during a run.
@@ -208,7 +200,8 @@ struct RunResult {
 /// Runs one application once under the given options. Throws
 /// ResourceError when an object or the stack cannot be allocated in the
 /// simulated machine (naming it and the tier), and ConfigError when a
-/// dynamic run's schedule has no placement for one of the app's phases.
+/// dynamic run's schedule has no placement for one of the app's phases or
+/// a condition other than kDdr meets a one-tier machine.
 RunResult run_app(const apps::AppSpec& app, const RunOptions& options);
 
 }  // namespace hmem::engine

@@ -108,10 +108,6 @@ struct Program {
   double llc_latency_ns = 0.0;
   std::uint32_t n_tiers = 0;
 
-  // Validity stamps maintained by the engine (compile leaves them unset).
-  std::uint64_t live_epoch = ~0ULL;
-  std::uint64_t addr_epoch = ~0ULL;
-
   std::size_t slot_count() const { return block_start.size(); }
 };
 

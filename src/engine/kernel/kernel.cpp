@@ -1,7 +1,6 @@
 #include "engine/kernel/kernel.hpp"
 
 #include <cstdlib>
-#include <mutex>
 
 #include "common/fault.hpp"
 #include "engine/kernel/native.hpp"
@@ -63,42 +62,6 @@ KernelKind resolve_kernel(KernelKind requested, bool cache_mode) {
     kind = KernelKind::kInterp;
   }
   return kind;
-}
-
-std::shared_ptr<const Program> ProgramCache::find(const std::string& key) {
-  {
-    std::shared_lock lock(mu_);
-    const auto it = entries_.find(key);
-    if (it != entries_.end()) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      return it->second;
-    }
-  }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  return nullptr;
-}
-
-std::shared_ptr<const Program> ProgramCache::insert(const std::string& key,
-                                                    Program program) {
-  // Generator pointers are run-local; a cached program must never carry
-  // them across cells. Keep the slot count so consumers can re-bind.
-  for (apps::AccessGenerator*& gen : program.gens) gen = nullptr;
-  auto entry = std::make_shared<const Program>(std::move(program));
-  std::unique_lock lock(mu_);
-  const auto [it, inserted] = entries_.emplace(key, std::move(entry));
-  (void)inserted;
-  return it->second;
-}
-
-double ProgramCache::hit_rate() const {
-  const double h = static_cast<double>(hits());
-  const double m = static_cast<double>(misses());
-  return h + m > 0 ? h / (h + m) : 0.0;
-}
-
-std::size_t ProgramCache::size() const {
-  std::shared_lock lock(mu_);
-  return entries_.size();
 }
 
 }  // namespace hmem::engine::kernel

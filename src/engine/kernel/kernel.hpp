@@ -15,13 +15,9 @@
 // bytecode.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <optional>
-#include <shared_mutex>
 #include <string>
-#include <unordered_map>
 
 #include "engine/kernel/ir.hpp"
 
@@ -52,41 +48,5 @@ inline KernelKind resolve_kernel(KernelKind requested, bool cache_mode,
                                  bool /*profiled*/) {
   return resolve_kernel(requested, cache_mode);
 }
-
-/// Read-mostly cache of compiled Programs, shared across sweep cells.
-///
-/// Compilation is deterministic, so any two cells that would compile the
-/// same (app, phase, machine, placement-shape) produce byte-identical
-/// streams — the sweep engine keys on exactly those inputs and reuses the
-/// first compile. Cached entries store `gens` cleared: generator pointers
-/// are per-run state, and a consumer must re-bind them from its own freshly
-/// built SlotTargets before executing (verify_program rejects the program
-/// until it does). Thread-safe; lookups take a shared lock, inserts an
-/// exclusive one.
-class ProgramCache {
- public:
-  /// Returns the cached program for `key`, or nullptr. Counts a hit/miss.
-  std::shared_ptr<const Program> find(const std::string& key);
-
-  /// Stores `program` under `key` with its generator bindings cleared.
-  /// First insert wins (compilation is deterministic, so a racing duplicate
-  /// is byte-identical anyway); returns the resident entry.
-  std::shared_ptr<const Program> insert(const std::string& key,
-                                        Program program);
-
-  std::uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  std::uint64_t misses() const {
-    return misses_.load(std::memory_order_relaxed);
-  }
-  /// hits / (hits + misses); 0 when no lookups have happened.
-  double hit_rate() const;
-  std::size_t size() const;
-
- private:
-  mutable std::shared_mutex mu_;
-  std::unordered_map<std::string, std::shared_ptr<const Program>> entries_;
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
-};
 
 }  // namespace hmem::engine::kernel

@@ -49,7 +49,6 @@ RunResult replay_run(trace::TraceReader& events,
   // ---- Per-rank machine view (mirrors run_app) --------------------------
   memsim::MachineConfig cfg = options.node;
   if (cfg.tiers.empty()) throw ConfigError("node config has no tiers");
-  cfg.mode = memsim::MemMode::kFlat;
   for (memsim::TierSpec& tier : cfg.tiers) {
     tier.capacity_bytes /= static_cast<std::uint64_t>(ranks);
   }

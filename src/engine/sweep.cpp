@@ -36,44 +36,6 @@ std::vector<std::uint64_t> budgets_of(const SweepSpec& spec,
   return spec.budgets_for ? spec.budgets_for(app) : default_budgets(app);
 }
 
-/// FNV-1a digest of a placement/schedule report. Two cells whose reports
-/// print identically share compiled programs; the length rider makes an
-/// accidental collision need both a hash and a size match.
-std::string report_digest(const std::string& text) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const unsigned char c : text) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%016llx-%zu",
-                static_cast<unsigned long long>(h), text.size());
-  return buf;
-}
-
-/// Program-cache key prefix of one execution. Everything the compiled
-/// stream can depend on is named: the grid point (app, machine), the
-/// condition, the seed (allocation and generator state), and the digest of
-/// the placement/schedule text when one drives the run. run_app appends
-/// the per-phase epoch suffix.
-std::string cache_prefix(std::size_t app, std::size_t machine,
-                         const char* what, std::uint64_t seed,
-                         const std::string& report_text) {
-  std::string prefix = "a";
-  prefix += std::to_string(app);
-  prefix += "|m";
-  prefix += std::to_string(machine);
-  prefix += '|';
-  prefix += what;
-  prefix += "|s";
-  prefix += std::to_string(seed);
-  if (!report_text.empty()) {
-    prefix += "|d";
-    prefix += report_digest(report_text);
-  }
-  return prefix;
-}
-
 }  // namespace
 
 struct SweepEngine::ProfileEntry {
@@ -170,9 +132,6 @@ const analysis::AggregateResult& SweepEngine::profile_for(std::size_t app,
     po.seed = spec_.base.profile_seed;
     po.node = spec_.machines[machine];
     po.kernel = spec_.base.kernel;
-    po.program_cache = &programs_;
-    po.program_cache_prefix =
-        cache_prefix(app, machine, "profile", po.seed, "");
     const RunResult profile = run_app(spec_.apps[app], po);
     HMEM_ASSERT(profile.trace != nullptr);
     entry.report = analysis::aggregate_trace(*profile.trace, *profile.sites);
@@ -200,10 +159,6 @@ SweepCellResult SweepEngine::run_cell(const SweepCell& cell, Arena* arena) {
       opts.node = node;
       opts.kernel = spec_.base.kernel;
       opts.scratch = arena;
-      opts.program_cache = &programs_;
-      opts.program_cache_prefix =
-          cache_prefix(cell.app, cell.machine, condition_name(cell.baseline),
-                       opts.seed, "");
       const RunResult r = run_app(app, opts);
       result.fom = r.fom;
       result.fast_hwm_bytes = r.fast_hwm_bytes;
@@ -233,9 +188,6 @@ SweepCellResult SweepEngine::run_cell(const SweepCell& cell, Arena* arena) {
       opts.node = node;
       opts.kernel = spec_.base.kernel;
       opts.scratch = arena;
-      opts.program_cache = &programs_;
-      opts.program_cache_prefix = cache_prefix(
-          cell.app, cell.machine, "framework", opts.seed, text);
       const RunResult r = run_app(app, opts);
       result.fom = r.fom;
       result.fast_hwm_bytes = r.fast_hwm_bytes;
@@ -263,9 +215,6 @@ SweepCellResult SweepEngine::run_cell(const SweepCell& cell, Arena* arena) {
       static_opts.node = node;
       static_opts.kernel = spec_.base.kernel;
       static_opts.scratch = arena;
-      static_opts.program_cache = &programs_;
-      static_opts.program_cache_prefix = cache_prefix(
-          cell.app, cell.machine, "framework", static_opts.seed, text);
       const RunResult static_run = run_app(app, static_opts);
 
       advisor::PhaseAdvisor phase_adv(spec, spec_.base.advisor);
@@ -284,9 +233,6 @@ SweepCellResult SweepEngine::run_cell(const SweepCell& cell, Arena* arena) {
       dynamic_opts.node = node;
       dynamic_opts.kernel = spec_.base.kernel;
       dynamic_opts.scratch = arena;
-      dynamic_opts.program_cache = &programs_;
-      dynamic_opts.program_cache_prefix = cache_prefix(
-          cell.app, cell.machine, "dynamic", dynamic_opts.seed, sched_text);
       const RunResult dynamic_run = run_app(app, dynamic_opts);
 
       result.fom = dynamic_run.fom;
@@ -386,9 +332,6 @@ std::vector<SweepOutcome> SweepEngine::run(SweepStore* store, bool resume) {
   stats_.cells_resumed = resumed;
   stats_.profile_hits = profile_hits_.load(std::memory_order_relaxed);
   stats_.profile_misses = profile_misses_.load(std::memory_order_relaxed);
-  stats_.program_hits = programs_.hits();
-  stats_.program_misses = programs_.misses();
-  stats_.program_cache_entries = programs_.size();
   stats_.arena_peak_cell_bytes =
       std::max(stats_.arena_peak_cell_bytes, arena_peak_cell);
   stats_.arena_reserved_bytes =

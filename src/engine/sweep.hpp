@@ -7,11 +7,9 @@
 //
 //  1. Shared immutable state. App specs and machine presets live in the
 //     SweepSpec; each (app, machine) pair's stage-1 profile is computed at
-//     most once (std::call_once) and reused by every budget/strategy cell;
-//     and compiled kernel Programs are cached in a read-mostly ProgramCache
-//     keyed by (app, machine, condition, seed, placement digest, phase,
-//     epochs) — any two cells that would compile the same byte stream share
-//     one compile.
+//     most once (std::call_once) and reused by every budget/strategy cell.
+//     Each cell compiles its own kernel programs: compilation is ~1.5% of a
+//     run, too little for a cross-cell program cache to pay.
 //  2. Per-cell arenas. Each worker owns a bump Arena (common/arena.hpp)
 //     threaded into RunOptions::scratch and reset between cells, so
 //     steady-state sweeping does no global-allocator traffic for the
@@ -126,10 +124,9 @@ struct SweepStats {
   /// hit reuses it. Counted once per framework/dynamic cell.
   std::uint64_t profile_hits = 0;
   std::uint64_t profile_misses = 0;
-  /// Compiled-kernel Program cache (lifetime totals of the engine).
+  /// Always zero (there is no program cache); kept for existing readers.
   std::uint64_t program_hits = 0;
   std::uint64_t program_misses = 0;
-  std::size_t program_cache_entries = 0;
   /// Largest per-cell scratch high-water mark across all cells, and the
   /// largest arena reservation any worker ended up holding.
   std::size_t arena_peak_cell_bytes = 0;
@@ -141,11 +138,6 @@ struct SweepStats {
     const double total =
         static_cast<double>(profile_hits) + static_cast<double>(profile_misses);
     return total > 0 ? static_cast<double>(profile_hits) / total : 0.0;
-  }
-  double program_hit_rate() const {
-    const double total =
-        static_cast<double>(program_hits) + static_cast<double>(program_misses);
-    return total > 0 ? static_cast<double>(program_hits) / total : 0.0;
   }
 };
 
@@ -165,9 +157,8 @@ class SweepEngine {
   /// every computed cell is durably appended in enumeration order; with
   /// resume, cells already in the store are loaded instead of re-run.
   /// Outcomes cover the full grid; cells outside this shard (and not
-  /// resumed) come back empty. Shared state (profiles, compiled programs)
-  /// survives across run() calls, so a second run on the same engine is a
-  /// warm-cache run.
+  /// resumed) come back empty. Shared stage-1 profiles survive across
+  /// run() calls, so a second run on the same engine reuses them all.
   std::vector<SweepOutcome> run(SweepStore* store = nullptr,
                                 bool resume = false);
 
@@ -188,7 +179,6 @@ class SweepEngine {
   SweepSpec spec_;
   std::vector<SweepCell> cells_;
   std::vector<std::unique_ptr<ProfileEntry>> profiles_;
-  kernel::ProgramCache programs_;
   std::atomic<std::uint64_t> profile_hits_{0};
   std::atomic<std::uint64_t> profile_misses_{0};
   SweepStats stats_;

@@ -29,20 +29,6 @@ std::optional<MemMode> parse_mem_mode(const std::string& name) {
   return std::nullopt;
 }
 
-const char* served_by_name(ServedBy served) {
-  switch (served) {
-    case ServedBy::kLlc:
-      return "LLC";
-    case ServedBy::kTier:
-      return "tier";
-    case ServedBy::kMemCacheHit:
-      return "mem$hit";
-    case ServedBy::kMemCacheMiss:
-      return "mem$miss";
-  }
-  return "?";
-}
-
 MachineConfig MachineConfig::knl7250(MemMode mode) {
   MachineConfig cfg;
   cfg.name = "knl7250";
@@ -75,7 +61,6 @@ MachineConfig MachineConfig::knl7250(MemMode mode) {
   cfg.mode = mode;
   cfg.llc_latency_ns = 12.0;
   cfg.mem_cache_tag_ns = 12.0;
-  cfg.mem_cache_block_bytes = kPageBytes;
   return cfg;
 }
 
@@ -110,7 +95,6 @@ MachineConfig MachineConfig::spr_hbm(MemMode mode) {
   cfg.mem_cache_tag_ns = 10.0;
   // SPR HBM caching mode streams closer to flat than KNL's did.
   cfg.cache_mode_bw_derate = 0.80;
-  cfg.mem_cache_block_bytes = kPageBytes;
   return cfg;
 }
 
@@ -147,7 +131,6 @@ MachineConfig MachineConfig::ddr_cxl(MemMode mode) {
   cfg.llc_latency_ns = 15.0;
   cfg.mem_cache_tag_ns = 15.0;
   cfg.cache_mode_bw_derate = 0.85;
-  cfg.mem_cache_block_bytes = kPageBytes;
   return cfg;
 }
 
@@ -190,7 +173,6 @@ MachineConfig MachineConfig::hbm_ddr_pmem(MemMode mode) {
   cfg.mode = mode;
   cfg.llc_latency_ns = 15.0;
   cfg.mem_cache_tag_ns = 12.0;
-  cfg.mem_cache_block_bytes = kPageBytes;
   return cfg;
 }
 
@@ -223,7 +205,6 @@ MachineConfig MachineConfig::test_node(MemMode mode) {
   cfg.mode = mode;
   cfg.llc_latency_ns = 5.0;
   cfg.mem_cache_tag_ns = 10.0;
-  cfg.mem_cache_block_bytes = kPageBytes;
   return cfg;
 }
 
@@ -264,7 +245,6 @@ MachineConfig MachineConfig::test_node3(MemMode mode) {
   cfg.mode = mode;
   cfg.llc_latency_ns = 5.0;
   cfg.mem_cache_tag_ns = 10.0;
-  cfg.mem_cache_block_bytes = kPageBytes;
   return cfg;
 }
 
@@ -312,8 +292,6 @@ MachineConfig MachineConfig::from_config(const Config& config) {
       "machine", "cache_mode_bw_derate", cfg.cache_mode_bw_derate);
   cfg.cache_mode_conflict_k = config.get_double(
       "machine", "cache_mode_conflict_k", cfg.cache_mode_conflict_k);
-  cfg.mem_cache_block_bytes = config.get_bytes(
-      "machine", "mem_cache_block", cfg.mem_cache_block_bytes);
 
   // [llc] geometry: the Cache constructor asserts these, so a file must
   // fail here, naming the key, before any run builds one.
@@ -418,115 +396,42 @@ std::vector<TierIndex> MachineConfig::tiers_by_performance() const {
   return order;
 }
 
-TierIndex MachineConfig::resolved_cache_front() const {
-  return cache_front_tier == kAutoTier ? fastest_tier() : cache_front_tier;
-}
-
-TierIndex MachineConfig::resolved_cache_backing() const {
-  return cache_backing_tier == kAutoTier ? slowest_tier()
-                                         : cache_backing_tier;
-}
-
 Machine::Machine(MachineConfig config) : config_(std::move(config)),
                                          llc_(config_.llc) {
   HMEM_ASSERT_MSG(!config_.tiers.empty(), "machine needs at least one tier");
   assign_tier_bases(config_.tiers);  // no-op for already-assigned tiers
-  tiers_.reserve(config_.tiers.size());
   ranges_.reserve(config_.tiers.size());
   for (const TierSpec& spec : config_.tiers) {
-    tiers_.emplace_back(spec);
     ranges_.push_back(TierRange{spec.base, spec.base + spec.capacity_bytes,
                                 spec.latency_ns});
   }
   fastest_ = config_.fastest_tier();
   slowest_ = config_.slowest_tier();
-  cache_front_ = config_.resolved_cache_front();
-  cache_backing_ = config_.resolved_cache_backing();
-  if (config_.mode == MemMode::kCache) {
-    HMEM_ASSERT_MSG(cache_front_ != cache_backing_,
-                    "cache mode needs two distinct tiers");
-    mem_cache_ = std::make_unique<DirectMappedMemCache>(
-        config_.tiers[cache_front_].capacity_bytes,
-        config_.mem_cache_block_bytes);
-  }
 }
 
 bool Machine::in_tier(Address addr, TierIndex tier) const {
-  return tiers_[tier].contains(addr);
+  return addr >= ranges_[tier].base && addr < ranges_[tier].end;
 }
 
 TierIndex Machine::owning_tier(Address addr) const {
   for (TierIndex i = 0; i < ranges_.size(); ++i) {
-    if (addr >= ranges_[i].base && addr < ranges_[i].end) return i;
+    if (in_tier(addr, i)) return i;
   }
   return slowest_;
 }
 
-AccessResult Machine::access(Address addr, bool is_write) {
+AccessResult Machine::access(Address addr) {
   AccessResult result;
   result.llc_hit = llc_.access(addr);
   if (result.llc_hit) {
-    result.served_by = ServedBy::kLlc;
     result.latency_ns = config_.llc_latency_ns;
     return result;
   }
-
-  if (config_.mode == MemMode::kFlat) {
-    const TierIndex t = owning_tier(addr);
-    result.served_by = ServedBy::kTier;
-    result.tier = t;
-    result.latency_ns = ranges_[t].latency_ns;
-    result.tier_bytes = kCacheLineBytes;
-    if (is_write)
-      tiers_[t].record_write(kCacheLineBytes);
-    else
-      tiers_[t].record_read(kCacheLineBytes);
-    return result;
-  }
-
-  // Cache mode: every LLC miss consults the memory-side tag directory of
-  // the front tier; misses are served by the backing tier plus a fill.
-  HMEM_ASSERT(mem_cache_ != nullptr);
-  MemoryTier& front = tiers_[cache_front_];
-  MemoryTier& backing = tiers_[cache_backing_];
-  const bool mc_hit = mem_cache_->access(addr);
-  if (mc_hit) {
-    result.served_by = ServedBy::kMemCacheHit;
-    result.tier = cache_front_;
-    result.latency_ns =
-        front.spec().latency_ns + config_.mem_cache_tag_ns;
-    result.tier_bytes = kCacheLineBytes;
-    if (is_write)
-      front.record_write(kCacheLineBytes);
-    else
-      front.record_read(kCacheLineBytes);
-  } else {
-    // Served by the backing tier; the line is also filled into the front
-    // tier (extra write traffic — the cost of the memory-side fill).
-    result.served_by = ServedBy::kMemCacheMiss;
-    result.tier = cache_backing_;
-    result.latency_ns =
-        backing.spec().latency_ns + config_.mem_cache_tag_ns;
-    result.tier_bytes = kCacheLineBytes;
-    result.fill_tier = cache_front_;
-    result.fill_bytes = kCacheLineBytes;
-    if (is_write)
-      backing.record_write(kCacheLineBytes);
-    else
-      backing.record_read(kCacheLineBytes);
-    front.record_write(kCacheLineBytes);
-  }
+  const TierIndex t = owning_tier(addr);
+  result.tier = t;
+  result.latency_ns = ranges_[t].latency_ns;
+  result.tier_bytes = kCacheLineBytes;
   return result;
-}
-
-void Machine::reset() {
-  llc_.flush();
-  llc_.reset_stats();
-  for (MemoryTier& tier : tiers_) tier.reset_stats();
-  if (mem_cache_ != nullptr) {
-    mem_cache_->flush();
-    mem_cache_->reset_stats();
-  }
 }
 
 }  // namespace hmem::memsim

@@ -1,23 +1,20 @@
 // The simulated hybrid-memory node.
 //
-// Machine glues the LLC model, an ordered list of N memory tiers and (in
-// cache mode) the direct-mapped memory-side cache into a single `access()`
-// entry point: given a physical address, it classifies where the access was
-// served and what DRAM traffic it generated. The execution engine aggregates
-// these classifications into phase timings; the PEBS sampler taps the
-// LLC-miss stream.
+// Machine glues the LLC model and an ordered list of N memory tiers into a
+// single `access()` entry point: given a physical address, it classifies
+// where the access was served and what DRAM traffic it generated. Every
+// tier is addressable memory (its own range), so placement decides which
+// tier serves a miss. The execution engine aggregates these classifications
+// into phase timings; the PEBS sampler taps the LLC-miss stream.
 //
-// Two operating modes mirror the paper's platform:
-//  * kFlat  — every tier is addressable memory (its own range); placement
-//             decides which tier serves a miss.
-//  * kCache — one designated tier (the cache *front*) fronts another (the
-//             *backing* tier) as a direct-mapped memory-side cache, conflict
-//             misses and all. All data lives in the backing tier's range.
-//             On KNL: MCDRAM fronting DDR.
+// MemMode names the paper's two platform modes. Cache mode (on KNL, MCDRAM
+// fronting DDR as a direct-mapped memory-side cache) is not simulated line
+// by line: the engine runs the Machine flat and models the memory-side
+// cache analytically (CacheModeModel in engine/execution.cpp), using the
+// cache_mode_* and mem_cache_tag_ns knobs below.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -25,7 +22,6 @@
 #include "common/config.hpp"
 #include "memsim/address.hpp"
 #include "memsim/cache.hpp"
-#include "memsim/mcdram_cache.hpp"
 #include "memsim/tier.hpp"
 
 namespace hmem::memsim {
@@ -35,35 +31,17 @@ enum class MemMode { kFlat, kCache };
 const char* mem_mode_name(MemMode mode);
 std::optional<MemMode> parse_mem_mode(const std::string& name);
 
-/// Where an access was ultimately served from.
-enum class ServedBy {
-  kLlc,           ///< hit in the last-level cache
-  kTier,          ///< flat mode, served by the tier owning the range
-  kMemCacheHit,   ///< cache mode, memory-side cache hit (front tier)
-  kMemCacheMiss,  ///< cache mode, served by the backing tier + front fill
-};
-
-const char* served_by_name(ServedBy served);
-
 struct AccessResult {
   bool llc_hit = false;
-  ServedBy served_by = ServedBy::kLlc;
   /// Tier that served the access (meaningless on an LLC hit).
   TierIndex tier = 0;
   double latency_ns = 0.0;
-  /// DRAM traffic this access generated on the serving tier (line fill /
-  /// writeback) ...
+  /// DRAM traffic this access generated on the serving tier (zero on an
+  /// LLC hit).
   std::uint64_t tier_bytes = 0;
-  /// ... plus, in cache mode, the memory-side fill traffic on the front
-  /// tier (fill_bytes is zero everywhere else).
-  TierIndex fill_tier = 0;
-  std::uint64_t fill_bytes = 0;
 };
 
 struct MachineConfig {
-  /// Sentinel for "pick the default tier" in the cache-pair selectors.
-  static constexpr std::size_t kAutoTier = ~std::size_t{0};
-
   std::string name = "machine";
   int cores = 1;
   double freq_ghz = 1.0;
@@ -73,11 +51,10 @@ struct MachineConfig {
   /// Ordered tier list (address-map order). Identity is the index; the
   /// advisor's fill order is derived from relative_performance instead.
   std::vector<TierSpec> tiers;
+  /// hmem_run's default condition when none is given (cache or DDR); the
+  /// engine ignores it and follows the run's condition. Cache mode fronts
+  /// the slowest tier with the fastest one.
   MemMode mode = MemMode::kFlat;
-  /// Cache-mode pair: tier `cache_front_tier` fronts `cache_backing_tier`.
-  /// kAutoTier resolves to the fastest / slowest tier respectively.
-  std::size_t cache_front_tier = kAutoTier;
-  std::size_t cache_backing_tier = kAutoTier;
   double llc_latency_ns = 10.0;
   /// Tag-directory lookup added to every cache-mode DRAM access.
   double mem_cache_tag_ns = 12.0;
@@ -91,8 +68,6 @@ struct MachineConfig {
   /// so conflicts only bite when the working set oversubscribes the front
   /// tier ("the lack of associativity is a problem").
   double cache_mode_conflict_k = 0.05;
-  /// Tag-tracking granularity of the memory-side cache.
-  std::uint64_t mem_cache_block_bytes = kPageBytes;
 
   /// The paper's platform: Intel Xeon Phi 7250, 68 cores @ 1.40 GHz,
   /// 96 GiB DDR4 + 16 GiB MCDRAM, 32 MiB aggregate L2 (LLC).
@@ -139,9 +114,6 @@ struct MachineConfig {
   TierIndex slowest_tier() const;
   /// Tier indices in descending relative_performance (stable).
   std::vector<TierIndex> tiers_by_performance() const;
-  /// Resolved cache-mode pair (kAutoTier -> fastest / slowest).
-  TierIndex resolved_cache_front() const;
-  TierIndex resolved_cache_backing() const;
 };
 
 /// Comma-joined preset names ("knl, spr-hbm, ...") for usage texts.
@@ -157,8 +129,9 @@ class Machine {
  public:
   explicit Machine(MachineConfig config);
 
-  /// Simulates one memory access at line granularity.
-  AccessResult access(Address addr, bool is_write);
+  /// Simulates one memory access (reads and writes route alike) at line
+  /// granularity.
+  AccessResult access(Address addr);
 
   /// Tier that owns the address range (flat-mode view); addresses outside
   /// every range fall back to the slowest tier.
@@ -166,19 +139,12 @@ class Machine {
   bool in_tier(Address addr, TierIndex tier) const;
 
   const MachineConfig& config() const { return config_; }
-  MemMode mode() const { return config_.mode; }
 
   Cache& llc() { return llc_; }
   const Cache& llc() const { return llc_; }
-  std::size_t tier_count() const { return tiers_.size(); }
-  MemoryTier& tier(TierIndex i) { return tiers_[i]; }
-  const MemoryTier& tier(TierIndex i) const { return tiers_[i]; }
+  std::size_t tier_count() const { return ranges_.size(); }
   TierIndex fastest_tier() const { return fastest_; }
   TierIndex slowest_tier() const { return slowest_; }
-  /// Null in flat mode.
-  const DirectMappedMemCache* mem_cache() const { return mem_cache_.get(); }
-
-  void reset();
 
  private:
   /// Compact copy of the tier ranges for the per-access routing scan (the
@@ -191,13 +157,9 @@ class Machine {
 
   MachineConfig config_;
   Cache llc_;
-  std::vector<MemoryTier> tiers_;
   std::vector<TierRange> ranges_;
   TierIndex fastest_ = 0;
   TierIndex slowest_ = 0;
-  TierIndex cache_front_ = 0;
-  TierIndex cache_backing_ = 0;
-  std::unique_ptr<DirectMappedMemCache> mem_cache_;
 };
 
 }  // namespace hmem::memsim

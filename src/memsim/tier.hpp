@@ -39,16 +39,6 @@ struct TierSpec {
   Address base = 0;
 };
 
-struct TierStats {
-  std::uint64_t reads = 0;
-  std::uint64_t writes = 0;
-  std::uint64_t bytes_read = 0;
-  std::uint64_t bytes_written = 0;
-
-  std::uint64_t accesses() const { return reads + writes; }
-  std::uint64_t bytes() const { return bytes_read + bytes_written; }
-};
-
 /// Achievable bandwidth (GB/s) with `cores` cores streaming concurrently.
 double effective_bandwidth_gbs(const TierSpec& spec, int cores);
 
@@ -60,32 +50,5 @@ double effective_bandwidth_gbs(const TierSpec& spec, int cores);
 /// DDR at 4 GiB, MCDRAM at 256 GiB. Tiers with a non-zero base are left
 /// untouched.
 void assign_tier_bases(std::vector<TierSpec>& tiers);
-
-class MemoryTier {
- public:
-  explicit MemoryTier(TierSpec spec) : spec_(std::move(spec)) {}
-
-  const TierSpec& spec() const { return spec_; }
-  const TierStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = TierStats{}; }
-
-  /// True when addr falls in this tier's flat-mode range.
-  bool contains(Address addr) const {
-    return addr >= spec_.base && addr < spec_.base + spec_.capacity_bytes;
-  }
-
-  void record_read(std::uint64_t bytes) {
-    ++stats_.reads;
-    stats_.bytes_read += bytes;
-  }
-  void record_write(std::uint64_t bytes) {
-    ++stats_.writes;
-    stats_.bytes_written += bytes;
-  }
-
- private:
-  TierSpec spec_;
-  TierStats stats_;
-};
 
 }  // namespace hmem::memsim

@@ -19,7 +19,8 @@
 //  * AutoHbwMalloc    — the paper's contribution (see auto_hbwmalloc.hpp);
 //                       implements this same interface.
 //  * cache mode       — not a policy: everything goes to the backing tier
-//                       (DdrPolicy) and the Machine runs MemMode::kCache.
+//                       (DdrPolicy) and the engine models the memory-side
+//                       cache analytically (CacheModeModel).
 #pragma once
 
 #include <cstdint>

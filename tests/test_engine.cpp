@@ -420,6 +420,31 @@ TEST(ThreeTier, CacheModeFrontsFastestOverSlowest) {
   // HBM fronting PMEM beats everything-in-PMEM.
   EXPECT_GT(cache.fom, slow_only.fom);
   EXPECT_GT(cache.fast_bytes(), 0u);  // fill + hit traffic on the front
+  EXPECT_GT(cache.slow_bytes(), 0u);  // misses served by the backing tier
+  // The middle tier is neither front nor backing.
+  ASSERT_EQ(cache.tier_traffic.size(), 3u);
+  EXPECT_EQ(cache.tier_traffic[1].name, "DDR");
+  EXPECT_EQ(cache.tier_traffic[1].bytes, 0u);
+}
+
+TEST(ThreeTier, CacheModeBacksOntoFirstOfTiedSlowestTiers) {
+  // PMEM (tier 0) and DDR (tier 1) tie for slowest. The backing tier is
+  // the first tied one, PMEM, even though the performance order ends on
+  // DDR; both are big enough that either choice would run.
+  memsim::MachineConfig node = three_tier_node();
+  node.tiers[1].relative_performance = node.tiers[0].relative_performance;
+  node.tiers[1].capacity_bytes = node.tiers[0].capacity_bytes;
+  RunOptions opts;
+  opts.node = node;
+  opts.condition = Condition::kCacheMode;
+  const auto r = run_app(three_tier_app(), opts);
+  // Performance order, fastest first: HBM, then the tied PMEM and DDR.
+  ASSERT_EQ(r.tier_traffic.size(), 3u);
+  ASSERT_EQ(r.tier_traffic[1].name, "PMEM");
+  ASSERT_EQ(r.tier_traffic[2].name, "DDR");
+  EXPECT_GT(r.tier_traffic[0].bytes, 0u);  // HBM, the front
+  EXPECT_GT(r.tier_traffic[1].bytes, 0u);  // PMEM, the backing
+  EXPECT_EQ(r.tier_traffic[2].bytes, 0u);
 }
 
 TEST(ConditionNames, Stable) {

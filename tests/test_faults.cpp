@@ -29,6 +29,7 @@
 #include <sys/wait.h>
 #endif
 
+#include "advisor/placement_report.hpp"
 #include "advisor/schedule_report.hpp"
 #include "apps/app_config.hpp"
 #include "apps/workloads.hpp"
@@ -547,11 +548,11 @@ TEST_F(FaultsTest, CliExitCodes) {
     ini << "[llc]\nsize = 24M\nways = 12\n[tier DDR]\ncapacity = 64G\n";
   }
   EXPECT_EQ(run_tool("hmem_run snap --condition ddr --machine " + machine), 0);
-  std::remove(machine.c_str());
 
   // A per-phase schedule advised from lulesh names none of snap's phases:
   // running snap under it is a configuration error, not an abort.
   const std::string schedule = temp_path("cli_schedule.txt");
+  const std::string placement = temp_path("cli_placement.txt");
   {
     engine::PipelineOptions popts;
     popts.per_phase = true;
@@ -560,9 +561,28 @@ TEST_F(FaultsTest, CliExitCodes) {
     ASSERT_GT(lulesh.schedule.phases.size(), 1u);
     std::ofstream out_file(schedule);
     out_file << advisor::write_schedule_report(lulesh.schedule);
+    std::ofstream placement_file(placement);
+    placement_file << advisor::write_placement_report(lulesh.placement);
   }
   EXPECT_EQ(run_tool("hmem_run snap --placement " + schedule), 2);
+
+  // Every condition but ddr needs a second tier; on the one-tier machine
+  // above each is a configuration error naming the tier count.
+  for (const char* condition : {"numactl", "autohbw", "cache"}) {
+    EXPECT_EQ(run_tool(std::string("hmem_run snap --condition ") + condition +
+                       " --machine " + machine),
+              2)
+        << condition;
+  }
+  EXPECT_EQ(run_tool("hmem_run lulesh --placement " + placement +
+                     " --machine " + machine),
+            2);
+  EXPECT_EQ(run_tool("hmem_run lulesh --placement " + schedule +
+                     " --machine " + machine),
+            2);
   std::remove(schedule.c_str());
+  std::remove(placement.c_str());
+  std::remove(machine.c_str());
 
   // 4: a valid app whose objects fit no tier of the machine (every snap
   // object at 900G against knl's per-rank DDR share).

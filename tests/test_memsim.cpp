@@ -11,7 +11,6 @@
 #include "common/units.hpp"
 #include "memsim/cache.hpp"
 #include "memsim/machine.hpp"
-#include "memsim/mcdram_cache.hpp"
 #include "memsim/tier.hpp"
 
 namespace hmem::memsim {
@@ -294,36 +293,6 @@ TEST(Cache, RecencyWordPrimitives) {
   EXPECT_EQ(full, 0x10FEDCBA98765432ULL);
 }
 
-// -------------------------------------------------------- mcdram cache ----
-
-TEST(McdramCache, DirectMappedConflicts) {
-  DirectMappedMemCache mc(8 * kPageBytes, kPageBytes);
-  EXPECT_FALSE(mc.access(kDdrBase));
-  EXPECT_TRUE(mc.access(kDdrBase));
-  // Aliasing address 8 pages away evicts the first.
-  EXPECT_FALSE(mc.access(kDdrBase + 8 * kPageBytes));
-  EXPECT_FALSE(mc.access(kDdrBase));
-  EXPECT_EQ(mc.stats().conflict_evictions, 2u);
-}
-
-TEST(McdramCache, HitRateForFittingSetIsPerfectAfterWarmup) {
-  DirectMappedMemCache mc(64 * kPageBytes, kPageBytes);
-  for (int pass = 0; pass < 2; ++pass) {
-    for (std::uint64_t p = 0; p < 32; ++p) {
-      mc.access(kDdrBase + p * kPageBytes);
-    }
-  }
-  // Second pass: all hits (no aliasing within 32 consecutive pages of 64).
-  EXPECT_EQ(mc.stats().hits, 32u);
-}
-
-TEST(McdramCache, FlushClears) {
-  DirectMappedMemCache mc(4 * kPageBytes, kPageBytes);
-  mc.access(kDdrBase);
-  mc.flush();
-  EXPECT_FALSE(mc.contains(kDdrBase));
-}
-
 // ---------------------------------------------------------------- tier ----
 
 TEST(Tier, EffectiveBandwidthSaturates) {
@@ -339,64 +308,30 @@ TEST(Tier, EffectiveBandwidthSaturates) {
   EXPECT_DOUBLE_EQ(effective_bandwidth_gbs(ddr, 68), 90.0);
 }
 
-TEST(Tier, StatsAccumulate) {
-  MemoryTier t(TierSpec{.name = "x", .capacity_bytes = kMiB});
-  t.record_read(64);
-  t.record_read(64);
-  t.record_write(64);
-  EXPECT_EQ(t.stats().reads, 2u);
-  EXPECT_EQ(t.stats().writes, 1u);
-  EXPECT_EQ(t.stats().bytes(), 192u);
-  t.reset_stats();
-  EXPECT_EQ(t.stats().accesses(), 0u);
-}
-
 // ------------------------------------------------------------- machine ----
 
 TEST(Machine, FlatModeRoutesByAddressRange) {
   // test_node tier 0 = DDR, tier 1 = MCDRAM (address-map order).
   Machine m(MachineConfig::test_node(MemMode::kFlat));
-  const auto ddr = m.access(kDdrBase + 12345, false);
+  const auto ddr = m.access(kDdrBase + 12345);
   EXPECT_FALSE(ddr.llc_hit);
-  EXPECT_EQ(ddr.served_by, ServedBy::kTier);
   EXPECT_EQ(ddr.tier, 0u);
   EXPECT_EQ(ddr.tier_bytes, kCacheLineBytes);
-  EXPECT_EQ(ddr.fill_bytes, 0u);
 
-  const auto mc = m.access(kMcdramBase + 512, true);
-  EXPECT_EQ(mc.served_by, ServedBy::kTier);
+  const auto mc = m.access(kMcdramBase + 512);
+  EXPECT_FALSE(mc.llc_hit);
   EXPECT_EQ(mc.tier, 1u);
   EXPECT_EQ(mc.tier_bytes, kCacheLineBytes);
-  EXPECT_EQ(m.tier(1).stats().writes, 1u);
-  EXPECT_EQ(m.tier(0).stats().writes, 0u);
 }
 
 TEST(Machine, LlcHitCostsLess) {
   Machine m(MachineConfig::test_node(MemMode::kFlat));
-  const auto miss = m.access(kDdrBase, false);
-  const auto hit = m.access(kDdrBase, false);
+  const auto miss = m.access(kDdrBase);
+  const auto hit = m.access(kDdrBase);
   EXPECT_FALSE(miss.llc_hit);
   EXPECT_TRUE(hit.llc_hit);
   EXPECT_LT(hit.latency_ns, miss.latency_ns);
   EXPECT_EQ(hit.tier_bytes, 0u);
-}
-
-TEST(Machine, CacheModeFillsAndHits) {
-  // MCDRAM (tier 1, the fastest) fronts DDR (tier 0, the slowest).
-  Machine m(MachineConfig::test_node(MemMode::kCache));
-  ASSERT_NE(m.mem_cache(), nullptr);
-  const auto first = m.access(kDdrBase, false);
-  EXPECT_EQ(first.served_by, ServedBy::kMemCacheMiss);
-  EXPECT_EQ(first.tier, 0u);  // served by the backing tier
-  EXPECT_EQ(first.tier_bytes, kCacheLineBytes);
-  EXPECT_EQ(first.fill_tier, 1u);  // memory-side fill into the front
-  EXPECT_EQ(first.fill_bytes, kCacheLineBytes);
-
-  // Different line, same memory-side page: tag already present.
-  const auto second = m.access(kDdrBase + 512, false);
-  EXPECT_EQ(second.served_by, ServedBy::kMemCacheHit);
-  EXPECT_EQ(second.tier, 1u);
-  EXPECT_EQ(second.fill_bytes, 0u);
 }
 
 TEST(Machine, OwningTierAndRangeChecks) {
@@ -410,15 +345,6 @@ TEST(Machine, OwningTierAndRangeChecks) {
   EXPECT_EQ(m.owning_tier(0), m.slowest_tier());
   EXPECT_EQ(m.fastest_tier(), 1u);
   EXPECT_EQ(m.slowest_tier(), 0u);
-}
-
-TEST(Machine, ResetClearsCachesAndStats) {
-  Machine m(MachineConfig::test_node(MemMode::kFlat));
-  m.access(kDdrBase, false);
-  m.access(kDdrBase, false);
-  m.reset();
-  EXPECT_EQ(m.tier(0).stats().accesses(), 0u);
-  EXPECT_FALSE(m.llc().contains(kDdrBase));
 }
 
 TEST(Machine, Knl7250MatchesPaperPlatform) {
@@ -453,21 +379,12 @@ TEST(Machine, ThreeTierRoutingAcrossAddressRanges) {
 
   for (TierIndex t = 0; t < 3; ++t) {
     const Address addr = cfg.tiers[t].base + 3 * kCacheLineBytes;
-    const auto res = m.access(addr, t == 1);
+    const auto res = m.access(addr);
     EXPECT_FALSE(res.llc_hit);
-    EXPECT_EQ(res.served_by, ServedBy::kTier);
     EXPECT_EQ(res.tier, t);
     EXPECT_EQ(res.tier_bytes, kCacheLineBytes);
     EXPECT_DOUBLE_EQ(res.latency_ns, cfg.tiers[t].latency_ns);
     EXPECT_EQ(m.owning_tier(addr), t);
-  }
-  EXPECT_EQ(m.tier(0).stats().reads, 1u);
-  EXPECT_EQ(m.tier(1).stats().writes, 1u);
-  EXPECT_EQ(m.tier(2).stats().reads, 1u);
-  // The per-tier counters saw exactly one access each.
-  for (TierIndex t = 0; t < 3; ++t) {
-    EXPECT_EQ(m.tier(t).stats().accesses(), 1u);
-    EXPECT_EQ(m.tier(t).stats().bytes(), kCacheLineBytes);
   }
 }
 
@@ -492,16 +409,15 @@ TEST(Tier, BaseAssignmentIsDisjointAndAligned) {
   EXPECT_EQ(pinned[0].base, 0x1234000u);
 }
 
-TEST(Machine, CacheModePairResolvesToFastestFrontingSlowest) {
-  const auto cfg = MachineConfig::test_node3(MemMode::kCache);
-  EXPECT_EQ(cfg.resolved_cache_front(), 2u);    // HBM
-  EXPECT_EQ(cfg.resolved_cache_backing(), 0u);  // PMEM
-  Machine m(cfg);
-  ASSERT_NE(m.mem_cache(), nullptr);
-  const auto first = m.access(cfg.tiers[0].base, false);
-  EXPECT_EQ(first.served_by, ServedBy::kMemCacheMiss);
-  EXPECT_EQ(first.tier, 0u);
-  EXPECT_EQ(first.fill_tier, 2u);
+TEST(MachineConfig, FastestAndSlowestTierPickTheFirstTiedTier) {
+  // Two tiers tie for slowest: slowest_tier() (the cache-mode backing tier)
+  // is the first of them, while the stable performance order ends on the
+  // last.
+  auto cfg = MachineConfig::test_node3(MemMode::kFlat);
+  cfg.tiers[1].relative_performance = cfg.tiers[0].relative_performance;
+  EXPECT_EQ(cfg.fastest_tier(), 2u);
+  EXPECT_EQ(cfg.slowest_tier(), 0u);
+  EXPECT_EQ(cfg.tiers_by_performance().back(), 1u);
 }
 
 TEST(MachineConfig, PresetLookup) {

@@ -2,12 +2,11 @@
 //
 //  * common/arena.hpp — bump-allocator mechanics: chunk growth, reset
 //    reuse, per-cell high-water marks, over-aligned requests;
-//  * bit-identity — arena-backed, program-cached cells reproduce the
-//    plain-allocator path exactly, on every bundled workload (allocator
-//    choice can move bytes, never change them; compilation is
-//    deterministic);
+//  * bit-identity — arena-backed cells reproduce the plain-allocator path
+//    exactly, on every bundled workload (allocator choice can move bytes,
+//    never change them);
 //  * shared state — stage-1 profiles computed once per (app, machine) and
-//    warm engine runs identical to cold ones with nonzero hit rates;
+//    warm engine runs identical to cold ones that reuse every profile;
 //  * sharding — disjoint/complete cell partition, and a 2-shard merged
 //    store byte-identical to the unsharded store, including after a torn
 //    shard tail is resumed;
@@ -144,7 +143,7 @@ TEST(Arena, GrowsAndServesOversizedRequests) {
   const std::size_t reserved0 = arena.reserved_bytes();
   EXPECT_EQ(reserved0, 0u);
   // Force growth past the first chunk.
-  for (int i = 0; i < 100; ++i) arena.allocate(1000, 8);
+  for (int i = 0; i < 100; ++i) (void)arena.allocate(1000, 8);
   EXPECT_GT(arena.chunk_count(), 1u);
   // An oversized request gets its own exact chunk.
   const std::size_t huge = Arena::kMaxChunkBytes + 4096;
@@ -154,7 +153,7 @@ TEST(Arena, GrowsAndServesOversizedRequests) {
   // All of it is reusable after reset without new reservations.
   const std::size_t reserved = arena.reserved_bytes();
   arena.reset();
-  for (int i = 0; i < 100; ++i) arena.allocate(1000, 8);
+  for (int i = 0; i < 100; ++i) (void)arena.allocate(1000, 8);
   EXPECT_EQ(arena.reserved_bytes(), reserved);
 }
 
@@ -233,10 +232,9 @@ TEST(Sweep, ResultSerializationRoundTripsExactly) {
 }
 
 // The heart of the arena contract: for every bundled workload, a run whose
-// scratch state lives in an arena (and whose programs come from a shared
-// cache, including on the warm second pass over a reset arena) is
-// bit-identical to the plain global-allocator run.
-TEST(Sweep, ArenaAndProgramCacheAreBitIdenticalOnAllApps) {
+// scratch state lives in an arena (including a second pass over the reset
+// arena) is bit-identical to the plain global-allocator run.
+TEST(Sweep, ArenaRunsAreBitIdenticalOnAllApps) {
   const auto node = memsim::MachineConfig::knl7250(memsim::MemMode::kFlat);
   for (const apps::AppSpec& app : smoke_apps()) {
     SCOPED_TRACE(app.name);
@@ -261,22 +259,15 @@ TEST(Sweep, ArenaAndProgramCacheAreBitIdenticalOnAllApps) {
     const engine::RunResult ref = engine::run_app(app, opts);
 
     Arena arena;
-    engine::kernel::ProgramCache cache;
     engine::RunOptions arena_opts = opts;
     arena_opts.scratch = &arena;
-    arena_opts.program_cache = &cache;
-    arena_opts.program_cache_prefix = "t|" + app.name;
     const engine::RunResult cold = engine::run_app(app, arena_opts);
     EXPECT_GT(arena.peak_since_reset(), 0u);
-    EXPECT_GT(cache.misses(), 0u);
     expect_same_run(ref, cold);
 
-    // Warm pass: same arena after reset, every program now cache-resident.
+    // Warm pass: the same arena after reset, its chunks reused.
     arena.reset();
-    const std::uint64_t misses_before = cache.misses();
     const engine::RunResult warm = engine::run_app(app, arena_opts);
-    EXPECT_EQ(cache.misses(), misses_before);
-    EXPECT_GT(cache.hits(), 0u);
     expect_same_run(ref, warm);
 
     // A profiled run routes its miss records through the arena too.
@@ -288,7 +279,7 @@ TEST(Sweep, ArenaAndProgramCacheAreBitIdenticalOnAllApps) {
   }
 }
 
-TEST(Sweep, WarmEngineRunIsIdenticalWithCacheHits) {
+TEST(Sweep, WarmEngineRunReusesProfilesAndIsIdentical) {
   engine::SweepEngine engine(small_grid());
   const auto cold = engine.run();
   const engine::SweepStats cold_stats = engine.stats();
@@ -300,11 +291,10 @@ TEST(Sweep, WarmEngineRunIsIdenticalWithCacheHits) {
 
   const auto warm = engine.run();
   const engine::SweepStats warm_stats = engine.stats();
-  // Profiles and programs survive across run() calls: the second pass
-  // computes no new profiles and compiles nothing new.
+  // Profiles survive across run() calls: the second pass computes no new
+  // profiles and reuses one for every framework/dynamic cell.
   EXPECT_EQ(warm_stats.profile_misses, 4u);
-  EXPECT_EQ(warm_stats.program_misses, cold_stats.program_misses);
-  EXPECT_GT(warm_stats.program_hits, cold_stats.program_hits);
+  EXPECT_GT(warm_stats.profile_hits, cold_stats.profile_hits);
   expect_same_outcomes(cold, warm);
 }
 
@@ -406,23 +396,6 @@ TEST(Sweep, DynamicCellMatchesRunPipeline) {
             ref.dynamic_run.migration_bytes);
   EXPECT_EQ(outcomes[0].result.migration_cost_s,
             ref.dynamic_run.migration_cost_s);
-}
-
-TEST(ProgramCacheTest, CountsHitsAndClearsGeneratorBindings) {
-  engine::kernel::ProgramCache cache;
-  EXPECT_EQ(cache.find("k"), nullptr);
-  EXPECT_EQ(cache.misses(), 1u);
-  engine::kernel::Program program;
-  program.gens.push_back(reinterpret_cast<apps::AccessGenerator*>(0x1234));
-  cache.insert("k", std::move(program));
-  const auto hit = cache.find("k");
-  ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(cache.hits(), 1u);
-  // Run-local pointers never live in the cache.
-  ASSERT_EQ(hit->gens.size(), 1u);
-  EXPECT_EQ(hit->gens[0], nullptr);
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_GT(cache.hit_rate(), 0.0);
 }
 
 }  // namespace

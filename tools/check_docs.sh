@@ -5,7 +5,10 @@
 #      an existing file or directory;
 #   2. every CLI flag the hmem_* tools (and the resumable fig4 sweep
 #      bench) accept appears in docs/TOOLS.md, so the reference cannot
-#      silently drift from the argv parsers.
+#      silently drift from the argv parsers;
+#   3. every backticked src/, tools/, tests/ or bench/ path cited in
+#      README.md / docs/*.md exists, and a `:N` line suffix lies within
+#      the file.
 # Plain grep/sed — no dependencies beyond POSIX sh.
 set -u
 
@@ -43,8 +46,26 @@ for flag in $flags; do
   fi
 done
 
+# ---- 3. cited source paths ------------------------------------------------
+for md in README.md docs/*.md; do
+  for cite in $(grep -oE '`(src|tools|tests|bench)/[A-Za-z0-9_./-]*(:[0-9]+)?`' \
+                  "$md" | tr -d '`'); do
+    path=${cite%%:*}
+    line=${cite#"$path"}
+    line=${line#:}
+    if [ ! -e "$path" ]; then
+      echo "MISSING CITED PATH: $md -> $cite"
+      fail=1
+    elif [ -n "$line" ] &&
+         { [ "$line" -lt 1 ] || [ "$line" -gt "$(wc -l < "$path")" ]; }; then
+      echo "CITED LINE OUT OF RANGE: $md -> $cite"
+      fail=1
+    fi
+  done
+done
+
 if [ "$fail" -ne 0 ]; then
   echo "check_docs: FAILED"
   exit 1
 fi
-echo "check_docs: OK (links resolve, all CLI flags documented)"
+echo "check_docs: OK (links resolve, all CLI flags documented, cited paths exist)"

@@ -405,8 +405,7 @@ int main(int argc, char** argv) {
   }
   std::printf(
       " — computed %zu, resumed %zu in %.2fs (%.2f cells/s)\n"
-      "caches: profile %llu/%llu hits (%.0f%%), programs %llu/%llu hits "
-      "(%.0f%%, %zu entries)\n"
+      "caches: profile %llu/%llu hits (%.0f%%)\n"
       "memory: peak cell scratch %s, arena reserved %s, peak RSS %s\n",
       stats.cells_computed, stats.cells_resumed, stats.wall_seconds,
       stats.cells_per_second,
@@ -414,10 +413,6 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(stats.profile_hits +
                                       stats.profile_misses),
       100.0 * stats.profile_hit_rate(),
-      static_cast<unsigned long long>(stats.program_hits),
-      static_cast<unsigned long long>(stats.program_hits +
-                                      stats.program_misses),
-      100.0 * stats.program_hit_rate(), stats.program_cache_entries,
       format_bytes(stats.arena_peak_cell_bytes).c_str(),
       format_bytes(stats.arena_reserved_bytes).c_str(),
       format_bytes(peak_rss_bytes()).c_str());
@@ -477,10 +472,6 @@ int main(int argc, char** argv) {
         "  \"profile_hits\": %llu,\n"
         "  \"profile_misses\": %llu,\n"
         "  \"profile_hit_rate\": %.6f,\n"
-        "  \"program_hits\": %llu,\n"
-        "  \"program_misses\": %llu,\n"
-        "  \"program_hit_rate\": %.6f,\n"
-        "  \"program_cache_entries\": %zu,\n"
         "  \"arena_peak_cell_bytes\": %zu,\n"
         "  \"arena_reserved_bytes\": %zu,\n"
         "  \"peak_rss_bytes\": %zu,\n"
@@ -492,11 +483,8 @@ int main(int argc, char** argv) {
         stats.cells_resumed, stats.wall_seconds, stats.cells_per_second,
         static_cast<unsigned long long>(stats.profile_hits),
         static_cast<unsigned long long>(stats.profile_misses),
-        stats.profile_hit_rate(),
-        static_cast<unsigned long long>(stats.program_hits),
-        static_cast<unsigned long long>(stats.program_misses),
-        stats.program_hit_rate(), stats.program_cache_entries,
-        stats.arena_peak_cell_bytes, stats.arena_reserved_bytes,
+        stats.profile_hit_rate(), stats.arena_peak_cell_bytes,
+        stats.arena_reserved_bytes,
         peak_rss_bytes(), jobs, engine::kernel::kernel_name(kernel),
         smoke ? "true" : "false");
     std::string error;
