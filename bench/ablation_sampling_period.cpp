@@ -34,7 +34,7 @@ struct ProfileSummary {
 };
 
 ProfileSummary profile_with_period(std::uint64_t period) {
-  const auto app = apps::make_hpcg();
+  const auto app = apps::app_by_name("hpcg");
   engine::RunOptions opts;
   opts.profile = true;
   opts.sampler.period = period;

@@ -109,8 +109,9 @@ int main(int argc, char** argv) {
 
   // The roster: the multi-phase paper workloads plus the two phase-shift
   // apps — the streams a mid-run advisor actually serves.
-  std::vector<apps::AppSpec> apps = {apps::make_hpcg(), apps::make_lulesh(),
-                                     apps::make_snap()};
+  std::vector<apps::AppSpec> apps = {apps::app_by_name("hpcg"),
+                                     apps::app_by_name("lulesh"),
+                                     apps::app_by_name("snap")};
   for (auto& app : apps::phase_shift_apps()) apps.push_back(app);
 
   std::printf("advisor_refresh: %s, refresh every %llu events, "

@@ -164,7 +164,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  apps::AppSpec app = apps::make_hpcg();
+  apps::AppSpec app = apps::app_by_name("hpcg");
   app.iterations *= static_cast<std::uint64_t>(std::max(1, scale));
   const std::uint64_t accesses = accesses_per_run(app);
 

@@ -17,7 +17,7 @@ namespace {
 
 analysis::FoldingResult folded_run(engine::Condition condition,
                                    const advisor::Placement* placement) {
-  const auto app = apps::make_snap();
+  const auto app = apps::app_by_name("snap");
   engine::RunOptions opts;
   opts.condition = condition;
   opts.placement = placement;
@@ -61,7 +61,7 @@ double phase_mips(const analysis::FoldingResult& folding,
 int main() {
   // Build a framework placement (stages 1-3), then fold a profiled
   // framework run versus a profiled numactl run.
-  const auto app = apps::make_snap();
+  const auto app = apps::app_by_name("snap");
   engine::PipelineOptions popts;
   popts.fast_budget_per_rank = 256ULL << 20;
   const auto pipeline = engine::run_pipeline(app, popts);

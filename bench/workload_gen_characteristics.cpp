@@ -3,9 +3,9 @@
 // the raw next_line() throughput of every generator, so a pattern that
 // regresses the engine's hot loop shows up as a number, not a feeling.
 //
-// The showcase apps are written in the app-config DSL (not C++ tables) and
-// parsed through from_config_text, so this bench also exercises the exact
-// path `hmem_run --app-config` takes.
+// The showcase apps are written in the app-config DSL and parsed through
+// from_config_text, so this bench also exercises the exact path
+// `hmem_run --app-config` takes.
 //
 //   usage: bench_workload_gen_characteristics [--smoke]
 //                                             [--app-config app.ini ...]

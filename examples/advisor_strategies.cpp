@@ -14,7 +14,7 @@
 
 int main() {
   using namespace hmem;
-  const apps::AppSpec app = apps::make_gtcp();
+  const apps::AppSpec app = apps::app_by_name("gtc-p");
 
   // Stage 1 + 2 once: one profile serves every advisor configuration.
   engine::RunOptions profile_opts;

@@ -15,7 +15,7 @@
 
 int main() {
   using namespace hmem;
-  const apps::AppSpec app = apps::make_snap();
+  const apps::AppSpec app = apps::app_by_name("snap");
 
   // Stages 1-3 to obtain a placement, then a profiled stage-4 run.
   engine::PipelineOptions popts;

@@ -19,7 +19,7 @@ int main() {
 
   // The application under study: the paper's HPCG signature (64 ranks x 4
   // threads on the simulated Xeon Phi 7250).
-  const apps::AppSpec app = apps::make_hpcg();
+  const apps::AppSpec app = apps::app_by_name("hpcg");
 
   // One call drives all four stages. 256 MiB of MCDRAM per rank, the
   // Misses(5%) selection strategy.

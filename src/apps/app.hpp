@@ -5,9 +5,10 @@
 // objects (sizes, allocation sites, static-vs-dynamic, allocation churn),
 // the per-phase distribution of memory accesses over those objects, and the
 // execution geometry. The signatures are encoded from Table I plus the
-// causes Section IV.C gives for each application's behaviour (see
-// workloads.cpp). An AppSpec is purely declarative — the execution engine
-// interprets it against the simulated machine.
+// causes Section IV.C gives for each application's behaviour (see the
+// header comment of each configs/apps/<name>.ini). An AppSpec is purely
+// declarative — the execution engine interprets it against the simulated
+// machine.
 #pragma once
 
 #include <cstdint>

@@ -1,8 +1,8 @@
 // INI-driven application descriptions (the app-config DSL).
 //
 // An AppSpec — the declarative memory-object signature the whole pipeline
-// runs on — can be written as a small INI file instead of a C++ table, so
-// new multi-phase scenarios need zero recompilation:
+// runs on — is written as a small INI file, so new multi-phase scenarios
+// need zero recompilation:
 //
 //   [app]
 //   name = demo
@@ -28,8 +28,9 @@
 // throws std::runtime_error("app config: ...") naming the offending
 // section or key, and tools turn that into exit code 2.
 //
-// The ten bundled workloads ship as configs/apps/<name>.ini generated by
-// `hmem_workload dump`; tests prove them bit-identical to the C++ tables.
+// The ten bundled workloads are defined only as configs/apps/<name>.ini,
+// embedded into the library at build time (apps/workloads.hpp serves
+// them); apart from comments, each file is its app's canonical text.
 #pragma once
 
 #include <optional>

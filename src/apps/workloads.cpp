@@ -1,43 +1,14 @@
-// Workload signatures.
+// The bundled workloads.
 //
-// Each factory encodes, in per-rank terms, the memory-object structure that
-// drives the application's behaviour in the paper's evaluation (Figure 4 and
-// Section IV.C). Sizes and access weights are synthetic but chosen so the
-// documented causes hold:
-//
-//  * hpcg      — two large critical objects dominate; a looping small-buffer
-//                site (one call-stack, many live instances) misleads the
-//                0%/1% strategies at large budgets, so Misses(5%) wins at
-//                256 MiB; sweet spot at the largest budget.
-//  * lulesh    — phase-scoped transient objects break the advisor's static
-//                address-space assumption (cache mode wins); 1–2 MiB churn
-//                through memkind is expensive (autohbw loses vs DDR).
-//  * bt        — node-wide working set (~11 GiB) fits the 16 GiB MCDRAM, so
-//                numactl -p 1 (which also carries statics/stack) wins.
-//  * minife    — three small objects carry 85% of the misses; sweet spot at
-//                128 MiB; framework best.
-//  * cgpop     — critical dynamic set fits in 32 MiB (flat across budgets);
-//                remaining statics give numactl the marginal win.
-//  * snap      — outer_src_calc spills registers to the stack (framework
-//                cannot promote it; numactl wins); the density strategy
-//                promotes small chunks and then the single large flux buffer
-//                no longer fits (the HWM anomaly).
-//  * maxw-dgtd — very high allocation rate; hot set ~fits the per-rank
-//                MCDRAM share so cache mode is slightly superior.
-//  * gtc-p     — small dense grid arrays vs large moderate-density particle
-//                arrays: density beats misses at small budgets.
-//
-// Beyond Table I, two phase-shifting stress apps target the dynamic
-// (phase-aware) placement path — hot sets that fit the fast budget per
-// phase but not in union:
-//
-//  * churn     — persistent ping/pong arrays alternate as the hot set;
-//                only boundary migration can serve both phases fast.
-//  * transient — per-phase transient hot arrays; allocation-time routing
-//                under the per-phase placement serves each phase fast with
-//                zero migration traffic.
+// The ten bundled apps are defined once, as configs/apps/<name>.ini (each
+// file's header comment gives the app's rationale and its mapping to the
+// paper's observations). The build embeds the files into the library
+// (embed_configs.cmake); they are parsed once per process, on first use.
+// Only the parametric Stream Triad kernel (Figure 1) stays a C++ factory.
 #include "apps/workloads.hpp"
 
+#include "apps/app_config.hpp"
+#include "apps/bundled_configs.hpp"
 #include "common/assert.hpp"
 #include "common/units.hpp"
 
@@ -49,372 +20,39 @@ std::uint64_t MB(double x) {
   return static_cast<std::uint64_t>(x * static_cast<double>(kMiB));
 }
 
-ObjectSpec dyn(std::string name, std::uint64_t size, AccessPattern pattern,
-               int depth = 3) {
+ObjectSpec dyn(std::string name, std::uint64_t size, AccessPattern pattern) {
   ObjectSpec o;
   o.name = std::move(name);
   o.size_bytes = size;
   o.pattern = pattern;
-  o.callstack_depth = depth;
   return o;
 }
 
-ObjectSpec stat(std::string name, std::uint64_t size, AccessPattern pattern) {
-  ObjectSpec o = dyn(std::move(name), size, pattern, 1);
-  o.is_static = true;
-  return o;
+std::vector<AppSpec> parse_all(
+    std::span<const detail::BundledConfig> configs) {
+  std::vector<AppSpec> apps;
+  for (const detail::BundledConfig& config : configs) {
+    apps.push_back(from_config_text(config.text));
+    HMEM_ASSERT_MSG(apps.back().name == config.name,
+                    "bundled app config names a different app");
+  }
+  return apps;
+}
+
+struct Bundled {
+  std::vector<AppSpec> paper;
+  std::vector<AppSpec> phase_shift;
+};
+
+/// The embedded configs, parsed once, on first use: parsing the ten texts
+/// costs ~100x more than copying the parsed specs out.
+const Bundled& bundled() {
+  static const Bundled apps{parse_all(detail::paper_configs()),
+                            parse_all(detail::phase_shift_configs())};
+  return apps;
 }
 
 }  // namespace
-
-AppSpec make_hpcg() {
-  AppSpec app;
-  app.name = "hpcg";
-  app.fom_unit = "GFLOPS";
-  app.ranks = 64;
-  app.threads_per_rank = 4;
-  app.iterations = 50;
-  app.accesses_per_iteration = 20000;
-  app.access_scale = 200.0;
-  app.work_per_iteration = 0.0357;  // GFLOP per rank-iteration (calibrated)
-  app.stack_bytes = MB(8);
-
-  // Allocation order matters: numactl fills FCFS, so the cold geometry and
-  // multigrid data claiming MCDRAM first is what keeps numactl modest here.
-  app.objects = {
-      dyn("geom", MB(200), AccessPattern::kStream),
-      dyn("mg_data", MB(240), AccessPattern::kStream),
-      [] {  // looping small-buffer site: 12 live 2 MiB instances
-        ObjectSpec o = dyn("scratch_bufs", MB(2), AccessPattern::kRandom, 5);
-        o.instances = 12;
-        return o;
-      }(),
-      dyn("A_vals", MB(232), AccessPattern::kStream),
-      dyn("A_inds", MB(120), AccessPattern::kStream),
-      dyn("x_vec", MB(100), AccessPattern::kRandom),
-      dyn("r_vec", MB(56), AccessPattern::kStream),
-      dyn("p_vec", MB(24), AccessPattern::kStream),
-      dyn("halo_buf", MB(8), AccessPattern::kRandom, 4),
-      stat("hpcg_tables", MB(4), AccessPattern::kRandom),
-  };
-  PhaseSpec cg;
-  cg.name = "cg_iteration";
-  cg.access_share = 1.0;
-  //                geom  mg   scratch Avals Ainds  x     r     p    halo  st
-  cg.object_weights = {0.010, 0.050, 0.040, 0.460, 0.140, 0.050,
-                       0.030, 0.020, 0.070, 0.005};
-  cg.stack_weight = 0.015;
-  cg.insts_per_access = 76.0;
-  app.phases = {cg};
-  return app;
-}
-
-AppSpec make_lulesh() {
-  AppSpec app;
-  app.name = "lulesh";
-  app.fom_unit = "z/s";
-  app.ranks = 64;
-  app.threads_per_rank = 4;
-  app.iterations = 40;
-  app.accesses_per_iteration = 18000;
-  app.access_scale = 120.0;
-  app.work_per_iteration = 12.56;  // zones per rank-iteration (calibrated)
-  app.stack_bytes = MB(8);
-
-  app.objects = {
-      dyn("mesh_cold_a", MB(75), AccessPattern::kStream),
-      dyn("mesh_cold_b", MB(75), AccessPattern::kStream),
-      dyn("symmetry_planes", MB(56), AccessPattern::kStream),
-      dyn("coords", MB(180), AccessPattern::kStream),
-      dyn("node_masses", MB(150), AccessPattern::kStream),
-      dyn("forces", MB(56), AccessPattern::kStream),
-      dyn("elem_data", MB(160), AccessPattern::kStream),
-      [] {  // phase-0 transients (monotonic work arrays)
-        ObjectSpec o = dyn("tmp_force_a", MB(100), AccessPattern::kStream, 6);
-        o.transient_phase = 0;
-        return o;
-      }(),
-      [] {
-        ObjectSpec o = dyn("tmp_force_b", MB(100), AccessPattern::kStream, 6);
-        o.transient_phase = 0;
-        return o;
-      }(),
-      [] {  // phase-1 transients
-        ObjectSpec o = dyn("tmp_adv_a", MB(100), AccessPattern::kStream, 6);
-        o.transient_phase = 1;
-        return o;
-      }(),
-      [] {
-        ObjectSpec o = dyn("tmp_adv_b", MB(100), AccessPattern::kStream, 6);
-        o.transient_phase = 1;
-        return o;
-      }(),
-      [] {  // 1.5 MiB comm buffers allocated and freed inside every
-            // iteration: the memkind 1-2 MiB allocation-cost anomaly bites
-            // whoever promotes these. They live only during the advance
-            // phase, after the phase's work arrays have claimed the budget.
-        ObjectSpec o = dyn("comm_bufs", MB(1.5), AccessPattern::kRandom, 5);
-        o.transient_phase = 1;
-        o.instances = 64;
-        return o;
-      }(),
-      stat("lulesh_consts", MB(10), AccessPattern::kRandom),
-  };
-
-  PhaseSpec forces;
-  forces.name = "calc_forces";
-  forces.access_share = 0.5;
-  //      coldA coldB symm coord masses force elem tfA tfB taA taB comm st
-  forces.object_weights = {0.010, 0.010, 0.005, 0.075, 0.090, 0.160, 0.055,
-                           0.190, 0.140, 0.000, 0.000, 0.0002, 0.060};
-  forces.stack_weight = 0.18;
-  forces.insts_per_access = 92.0;
-
-  PhaseSpec advance;
-  advance.name = "advance_elements";
-  advance.access_share = 0.5;
-  advance.object_weights = {0.010, 0.010, 0.005, 0.075, 0.090, 0.020, 0.165,
-                            0.000, 0.000, 0.190, 0.140, 0.0002, 0.060};
-  advance.stack_weight = 0.18;
-  advance.insts_per_access = 92.0;
-
-  app.phases = {forces, advance};
-  return app;
-}
-
-AppSpec make_nas_bt() {
-  AppSpec app;
-  app.name = "bt";
-  app.fom_unit = "Mop/s";
-  app.ranks = 1;  // OpenMP-only
-  app.threads_per_rank = 68;
-  app.iterations = 30;
-  app.accesses_per_iteration = 30000;
-  app.access_scale = 3000.0;
-  app.work_per_iteration = 1093.0;  // Mop per iteration (calibrated)
-  app.stack_bytes = MB(64);
-
-  // Node-wide sizes (~11 GiB): fits the 16 GiB MCDRAM, which is why the
-  // paper finds numactl marginally best. The paper hand-modified BT to turn
-  // its dominant static arrays into dynamic ones — these are the post-
-  // modification dynamics, with a small static remainder.
-  app.objects = {
-      dyn("u", MB(1700), AccessPattern::kStream),
-      dyn("rhs", MB(1700), AccessPattern::kStream),
-      dyn("forcing", MB(1200), AccessPattern::kStream),
-      dyn("lhs_a", MB(1800), AccessPattern::kStream),
-      dyn("lhs_b", MB(1800), AccessPattern::kStream),
-      dyn("lhs_c", MB(1800), AccessPattern::kStream),
-      dyn("aux", MB(1000), AccessPattern::kStrided),
-      stat("bt_consts", MB(50), AccessPattern::kRandom),
-  };
-  PhaseSpec sweep;
-  sweep.name = "adi_sweep";
-  sweep.access_share = 1.0;
-  sweep.object_weights = {0.18, 0.20, 0.08, 0.14, 0.14, 0.12, 0.08, 0.02};
-  sweep.stack_weight = 0.04;
-  sweep.insts_per_access = 37.0;
-  app.phases = {sweep};
-  return app;
-}
-
-AppSpec make_minife() {
-  AppSpec app;
-  app.name = "minife";
-  app.fom_unit = "MFLOPS";
-  app.ranks = 64;
-  app.threads_per_rank = 4;
-  app.iterations = 40;
-  app.accesses_per_iteration = 16000;
-  app.access_scale = 200.0;
-  app.work_per_iteration = 26.2;  // MFLOP per rank-iteration (calibrated)
-  app.stack_bytes = MB(8);
-
-  // Three small objects carry 85% of the misses — the paper highlights that
-  // miniFE reaches peak with 3 promoted objects and ~80 MiB per process.
-  app.objects = {
-      dyn("mesh_cold_a", MB(225), AccessPattern::kStream),
-      dyn("mesh_cold_b", MB(225), AccessPattern::kStream),
-      dyn("mesh_cold_c", MB(225), AccessPattern::kStream),
-      dyn("mesh_cold_d", MB(225), AccessPattern::kStream),
-      dyn("A_vals", MB(40), AccessPattern::kStream),
-      dyn("A_cols", MB(24), AccessPattern::kStream),
-      dyn("x_vec", MB(12), AccessPattern::kRandom),
-      stat("minife_params", MB(6), AccessPattern::kRandom),
-  };
-  PhaseSpec cg;
-  cg.name = "cg_solve";
-  cg.access_share = 1.0;
-  cg.object_weights = {0.0275, 0.0275, 0.0275, 0.0275, 0.45, 0.25, 0.15,
-                       0.02};
-  cg.stack_weight = 0.02;
-  cg.insts_per_access = 115.0;
-  app.phases = {cg};
-  return app;
-}
-
-AppSpec make_cgpop() {
-  AppSpec app;
-  app.name = "cgpop";
-  app.fom_unit = "trials/s";
-  app.ranks = 64;
-  app.threads_per_rank = 1;
-  app.iterations = 60;
-  app.accesses_per_iteration = 12000;
-  app.work_per_iteration = 0.000595;  // trials per rank-iteration (calibrated)
-  app.access_scale = 150.0;
-  app.stack_bytes = MB(4);
-
-  // After the paper's hand modification the critical set is dynamic and
-  // tiny (fits in 32 MiB/rank — performance is flat across budgets). The
-  // statics left behind are what numactl still wins on.
-  app.objects = {
-      dyn("ocean_state_cold", MB(100), AccessPattern::kStream),
-      dyn("x_vec", MB(12), AccessPattern::kRandom),
-      dyn("r_vec", MB(8), AccessPattern::kStream),
-      dyn("matrix_diag", MB(8), AccessPattern::kStream),
-      stat("halo_tables", MB(20), AccessPattern::kRandom),
-  };
-  PhaseSpec solve;
-  solve.name = "pcg_trial";
-  solve.access_share = 1.0;
-  solve.object_weights = {0.05, 0.28, 0.22, 0.14, 0.18};
-  solve.stack_weight = 0.12;
-  solve.insts_per_access = 57.0;
-  app.phases = {solve};
-  return app;
-}
-
-AppSpec make_snap() {
-  AppSpec app;
-  app.name = "snap";
-  app.fom_unit = "iterations/s";
-  app.ranks = 64;
-  app.threads_per_rank = 4;
-  app.iterations = 40;
-  app.accesses_per_iteration = 16000;
-  app.access_scale = 180.0;
-  app.work_per_iteration = 0.000175;  // iterations/s FOM (calibrated)
-  app.stack_bytes = MB(8);
-
-  app.objects = {
-      dyn("flux_moments", MB(200), AccessPattern::kStream),
-      // Twelve small per-group chunks, each its own site: high density.
-      dyn("grp_buf_00", MB(5), AccessPattern::kStream),
-      dyn("grp_buf_01", MB(5), AccessPattern::kStream),
-      dyn("grp_buf_02", MB(5), AccessPattern::kStream),
-      dyn("grp_buf_03", MB(5), AccessPattern::kStream),
-      dyn("grp_buf_04", MB(5), AccessPattern::kStream),
-      dyn("grp_buf_05", MB(5), AccessPattern::kStream),
-      dyn("grp_buf_06", MB(5), AccessPattern::kStream),
-      dyn("grp_buf_07", MB(5), AccessPattern::kStream),
-      dyn("grp_buf_08", MB(5), AccessPattern::kStream),
-      dyn("grp_buf_09", MB(5), AccessPattern::kStream),
-      dyn("grp_buf_10", MB(5), AccessPattern::kStream),
-      dyn("grp_buf_11", MB(5), AccessPattern::kStream),
-      dyn("angular_cold", MB(300), AccessPattern::kStrided),
-      stat("snap_xs_tables", MB(10), AccessPattern::kRandom),
-  };
-
-  PhaseSpec sweep;
-  sweep.name = "octsweep";
-  sweep.access_share = 0.72;
-  sweep.object_weights = {0.40,  0.022, 0.022, 0.022, 0.022, 0.022,
-                          0.022, 0.022, 0.022, 0.022, 0.022, 0.022,
-                          0.022, 0.020, 0.030};
-  sweep.stack_weight = 0.05;
-  sweep.insts_per_access = 130.0;
-
-  // outer_src_calc: register pressure spills to the stack — the Figure 5
-  // MIPS dip under the framework, and the reason numactl wins SNAP.
-  PhaseSpec outer;
-  outer.name = "outer_src_calc";
-  outer.access_share = 0.28;
-  outer.object_weights = {0.05, 0.010, 0.010, 0.010, 0.010, 0.010,
-                          0.010, 0.010, 0.010, 0.010, 0.010, 0.010,
-                          0.010, 0.020, 0.030};
-  outer.stack_weight = 0.55;
-  outer.insts_per_access = 130.0;
-
-  app.phases = {sweep, outer};
-  return app;
-}
-
-AppSpec make_maxw_dgtd() {
-  AppSpec app;
-  app.name = "maxw-dgtd";
-  app.fom_unit = "iterations/s";
-  app.ranks = 64;
-  app.threads_per_rank = 4;
-  app.iterations = 50;
-  app.accesses_per_iteration = 14000;
-  app.access_scale = 150.0;
-  app.work_per_iteration = 0.00307;  // iterations/s FOM (calibrated)
-  app.stack_bytes = MB(8);
-
-  app.objects = {
-      dyn("mesh_setup", MB(120), AccessPattern::kStream),  // cold, first
-      dyn("tets", MB(64), AccessPattern::kStream),
-      dyn("E_field", MB(40), AccessPattern::kStream),
-      dyn("H_field", MB(40), AccessPattern::kStream),
-      dyn("J_field", MB(40), AccessPattern::kStream),
-      dyn("flux_faces", MB(40), AccessPattern::kStrided),
-      [] {  // the 15,854 allocations/s of Table I: small work buffers
-            // churned every iteration (below the autohbw 1 MiB threshold).
-        ObjectSpec o =
-            dyn("work_bufs", 96ULL * 1024, AccessPattern::kRandom, 7);
-        o.churn = true;
-        o.instances = 100;
-        return o;
-      }(),
-      dyn("recv_cold", MB(30), AccessPattern::kStream),
-      stat("basis_tables", MB(16), AccessPattern::kRandom),
-  };
-  PhaseSpec update;
-  update.name = "dgtd_update";
-  update.access_share = 1.0;
-  update.object_weights = {0.010, 0.155, 0.125, 0.135, 0.120,
-                           0.115, 0.050, 0.020, 0.100};
-  update.stack_weight = 0.09;
-  update.insts_per_access = 96.0;
-  app.phases = {update};
-  return app;
-}
-
-AppSpec make_gtcp() {
-  AppSpec app;
-  app.name = "gtc-p";
-  app.fom_unit = "iterations/s";
-  app.ranks = 64;
-  app.threads_per_rank = 4;
-  app.iterations = 50;
-  app.accesses_per_iteration = 16000;
-  app.access_scale = 180.0;
-  app.work_per_iteration = 0.000221;  // iterations/s FOM (calibrated)
-  app.stack_bytes = MB(8);
-
-  app.objects = {
-      dyn("grid_cold_a", MB(225), AccessPattern::kStream),  // FCFS bait
-      dyn("grid_cold_b", MB(225), AccessPattern::kStream),
-      dyn("grid_cold_c", MB(225), AccessPattern::kStream),
-      dyn("grid_cold_d", MB(225), AccessPattern::kStream),
-      dyn("zion", MB(120), AccessPattern::kRandom),
-      dyn("zion_aux", MB(56), AccessPattern::kRandom),
-      dyn("grid_phi", MB(20), AccessPattern::kRandom),
-      dyn("grid_evec", MB(16), AccessPattern::kRandom),
-      dyn("diag_aux", MB(8), AccessPattern::kStream),
-      stat("gtc_params", MB(12), AccessPattern::kRandom),
-  };
-  PhaseSpec push;
-  push.name = "particle_push";
-  push.access_share = 1.0;
-  push.object_weights = {0.0075, 0.0075, 0.0075, 0.0075, 0.240, 0.220,
-                         0.200, 0.150, 0.060, 0.050};
-  push.stack_weight = 0.05;
-  push.insts_per_access = 125.0;
-  app.phases = {push};
-  return app;
-}
 
 AppSpec make_stream_triad(int threads) {
   HMEM_ASSERT(threads > 0);
@@ -447,124 +85,15 @@ AppSpec make_stream_triad(int threads) {
   return app;
 }
 
-AppSpec make_churn() {
-  AppSpec app;
-  app.name = "churn";
-  app.fom_unit = "sweeps/s";
-  app.ranks = 8;
-  app.threads_per_rank = 4;
-  app.iterations = 30;
-  app.accesses_per_iteration = 36000;
-  app.access_scale = 800.0;
-  app.work_per_iteration = 1.0;
-  app.stack_bytes = MB(8);
+std::vector<AppSpec> phase_shift_apps() { return bundled().phase_shift; }
 
-  // Two persistent arrays alternate as the hot set. Sized so a 96 MiB/rank
-  // fast budget holds exactly one of them: the static advisor must leave
-  // the other in the slow tier forever, while the dynamic schedule swaps
-  // them at every phase boundary (migration cost deliberately much smaller
-  // than the hot-phase traffic it redirects).
-  app.objects = {
-      dyn("ping", MB(64), AccessPattern::kRandom),
-      dyn("pong", MB(64), AccessPattern::kRandom),
-      dyn("backdrop", MB(192), AccessPattern::kStream),
-      [] {  // small buffers churned every iteration; their hotness
-            // alternates with the phases as well
-        ObjectSpec o = dyn("churn_bufs", 512ULL * 1024,
-                           AccessPattern::kRandom, 5);
-        o.churn = true;
-        o.instances = 16;
-        return o;
-      }(),
-      stat("churn_params", MB(8), AccessPattern::kRandom),
-  };
-
-  PhaseSpec ping_phase;
-  ping_phase.name = "ping_phase";
-  ping_phase.access_share = 0.5;
-  //                          ping  pong  back  churn static
-  ping_phase.object_weights = {0.85, 0.01, 0.04, 0.05, 0.01};
-  ping_phase.stack_weight = 0.04;
-  ping_phase.insts_per_access = 14.0;
-
-  PhaseSpec pong_phase = ping_phase;
-  pong_phase.name = "pong_phase";
-  pong_phase.object_weights = {0.01, 0.85, 0.04, 0.05, 0.01};
-
-  app.phases = {ping_phase, pong_phase};
-  return app;
-}
-
-AppSpec make_transient() {
-  AppSpec app;
-  app.name = "transient";
-  app.fom_unit = "sweeps/s";
-  app.ranks = 8;
-  app.threads_per_rank = 4;
-  app.iterations = 24;
-  app.accesses_per_iteration = 30000;
-  app.access_scale = 800.0;
-  app.work_per_iteration = 1.0;
-  app.stack_bytes = MB(8);
-
-  // Three phase-scoped transient work arrays (192 MiB together — a 96 MiB
-  // budget fits one) plus a small always-hot array. The static advisor's
-  // always-live assumption charges all three against the budget at once;
-  // the dynamic schedule gives each phase's transient the whole budget at
-  // allocation time, with nothing live to migrate at the boundaries.
-  app.objects = {
-      [] {
-        ObjectSpec o = dyn("work_build", MB(64), AccessPattern::kRandom, 5);
-        o.transient_phase = 0;
-        return o;
-      }(),
-      [] {
-        ObjectSpec o = dyn("work_solve", MB(64), AccessPattern::kRandom, 5);
-        o.transient_phase = 1;
-        return o;
-      }(),
-      [] {
-        ObjectSpec o = dyn("work_refine", MB(64), AccessPattern::kRandom, 5);
-        o.transient_phase = 2;
-        return o;
-      }(),
-      dyn("warm_index", MB(16), AccessPattern::kRandom),
-      dyn("backdrop", MB(256), AccessPattern::kStream),
-      stat("transient_params", MB(8), AccessPattern::kRandom),
-  };
-
-  auto phase = [](const char* name, int hot) {
-    PhaseSpec p;
-    p.name = name;
-    p.access_share = 1.0 / 3.0;
-    p.object_weights.assign(6, 0.0);
-    p.object_weights[static_cast<std::size_t>(hot)] = 0.70;
-    p.object_weights[3] = 0.15;  // warm_index
-    p.object_weights[4] = 0.04;  // backdrop
-    p.object_weights[5] = 0.02;  // statics
-    p.stack_weight = 0.05;
-    p.insts_per_access = 16.0;
-    return p;
-  };
-  app.phases = {phase("build", 0), phase("solve", 1), phase("refine", 2)};
-  return app;
-}
-
-std::vector<AppSpec> phase_shift_apps() {
-  return {make_churn(), make_transient()};
-}
-
-std::vector<AppSpec> all_apps() {
-  return {make_hpcg(),  make_lulesh(), make_nas_bt(),    make_minife(),
-          make_cgpop(), make_snap(),   make_maxw_dgtd(), make_gtcp()};
-}
+std::vector<AppSpec> all_apps() { return bundled().paper; }
 
 std::optional<AppSpec> find_app(const std::string& name) {
-  for (auto& app : all_apps()) {
-    if (app.name == name) return app;
-  }
-  for (auto& app : phase_shift_apps()) {
-    if (app.name == name) return app;
+  for (const auto* apps : {&bundled().paper, &bundled().phase_shift}) {
+    for (const AppSpec& app : *apps) {
+      if (app.name == name) return app;
+    }
   }
   return std::nullopt;
 }

@@ -1,7 +1,8 @@
-// The paper's eight evaluation applications plus the Stream Triad kernel
-// and two phase-shifting stress workloads, encoded as memory-object
-// signatures (see workloads.cpp for the per-app rationale and the mapping
-// to the paper's observations).
+// The bundled workloads: the paper's eight evaluation applications and two
+// phase-shifting stress workloads, each defined once as
+// configs/apps/<name>.ini (embedded into the library at build time; the
+// file's header comment gives the app's rationale and its mapping to the
+// paper's observations), plus the parametric Stream Triad kernel.
 #pragma once
 
 #include <optional>
@@ -11,22 +12,14 @@
 
 namespace hmem::apps {
 
-AppSpec make_hpcg();
-AppSpec make_lulesh();
-AppSpec make_nas_bt();
-AppSpec make_minife();
-AppSpec make_cgpop();
-AppSpec make_snap();
-AppSpec make_maxw_dgtd();
-AppSpec make_gtcp();
-
 /// Stream Triad with a given thread count (Figure 1's x-axis).
 AppSpec make_stream_triad(int threads);
 
-/// Phase-shifting stress workloads — not in the paper's Table I. They are
-/// the scenarios the static pipeline structurally cannot serve: the hot set
-/// moves between phases, so a fast tier smaller than the union of the hot
-/// sets can only win by being time-multiplexed (the dynamic condition).
+/// The two phase-shifting stress workloads — not in the paper's Table I.
+/// They are the scenarios the static pipeline structurally cannot serve:
+/// the hot set moves between phases, so a fast tier smaller than the union
+/// of the hot sets can only win by being time-multiplexed (the dynamic
+/// condition).
 ///
 ///  * churn     — two persistent arrays alternate as the hot set between
 ///                two phases (plus a churned small-buffer site whose
@@ -36,10 +29,6 @@ AppSpec make_stream_triad(int threads);
 ///                hot array: the dynamic schedule wins purely through
 ///                allocation-time routing (each transient is born into the
 ///                budget its phase owns), no migration needed.
-AppSpec make_churn();
-AppSpec make_transient();
-
-/// The two phase-shifting workloads above.
 std::vector<AppSpec> phase_shift_apps();
 
 /// All eight evaluation applications, in the paper's order.

@@ -304,7 +304,7 @@ TEST(StreamingEquivalence, AggregateAndFoldMatchBufferedOnAllWorkloads) {
 
 TEST(StreamingEquivalence, MergedSingleShardMatchesDirectAggregation) {
   // A 1-way merge must be a no-op wrapper.
-  const auto app = apps::make_snap();
+  const auto app = apps::app_by_name("snap");
   engine::RunOptions opts;
   opts.profile = true;
   const auto run = engine::run_app(app, opts);

@@ -1,21 +1,21 @@
 // Tests for the app-config DSL (apps/app_config.hpp): error paths with the
-// offending key named, canonical round-trips, and the golden guarantee that
-// the shipped configs/apps/*.ini are bit-identical to the C++ tables — in
-// text, in parsed spec, in profile aggregate and in a Figure-4 dFOM row.
+// offending key named, canonical round-trips, and the goldens that pin the
+// shipped configs/apps/*.ini (the bundled apps' only definition) to the
+// embedded set and to their canonical text hashes.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "analysis/aggregator.hpp"
 #include "apps/app_config.hpp"
 #include "apps/workloads.hpp"
-#include "engine/experiment.hpp"
-#include "engine/pipeline.hpp"
-#include "trace/visitor.hpp"
 
 namespace hmem::apps {
 namespace {
@@ -187,107 +187,80 @@ TEST(AppConfig, LoadAppResolvesBundledNamesAndReportsUnknown) {
   std::string error;
   const auto hpcg = load_app("hpcg", &error);
   ASSERT_TRUE(hpcg.has_value());
-  EXPECT_TRUE(*hpcg == make_hpcg());
+  EXPECT_TRUE(*hpcg == app_by_name("hpcg"));
   EXPECT_FALSE(load_app("no-such-app", &error).has_value());
   EXPECT_NE(error.find("no-such-app"), std::string::npos);
   EXPECT_NE(error.find("hpcg"), std::string::npos);  // lists bundled names
 }
 
 // ------------------------------------------------------------- goldens ----
-// The shipped configs/apps/*.ini are generated by `hmem_workload dump-all`;
-// these tests pin them to the C++ tables in the strongest available order:
-// byte-identical text, operator==-identical parsed spec, bit-identical
-// profile aggregate, and a bit-identical Figure-4 dFOM row sample.
+// The shipped configs/apps/*.ini are the only definition of the bundled
+// apps: the build embeds them into the library. These tests pin the
+// embedded set to the files on disk and every app's canonical text to a
+// recorded hash, so an edit that changes any simulated byte is a
+// deliberate one.
+
+/// The text without its comment lines (those starting with '#').
+std::string without_comment_lines(const std::string& text) {
+  std::istringstream in(text);
+  std::string out;
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind('#', 0) != 0) out += line + '\n';
+  }
+  return out;
+}
 
 TEST(AppConfigGolden, ShippedConfigsAreByteIdenticalToGeneratedText) {
+  // Hand-written comments aside, each shipped file is already canonical.
   for (const auto& app : bundled_apps()) {
     std::ifstream in(shipped_config_path(app.name));
-    ASSERT_TRUE(in) << "missing shipped config for " << app.name
-                    << " (regenerate with: hmem_workload dump-all configs/apps)";
+    ASSERT_TRUE(in) << "missing shipped config for " << app.name;
     std::ostringstream text;
     text << in.rdbuf();
-    EXPECT_EQ(text.str(), to_config_text(app)) << app.name;
-  }
-}
-
-TEST(AppConfigGolden, ShippedConfigsParseToIdenticalSpecs) {
-  for (const auto& app : bundled_apps()) {
-    std::string error;
-    const auto loaded = load_app_file(shipped_config_path(app.name), &error);
-    ASSERT_TRUE(loaded.has_value()) << error;
-    EXPECT_TRUE(*loaded == app) << app.name;
-  }
-}
-
-TEST(AppConfigGolden, ShippedConfigsProfileToBitIdenticalAggregates) {
-  // Profile both specs on the knl preset and compare the stage-2 aggregate
-  // field by field. The engine is deterministic, so any divergence means a
-  // config drifted from its table.
-  const auto aggregate_of = [](const AppSpec& app) {
-    callstack::SiteDb sites;
-    analysis::AggregateVisitor visitor(sites);
-    trace::VisitorSink sink(visitor);
-    engine::RunOptions opts;
-    opts.profile = true;
-    opts.sites = &sites;
-    opts.trace_sink = &sink;
-    (void)engine::run_app(app, opts);
-    return visitor.finish();
-  };
-  for (const auto& app : bundled_apps()) {
-    std::string error;
-    const auto loaded = load_app_file(shipped_config_path(app.name), &error);
-    ASSERT_TRUE(loaded.has_value()) << error;
-    const auto expect = aggregate_of(app);
-    const auto got = aggregate_of(*loaded);
-    EXPECT_EQ(got.total_samples, expect.total_samples) << app.name;
-    EXPECT_EQ(got.total_weighted_misses, expect.total_weighted_misses)
+    EXPECT_EQ(without_comment_lines(text.str()),
+              without_comment_lines(
+                  to_config_text(from_config_text(text.str()))))
         << app.name;
-    EXPECT_EQ(got.unattributed_samples, expect.unattributed_samples)
-        << app.name;
-    ASSERT_EQ(got.objects.size(), expect.objects.size()) << app.name;
-    for (std::size_t i = 0; i < expect.objects.size(); ++i) {
-      EXPECT_EQ(got.objects[i].name, expect.objects[i].name) << app.name;
-      EXPECT_EQ(got.objects[i].max_size_bytes, expect.objects[i].max_size_bytes)
-          << app.name << "/" << expect.objects[i].name;
-      EXPECT_EQ(got.objects[i].llc_misses, expect.objects[i].llc_misses)
-          << app.name << "/" << expect.objects[i].name;
-      EXPECT_EQ(got.objects[i].is_dynamic, expect.objects[i].is_dynamic)
-          << app.name << "/" << expect.objects[i].name;
-    }
-    ASSERT_EQ(got.phases.size(), expect.phases.size()) << app.name;
-    for (std::size_t p = 0; p < expect.phases.size(); ++p) {
-      EXPECT_EQ(got.phases[p].name, expect.phases[p].name) << app.name;
-    }
   }
 }
 
-TEST(AppConfigGolden, ShippedHpcgProducesBitIdenticalFig4Row) {
-  // One full Figure-4 row sample on knl: same baselines, same cell FOMs,
-  // same dFOM/MByte, from the table spec and from the shipped INI.
-  std::string error;
-  const auto loaded = load_app_file(shipped_config_path("hpcg"), &error);
-  ASSERT_TRUE(loaded.has_value()) << error;
+TEST(AppConfigGolden, ShippedConfigFilesAreExactlyTheBundledApps) {
+  // A file added to configs/apps/ but not to the embedded list (or the
+  // reverse) fails here.
+  std::set<std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::string(HMEM_REPO_DIR) + "/configs/apps")) {
+    if (entry.path().extension() == ".ini")
+      files.insert(entry.path().stem().string());
+  }
+  std::set<std::string> names;
+  for (const auto& app : bundled_apps()) names.insert(app.name);
+  EXPECT_EQ(files, names);
+}
 
-  const std::vector<std::uint64_t> budgets = {64ULL << 20, 256ULL << 20};
-  const std::vector<engine::StrategyConfig> strategies = {
-      engine::paper_strategies().front()};
-  const auto row_of = [&](const AppSpec& app) {
-    engine::Fig4Runner runner(app, engine::PipelineOptions{});
-    return runner.run(budgets, strategies);
+TEST(AppConfigGolden, CanonicalTextHashesArePinned) {
+  const auto fnv1a64 = [](const std::string& text) {
+    std::uint64_t hash = 1469598103934665603ULL;
+    for (const unsigned char c : text) {
+      hash ^= c;
+      hash *= 1099511628211ULL;
+    }
+    return hash;
   };
-  const auto expect = row_of(make_hpcg());
-  const auto got = row_of(*loaded);
-
-  EXPECT_EQ(got.ddr.fom, expect.ddr.fom);
-  EXPECT_EQ(got.numactl.fom, expect.numactl.fom);
-  EXPECT_EQ(got.autohbw.fom, expect.autohbw.fom);
-  EXPECT_EQ(got.cache.fom, expect.cache.fom);
-  ASSERT_EQ(got.cells.size(), expect.cells.size());
-  for (std::size_t i = 0; i < expect.cells.size(); ++i) {
-    EXPECT_EQ(got.cells[i].fom, expect.cells[i].fom) << i;
-    EXPECT_EQ(got.cells[i].hwm_bytes, expect.cells[i].hwm_bytes) << i;
-    EXPECT_EQ(got.cells[i].dfom_per_mb, expect.cells[i].dfom_per_mb) << i;
+  const std::vector<std::pair<std::string, std::uint64_t>> pinned = {
+      {"hpcg", 0x347d5202dbb34354ULL},      {"lulesh", 0xc383da6d2a2415b3ULL},
+      {"bt", 0x90651d5bbfcab1efULL},        {"minife", 0xcb81f1fc9630dbc5ULL},
+      {"cgpop", 0x1454c9ae182e65a0ULL},     {"snap", 0xc33647b8580f3549ULL},
+      {"maxw-dgtd", 0x30cc4af287acc206ULL}, {"gtc-p", 0x54b3a6442f9a6335ULL},
+      {"churn", 0x3b39c6044e9fb5cdULL},     {"transient", 0x65e2bc4a118923a2ULL},
+  };
+  const std::vector<AppSpec> apps = bundled_apps();
+  ASSERT_EQ(apps.size(), pinned.size());
+  for (std::size_t i = 0; i < apps.size(); ++i) {
+    // Order too: all_apps() is the paper's order, then the stress apps.
+    EXPECT_EQ(apps[i].name, pinned[i].first);
+    EXPECT_EQ(fnv1a64(to_config_text(apps[i])), pinned[i].second)
+        << apps[i].name;
   }
 }
 

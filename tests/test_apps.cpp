@@ -95,14 +95,14 @@ TEST(AppSpec, PaperAppsHaveExpectedGeometry) {
 
 TEST(AppSpec, BtWorkingSetFitsMcdram) {
   // The reason numactl wins BT: ~11 GiB working set, 16 GiB MCDRAM.
-  const auto bt = make_nas_bt();
+  const auto bt = app_by_name("bt");
   EXPECT_GT(bt.total_footprint(), 8ULL * kGiB);
   EXPECT_LT(bt.total_footprint(), 16ULL * kGiB);
 }
 
 TEST(AppSpec, CgpopCriticalSetFitsSmallestBudget) {
   // CGPOP's dynamic critical set fits 32 MiB/rank (flat FOM across budgets).
-  const auto cgpop = make_cgpop();
+  const auto cgpop = app_by_name("cgpop");
   std::uint64_t critical = 0;
   for (std::size_t i = 0; i < cgpop.objects.size(); ++i) {
     const auto& obj = cgpop.objects[i];
@@ -117,7 +117,7 @@ TEST(AppSpec, LuleshAllocatesDuringMainLoop) {
   // The paper stresses Lulesh "allocates and deallocates many objects
   // during the application run": phase-scoped transients, including a
   // multi-instance 1-2 MiB site (the memkind anomaly window).
-  const auto lulesh = make_lulesh();
+  const auto lulesh = app_by_name("lulesh");
   bool has_transient = false, has_anomaly_window_site = false;
   for (const auto& obj : lulesh.objects) {
     has_transient |= obj.transient_phase >= 0;
@@ -132,14 +132,14 @@ TEST(AppSpec, LuleshAllocatesDuringMainLoop) {
 
 TEST(AppSpec, MaxwHasAllocationChurn) {
   // Table I: MAXW-DGTD's 15,854 allocations/process/second.
-  const auto maxw = make_maxw_dgtd();
+  const auto maxw = app_by_name("maxw-dgtd");
   bool has_churn = false;
   for (const auto& obj : maxw.objects) has_churn |= obj.churn;
   EXPECT_TRUE(has_churn);
 }
 
 TEST(AppSpec, SnapHasStackHeavyOuterPhase) {
-  const auto snap = make_snap();
+  const auto snap = app_by_name("snap");
   ASSERT_EQ(snap.phases.size(), 2u);
   const auto& outer = snap.phases[1];
   EXPECT_EQ(outer.name, "outer_src_calc");
@@ -148,7 +148,7 @@ TEST(AppSpec, SnapHasStackHeavyOuterPhase) {
 }
 
 TEST(AppSpec, HpcgHasLoopingSmallBufferSite) {
-  const auto hpcg = make_hpcg();
+  const auto hpcg = app_by_name("hpcg");
   bool found = false;
   for (const auto& obj : hpcg.objects) {
     if (obj.instances > 1 && !obj.is_static) found = true;
@@ -157,7 +157,7 @@ TEST(AppSpec, HpcgHasLoopingSmallBufferSite) {
 }
 
 TEST(AppSpec, AllocStackShapes) {
-  const auto app = make_hpcg();
+  const auto app = app_by_name("hpcg");
   const auto stack = app.alloc_stack(0);
   EXPECT_EQ(stack.depth(),
             static_cast<std::size_t>(app.objects[0].callstack_depth));
@@ -171,7 +171,7 @@ TEST(AppSpec, AllocStackShapes) {
 }
 
 TEST(AppSpec, ObjectIndexLookup) {
-  const auto app = make_minife();
+  const auto app = app_by_name("minife");
   EXPECT_EQ(app.objects[app.object_index("A_vals")].name, "A_vals");
 }
 

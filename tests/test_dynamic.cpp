@@ -146,7 +146,7 @@ TEST(ScheduleReport, RoundTripIsIdentical) {
 // --------------------------------------------------------- aggregator ----
 
 TEST(PhaseProfiles, SinglePhaseSliceEqualsWholeRunProfile) {
-  apps::AppSpec app = apps::make_hpcg();
+  apps::AppSpec app = apps::app_by_name("hpcg");
   app.iterations = 3;
   app.accesses_per_iteration = 4000;
   engine::RunOptions options;
@@ -169,7 +169,7 @@ TEST(PhaseProfiles, SinglePhaseSliceEqualsWholeRunProfile) {
 }
 
 TEST(PhaseProfiles, MissesSliceByPhaseAndSumToWholeRun) {
-  apps::AppSpec app = apps::make_transient();
+  apps::AppSpec app = apps::app_by_name("transient");
   app.iterations = 4;
   app.accesses_per_iteration = 6000;
   engine::RunOptions options;
@@ -370,7 +370,7 @@ TEST(DynamicCondition, BitIdenticalToFrameworkOnSinglePhaseWorkload) {
   options.per_phase = true;
   options.sampler.period = 4000;
   const engine::PipelineResult result =
-      engine::run_pipeline(shrunk(apps::make_hpcg()), options);
+      engine::run_pipeline(shrunk(apps::app_by_name("hpcg")), options);
 
   const engine::RunResult& s = result.production_run;
   const engine::RunResult& d = result.dynamic_run;
@@ -394,7 +394,7 @@ TEST(DynamicCondition, BeatsStaticDfomOnChurnUnderKnl) {
   // The acceptance scenario: the two alternating 64 MiB hot arrays do not
   // both fit a 96 MiB/rank budget, so the static placement leaves one slow
   // forever while the schedule time-multiplexes the fast tier.
-  apps::AppSpec app = apps::make_churn();
+  apps::AppSpec app = apps::app_by_name("churn");
   app.iterations = 8;  // per-iteration structure is what matters
 
   engine::PipelineOptions options;
@@ -433,7 +433,7 @@ TEST(DynamicCondition, FreedTransientsAreSkippedNotMigrated) {
   // boundary's migration list mentions them they are either freed (demotion
   // side) or not yet allocated (promotion side). The win comes purely from
   // allocation-time routing; the engine must skip the dead objects.
-  apps::AppSpec app = apps::make_transient();
+  apps::AppSpec app = apps::app_by_name("transient");
   app.iterations = 6;
 
   engine::PipelineOptions options;

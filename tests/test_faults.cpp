@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -532,6 +533,25 @@ TEST_F(FaultsTest, CliExitCodes) {
   EXPECT_EQ(run_tool("hmem_run hpcg --faults io_read:p=9"), 2);
   EXPECT_EQ(run_tool("hmem_run hpcg --condition warp"), 2);
   EXPECT_EQ(run_tool("hmem_workload check /nonexistent.ini"), 2);
+  // Malformed numbers: a zero or non-numeric sampling period, a
+  // non-numeric min-alloc, trailing garbage on a count. Each is a usage
+  // error caught before the trace output is opened, so no temp file is
+  // left behind either.
+  for (const std::string& tail :
+       {"hmem_profile snap " + out + " 0", "hmem_profile snap " + out + " abc",
+        "hmem_profile snap " + out + " --period 0",
+        "hmem_profile snap " + out + " 37589 xyz",
+        "hmem_profile snap " + out + " --jobs 2x",
+        std::string("hmem_run snap --ranks 2z")}) {
+    EXPECT_EQ(run_tool(tail), 2) << tail;
+  }
+  const std::filesystem::path out_path(out);
+  const std::string tmp_prefix = out_path.filename().string() + ".tmp";
+  for (const auto& entry :
+       std::filesystem::directory_iterator(out_path.parent_path())) {
+    EXPECT_NE(entry.path().filename().string().rfind(tmp_prefix, 0), 0u)
+        << "left behind: " << entry.path();
+  }
   // Machine files whose [llc] geometry no cache can be built from.
   const std::string machine = temp_path("cli_machine.ini");
   for (const char* llc : {"ways = 0", "ways = 17", "line = 48",

@@ -120,7 +120,8 @@ TEST(IncrementalAggregator, ConvergedSnapshotMatchesBatchOnAllAppsPresets) {
 }
 
 TEST(IncrementalAggregator, MidStreamSnapshotMatchesBatchOverPrefix) {
-  const auto run = profiled_run(apps::make_lulesh(), all_presets().front());
+  const auto run =
+      profiled_run(apps::app_by_name("lulesh"), all_presets().front());
   const auto& events = run.trace->events();
   const std::size_t cuts[] = {0, 1, events.size() / 3, events.size() / 2,
                               events.size() - 1, events.size()};
@@ -139,7 +140,8 @@ TEST(IncrementalAggregator, MidStreamSnapshotMatchesBatchOverPrefix) {
 }
 
 TEST(IncrementalAggregator, ViewsMatchSnapshotSlices) {
-  const auto run = profiled_run(apps::make_snap(), all_presets().front());
+  const auto run =
+      profiled_run(apps::app_by_name("snap"), all_presets().front());
   IncrementalAggregator inc(*run.sites);
   trace::visit_buffer(*run.trace, inc);
   const AggregateResult snap = inc.snapshot();
@@ -208,7 +210,7 @@ TEST(IncrementalAdvisor, ConvergedScheduleBitIdenticalOnAllAppsPresets) {
 
 TEST(IncrementalAdvisor, CleanPhasesAreNotResolved) {
   const auto node = all_presets().front();
-  const auto run = profiled_run(apps::make_lulesh(), node);
+  const auto run = profiled_run(apps::app_by_name("lulesh"), node);
   IncrementalAggregator agg(*run.sites);
   trace::visit_buffer(*run.trace, agg);
 
@@ -232,7 +234,7 @@ TEST(IncrementalAdvisor, GenerationMovesExactlyWhenTheScheduleChanges) {
   // the advisor must bump it on every content change and leave it (and the
   // object) untouched when a refresh was a no-op.
   const auto node = all_presets().front();
-  const auto run = profiled_run(apps::make_lulesh(), node);
+  const auto run = profiled_run(apps::app_by_name("lulesh"), node);
   IncrementalAggregator agg(*run.sites);
   trace::visit_buffer(*run.trace, agg);
 
@@ -250,7 +252,7 @@ TEST(IncrementalAdvisor, GenerationMovesExactlyWhenTheScheduleChanges) {
 
 TEST(IncrementalAdvisor, DriftThresholdDefersButFinalizeConverges) {
   const auto node = all_presets().front();
-  const auto run = profiled_run(apps::make_churn(), node);
+  const auto run = profiled_run(apps::app_by_name("churn"), node);
   const advisor::MemorySpec spec = spec_for(node);
   const AggregateResult batch =
       analysis::aggregate_trace(*run.trace, *run.sites);
@@ -278,7 +280,8 @@ TEST(IncrementalAdvisor, DriftThresholdDefersButFinalizeConverges) {
 // without a sanitizer too.
 
 TEST(IncrementalAggregator, SnapshotConcurrentWithWriter) {
-  const auto run = profiled_run(apps::make_minife(), all_presets().front());
+  const auto run =
+      profiled_run(apps::app_by_name("minife"), all_presets().front());
   const AggregateResult batch =
       analysis::aggregate_trace(*run.trace, *run.sites);
 
@@ -310,7 +313,7 @@ TEST(IncrementalAggregator, SnapshotConcurrentWithWriter) {
 
 TEST(IncrementalAdvisor, RefreshConcurrentWithWriter) {
   const auto node = all_presets().front();
-  const auto run = profiled_run(apps::make_hpcg(), node);
+  const auto run = profiled_run(apps::app_by_name("hpcg"), node);
   const advisor::MemorySpec spec = spec_for(node);
 
   IncrementalAggregator agg(*run.sites);
@@ -381,7 +384,7 @@ TEST(IncrementalAggregator, LiveBytesTrackAllocFree) {
 
 TEST(AdvisorHook, NullReturningHookIsBitIdenticalToStaticSchedule) {
   const auto node = all_presets().front();
-  const auto app = apps::make_lulesh();
+  const auto app = apps::app_by_name("lulesh");
   const auto run = profiled_run(app, node);
   const AggregateResult batch =
       analysis::aggregate_trace(*run.trace, *run.sites);
@@ -417,7 +420,7 @@ TEST(AdvisorHook, ScheduleCanGrowMidRunFromASinglePhase) {
   // phase; with a hook the schedule may start with one phase (all the
   // advisor has seen) and grow as the advisor catches up mid-run.
   const auto node = all_presets().front();
-  const auto app = apps::make_churn();  // built to shift its hot set
+  const auto app = apps::app_by_name("churn");  // built to shift its hot set
   const auto run = profiled_run(app, node);
   const AggregateResult batch =
       analysis::aggregate_trace(*run.trace, *run.sites);
@@ -470,7 +473,7 @@ TEST(AdvisorHook, InPlaceMutationWithGenerationBumpIsAdopted) {
   // in) and behave bit-identically to a hook that swaps between two stable
   // schedule objects.
   const auto node = all_presets().front();
-  const auto app = apps::make_churn();
+  const auto app = apps::app_by_name("churn");
   const auto run = profiled_run(app, node);
   const AggregateResult batch =
       analysis::aggregate_trace(*run.trace, *run.sites);

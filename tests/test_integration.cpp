@@ -24,7 +24,7 @@ RunResult run_condition(const apps::AppSpec& app, Condition condition) {
 TEST(Integration, HpcgFrameworkBeatsEveryBaseline) {
   // Paper: "Our framework provides best results for HPCG", ~+79% over DDR
   // and ~+25% over the second best (cache mode).
-  const auto app = apps::make_hpcg();
+  const auto app = apps::app_by_name("hpcg");
   PipelineOptions base;
   base.fast_budget_per_rank = 256ULL << 20;
   base.advisor.strategy = advisor::Strategy::kMisses;
@@ -44,7 +44,7 @@ TEST(Integration, HpcgFrameworkBeatsEveryBaseline) {
 TEST(Integration, HpcgTopTwoObjectsCarryTheGain) {
   // Paper: "the fastest cases of HPCG ... reach their maximum performance by
   // placing 2 ... data objects into fast memory".
-  const auto app = apps::make_hpcg();
+  const auto app = apps::app_by_name("hpcg");
   PipelineOptions base;
   base.fast_budget_per_rank = 256ULL << 20;
   base.advisor.threshold_pct = 5.0;
@@ -55,7 +55,7 @@ TEST(Integration, HpcgTopTwoObjectsCarryTheGain) {
 
 TEST(Integration, LuleshCacheModeWins) {
   // Paper: cache mode is superior for Lulesh; autohbw *hurts* (-8%).
-  const auto app = apps::make_lulesh();
+  const auto app = apps::app_by_name("lulesh");
   const auto ddr = run_condition(app, Condition::kDdr);
   const auto cache = run_condition(app, Condition::kCacheMode);
   const auto autohbw = run_condition(app, Condition::kAutoHbw);
@@ -74,7 +74,7 @@ TEST(Integration, LuleshVirtualBudgetMitigation) {
   // Paper: pretending 512 MiB while enforcing 256 MiB shortens the gap —
   // the advisor's static-address-space assumption under-commits on
   // phase-scoped transients.
-  const auto app = apps::make_lulesh();
+  const auto app = apps::app_by_name("lulesh");
   PipelineOptions plain;
   plain.fast_budget_per_rank = 256ULL << 20;
   plain.advisor.strategy = advisor::Strategy::kDensity;
@@ -93,7 +93,7 @@ TEST(Integration, LuleshVirtualBudgetMitigation) {
 TEST(Integration, BtNumactlWinsBecauseItFits) {
   // Paper: BT's working set fits MCDRAM, so numactl -p 1 carries statics
   // and stack too and wins marginally.
-  const auto app = apps::make_nas_bt();
+  const auto app = apps::app_by_name("bt");
   const auto ddr = run_condition(app, Condition::kDdr);
   const auto numactl = run_condition(app, Condition::kNumactl);
   const auto cache = run_condition(app, Condition::kCacheMode);
@@ -104,7 +104,7 @@ TEST(Integration, BtNumactlWinsBecauseItFits) {
 TEST(Integration, CgpopFlatAcrossBudgets) {
   // Paper: CGPOP's critical set already fits at 32 MiB/rank, "so adding
   // more memory does not provide any benefit".
-  const auto app = apps::make_cgpop();
+  const auto app = apps::app_by_name("cgpop");
   PipelineOptions base;
   base.advisor.strategy = advisor::Strategy::kMisses;
   std::vector<double> foms;
@@ -119,7 +119,7 @@ TEST(Integration, CgpopFlatAcrossBudgets) {
 TEST(Integration, SnapStackTrafficKeepsFrameworkBehindNumactl) {
   // Paper: SNAP's outer_src_calc spills registers to the stack; the
   // framework cannot promote stack data, numactl can.
-  const auto app = apps::make_snap();
+  const auto app = apps::app_by_name("snap");
   const auto numactl = run_condition(app, Condition::kNumactl);
   PipelineOptions base;
   base.fast_budget_per_rank = 256ULL << 20;
@@ -133,7 +133,7 @@ TEST(Integration, SnapDensityHwmAnomaly) {
   // Paper: with 256 MiB budgets the density strategy promotes the small
   // chunks and the large flux buffer no longer fits: far less MCDRAM used
   // than under the misses strategy.
-  const auto app = apps::make_snap();
+  const auto app = apps::app_by_name("snap");
   PipelineOptions base;
   base.fast_budget_per_rank = 256ULL << 20;
 
@@ -152,7 +152,7 @@ TEST(Integration, SnapDensityHwmAnomaly) {
 TEST(Integration, GtcpDensityBeatsMissesAtSmallBudgets) {
   // Paper: GTC-P is one of the cases where the density strategy behaves
   // better (small dense grid arrays vs large particle arrays).
-  const auto app = apps::make_gtcp();
+  const auto app = apps::app_by_name("gtc-p");
   PipelineOptions base;
   base.fast_budget_per_rank = 128ULL << 20;
   PipelineOptions density = base;
@@ -164,7 +164,7 @@ TEST(Integration, GtcpDensityBeatsMissesAtSmallBudgets) {
 }
 
 TEST(Integration, MaxwCacheSlightlySuperior) {
-  const auto app = apps::make_maxw_dgtd();
+  const auto app = apps::app_by_name("maxw-dgtd");
   const auto cache = run_condition(app, Condition::kCacheMode);
   PipelineOptions base;
   base.fast_budget_per_rank = 256ULL << 20;
@@ -177,7 +177,7 @@ TEST(Integration, MaxwCacheSlightlySuperior) {
 TEST(Integration, TraceFileRoundTripPreservesAggregation) {
   // Serialise the stage-1 trace to text, read it back, and verify stage 2
   // produces identical per-object statistics.
-  const auto app = apps::make_minife();
+  const auto app = apps::app_by_name("minife");
   RunOptions opts;
   opts.profile = true;
   const auto profiled = run_app(app, opts);
@@ -204,7 +204,8 @@ TEST(Integration, TraceFileRoundTripPreservesAggregation) {
 
 TEST(Integration, MonitoringOverheadStaysSmall) {
   // Table I: monitoring overhead between 0.15% and 4.1%.
-  for (const auto& app : {apps::make_hpcg(), apps::make_snap()}) {
+  for (const auto& app :
+       {apps::app_by_name("hpcg"), apps::app_by_name("snap")}) {
     RunOptions opts;
     opts.profile = true;
     const auto r = run_app(app, opts);
@@ -216,7 +217,7 @@ TEST(Integration, MonitoringOverheadStaysSmall) {
 TEST(Integration, StaticRecommendationsSurfaceForCgpop) {
   // CGPOP's remaining statics should appear as advisory output (they can
   // only be migrated by editing the code).
-  const auto app = apps::make_cgpop();
+  const auto app = apps::app_by_name("cgpop");
   PipelineOptions base;
   base.fast_budget_per_rank = 256ULL << 20;
   const auto pipeline = run_pipeline(app, base);

@@ -745,7 +745,7 @@ TEST(KernelDifferential, LlcResidentRunsHitThroughEveryBackend) {
 }
 
 TEST(KernelDifferential, CacheModeIsKernelInvariant) {
-  const apps::AppSpec app = shrink(apps::make_hpcg());
+  const apps::AppSpec app = shrink(apps::app_by_name("hpcg"));
   engine::RunOptions opts;
   opts.condition = engine::Condition::kCacheMode;
   opts.node = memsim::MachineConfig::knl7250(memsim::MemMode::kCache);

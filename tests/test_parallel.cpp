@@ -176,7 +176,7 @@ TEST(ParallelDeterminism, PipelineBitIdenticalForAllNineWorkloads) {
 TEST(ParallelDeterminism, ExperimentSweepBitIdenticalToSerial) {
   // One full Figure-4 row (the 4-baseline + strategy x budget task space)
   // on a representative workload, serial vs parallel.
-  const auto app = shrunk(apps::make_snap());
+  const auto app = shrunk(apps::app_by_name("snap"));
   engine::PipelineOptions serial;
   serial.sampler.period = 4000;
   serial.jobs = 1;

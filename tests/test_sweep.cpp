@@ -368,7 +368,7 @@ TEST(Sweep, ShardedStoresMergeByteIdenticalToUnsharded) {
 }
 
 TEST(Sweep, DynamicCellMatchesRunPipeline) {
-  apps::AppSpec churn = apps::make_churn();
+  apps::AppSpec churn = apps::app_by_name("churn");
   churn.iterations = std::min<std::uint64_t>(churn.iterations, 3);
   churn.accesses_per_iteration =
       std::min<std::uint64_t>(churn.accesses_per_iteration, 3000);

@@ -2,9 +2,13 @@
 // cannot drift apart.
 #pragma once
 
+#include <cerrno>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <string>
 
@@ -30,6 +34,49 @@ inline const char* cli_value(int argc, char** argv, int& i,
     std::exit(2);
   }
   return argv[++i];
+}
+
+/// Parses all of `text` as a whole number in [min, max]. Exits with the
+/// usage status, naming `what` (the flag or argument), on anything else:
+/// trailing garbage, a sign, overflow, a value out of range.
+inline std::uint64_t cli_count(
+    const char* text, const char* what, std::uint64_t min = 0,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
+  char* end = nullptr;
+  errno = 0;
+  const std::uint64_t value = std::strtoull(text, &end, 10);
+  if (end == text || *end != '\0' || errno == ERANGE ||
+      std::strchr(text, '-') != nullptr || value < min || value > max) {
+    if (max == std::numeric_limits<std::uint64_t>::max()) {
+      std::fprintf(stderr, "%s: expected a whole number >= %llu, got '%s'\n",
+                   what, static_cast<unsigned long long>(min), text);
+    } else {
+      std::fprintf(stderr,
+                   "%s: expected a whole number from %llu to %llu, got '%s'\n",
+                   what, static_cast<unsigned long long>(min),
+                   static_cast<unsigned long long>(max), text);
+    }
+    std::exit(kExitUsage);
+  }
+  return value;
+}
+
+/// cli_count for int-valued settings (--ranks, --jobs).
+inline int cli_int(const char* text, const char* what, int min) {
+  return static_cast<int>(cli_count(text, what, static_cast<std::uint64_t>(min),
+                                    std::numeric_limits<int>::max()));
+}
+
+/// Parses all of `text` as a finite real number. Exits with the usage
+/// status, naming `what`, on anything else.
+inline double cli_real(const char* text, const char* what) {
+  char* end = nullptr;
+  const double value = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !std::isfinite(value)) {
+    std::fprintf(stderr, "%s: expected a number, got '%s'\n", what, text);
+    std::exit(kExitUsage);
+  }
+  return value;
 }
 
 /// True for "--something" tokens: an unknown one is a user error, not a

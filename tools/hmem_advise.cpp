@@ -92,8 +92,8 @@ int main(int argc, char** argv) {
       }
       options.strategy = *s;
     } else if (std::strcmp(argv[i], "--threshold") == 0) {
-      options.threshold_pct = std::strtod(
-          tools::cli_value(argc, argv, i, "--threshold"), nullptr);
+      options.threshold_pct = tools::cli_real(
+          tools::cli_value(argc, argv, i, "--threshold"), "--threshold");
     } else if (std::strcmp(argv[i], "--virtual") == 0) {
       const auto v =
           parse_bytes(tools::cli_value(argc, argv, i, "--virtual"));
@@ -118,21 +118,12 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--stream") == 0) {
       stream = true;
     } else if (std::strcmp(argv[i], "--refresh-every") == 0) {
-      char* end = nullptr;
-      const char* value = tools::cli_value(argc, argv, i, "--refresh-every");
-      refresh_every = std::strtoull(value, &end, 10);
-      if (end == value || *end != '\0') {
-        std::fprintf(stderr, "bad --refresh-every event count: %s\n", value);
-        return 2;
-      }
+      refresh_every = tools::cli_count(
+          tools::cli_value(argc, argv, i, "--refresh-every"),
+          "--refresh-every");
     } else if (std::strcmp(argv[i], "--prefix") == 0) {
-      char* end = nullptr;
-      const char* value = tools::cli_value(argc, argv, i, "--prefix");
-      prefix_events = std::strtoull(value, &end, 10);
-      if (end == value || *end != '\0') {
-        std::fprintf(stderr, "bad --prefix event count: %s\n", value);
-        return 2;
-      }
+      prefix_events = tools::cli_count(
+          tools::cli_value(argc, argv, i, "--prefix"), "--prefix");
     } else if (std::strcmp(argv[i], "--csv") == 0) {
       csv_path = tools::cli_value(argc, argv, i, "--csv");
     } else if (std::strcmp(argv[i], "--strict") == 0) {

@@ -37,7 +37,7 @@
 //                      4096 events)
 //     --faults spec    fault-injection schedule (overrides HMEM_FAULTS),
 //                      e.g. "io_write:nth=3" or "alloc:p=0.01,seed=7"
-//     period           PEBS sampling period (default 37589)
+//     period           PEBS sampling period, >= 1 (default 37589)
 //     min-alloc-bytes  allocation monitoring threshold (default 4096)
 //
 // Shards are written atomically (temp file + fsync + rename): a crashed or
@@ -95,8 +95,8 @@ int main(int argc, char** argv) {
   int jobs = 1;
   memsim::MachineConfig node =
       memsim::MachineConfig::knl7250(memsim::MemMode::kFlat);
-  std::optional<std::uint64_t> period;     // 0 is a valid value for both:
-  std::optional<std::uint64_t> min_alloc;  // "every miss" / "every alloc"
+  std::optional<std::uint64_t> period;     // >= 1: every period-th miss
+  std::optional<std::uint64_t> min_alloc;  // 0 tracks every allocation
   std::optional<std::string> app_config;
   engine::kernel::KernelKind kern = engine::kernel::KernelKind::kAuto;
   for (int i = 1; i < argc; ++i) {
@@ -109,28 +109,22 @@ int main(int argc, char** argv) {
       }
       format = *f;
     } else if (std::strcmp(argv[i], "--ranks") == 0) {
-      ranks = std::atoi(tools::cli_value(argc, argv, i, "--ranks"));
-      if (ranks < 1) {
-        std::fprintf(stderr, "--ranks must be >= 1\n");
-        return 2;
-      }
+      ranks = tools::cli_int(tools::cli_value(argc, argv, i, "--ranks"),
+                             "--ranks", 1);
     } else if (std::strcmp(argv[i], "--jobs") == 0) {
-      jobs = std::atoi(tools::cli_value(argc, argv, i, "--jobs"));
-      if (jobs < 1) {
-        std::fprintf(stderr, "--jobs must be >= 1\n");
-        return 2;
-      }
+      jobs = tools::cli_int(tools::cli_value(argc, argv, i, "--jobs"),
+                            "--jobs", 1);
     } else if (std::strcmp(argv[i], "--machine") == 0) {
       const auto machine =
           tools::load_machine(tools::cli_value(argc, argv, i, "--machine"));
       if (!machine) return 2;
       node = *machine;
     } else if (std::strcmp(argv[i], "--period") == 0) {
-      period = std::strtoull(tools::cli_value(argc, argv, i, "--period"),
-                             nullptr, 10);
+      period = tools::cli_count(tools::cli_value(argc, argv, i, "--period"),
+                                "--period", 1);
     } else if (std::strcmp(argv[i], "--min-alloc") == 0) {
-      min_alloc = std::strtoull(
-          tools::cli_value(argc, argv, i, "--min-alloc"), nullptr, 10);
+      min_alloc = tools::cli_count(
+          tools::cli_value(argc, argv, i, "--min-alloc"), "--min-alloc");
     } else if (std::strcmp(argv[i], "--kernel") == 0) {
       const auto k = engine::kernel::parse_kernel(
           tools::cli_value(argc, argv, i, "--kernel"));
@@ -161,9 +155,9 @@ int main(int argc, char** argv) {
   // Positional period/min-alloc keep the original CLI working; an explicit
   // flag wins over a positional given on the same command line.
   if (positional.size() > skip + 1 && !period)
-    period = std::strtoull(positional[skip + 1].c_str(), nullptr, 10);
+    period = tools::cli_count(positional[skip + 1].c_str(), "period", 1);
   if (positional.size() > skip + 2 && !min_alloc)
-    min_alloc = std::strtoull(positional[skip + 2].c_str(), nullptr, 10);
+    min_alloc = tools::cli_count(positional[skip + 2].c_str(), "min-alloc");
   const std::string trace_out = positional[skip];
 
   std::string app_error;

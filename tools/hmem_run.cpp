@@ -207,17 +207,11 @@ int main(int argc, char** argv) {
       if (!machine) return 2;
       node = *machine;
     } else if (std::strcmp(argv[i], "--ranks") == 0) {
-      ranks = std::atoi(tools::cli_value(argc, argv, i, "--ranks"));
-      if (ranks < 1) {
-        std::fprintf(stderr, "--ranks must be >= 1\n");
-        return 2;
-      }
+      ranks = tools::cli_int(tools::cli_value(argc, argv, i, "--ranks"),
+                             "--ranks", 1);
     } else if (std::strcmp(argv[i], "--jobs") == 0) {
-      jobs = std::atoi(tools::cli_value(argc, argv, i, "--jobs"));
-      if (jobs < 1) {
-        std::fprintf(stderr, "--jobs must be >= 1\n");
-        return 2;
-      }
+      jobs = tools::cli_int(tools::cli_value(argc, argv, i, "--jobs"),
+                            "--jobs", 1);
     } else if (std::strcmp(argv[i], "--kernel") == 0) {
       const auto k = engine::kernel::parse_kernel(
           tools::cli_value(argc, argv, i, "--kernel"));

@@ -44,6 +44,7 @@
 // run over the same grid.
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -236,8 +237,10 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(arg, "--sweep-config") == 0) {
       sweep_config = tools::cli_value(argc, argv, i, arg);
     } else if (std::strcmp(arg, "--jobs") == 0) {
-      jobs = std::atoi(tools::cli_value(argc, argv, i, arg));
-      if (jobs < 1) jobs = 1;
+      // 0 means serial, like 1.
+      jobs = std::max(tools::cli_int(tools::cli_value(argc, argv, i, arg),
+                                     arg, 0),
+                      1);
     } else if (std::strcmp(arg, "--shards") == 0) {
       const char* value = tools::cli_value(argc, argv, i, arg);
       int index = 0;

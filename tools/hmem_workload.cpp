@@ -1,9 +1,9 @@
 // hmem_workload — the app-config DSL's companion tool.
 //
-// The bundled workloads ship both as C++ tables (apps/workloads.cpp) and as
-// INI configs (configs/apps/*.ini); this tool converts between the two and
-// validates hand-written configs, so the shipped files are generated — not
-// hand-copied — and a config error is caught before a long profile run.
+// The bundled workloads are defined once, as configs/apps/*.ini embedded
+// into the library; this tool lists them, prints any app as canonical INI
+// (a starting point for a new scenario), and validates hand-written
+// configs, so a config error is caught before a long profile run.
 //
 //   usage: hmem_workload <command> [args]
 //     list               bundled app names, one per line
@@ -11,39 +11,22 @@
 //                        file — dumping a file canonicalises it) to stdout
 //     check <app.ini>    parse + validate a config; prints a one-line
 //                        summary, exits 2 with the offending key on error
-//     dump-all <dir>     write <dir>/<name>.ini for every bundled app
-//                        (regenerates configs/apps/); files are written
-//                        atomically (temp + fsync + rename)
 //
-// Exit codes: 0 success, 2 usage/config error, 3 data or I/O error.
+// Exit codes: 0 success, 2 usage/config error.
 #include <cstdio>
-#include <cstring>
-#include <fstream>
+#include <cstdlib>
 #include <string>
-#include <vector>
 
 #include "apps/app_config.hpp"
 #include "apps/workloads.hpp"
-#include "common/atomic_file.hpp"
-#include "common/error.hpp"
 #include "common/units.hpp"
 
 namespace {
 
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s list | dump <app> | check <app.ini> | "
-               "dump-all <dir>\n",
-               argv0);
+               "usage: %s list | dump <app> | check <app.ini>\n", argv0);
   std::exit(2);
-}
-
-std::vector<hmem::apps::AppSpec> bundled() {
-  auto apps = hmem::apps::all_apps();
-  for (auto& app : hmem::apps::phase_shift_apps()) {
-    apps.push_back(std::move(app));
-  }
-  return apps;
 }
 
 }  // namespace
@@ -55,7 +38,10 @@ int main(int argc, char** argv) {
 
   if (command == "list") {
     if (argc != 2) usage(argv[0]);
-    for (const auto& app : bundled()) std::printf("%s\n", app.name.c_str());
+    for (const auto& app : apps::all_apps())
+      std::printf("%s\n", app.name.c_str());
+    for (const auto& app : apps::phase_shift_apps())
+      std::printf("%s\n", app.name.c_str());
     return 0;
   }
 
@@ -84,24 +70,6 @@ int main(int argc, char** argv) {
                 app->phases.size(),
                 format_bytes(app->total_footprint()).c_str());
     return 0;
-  }
-
-  if (command == "dump-all") {
-    if (argc != 3) usage(argv[0]);
-    const std::string dir = argv[2];
-    for (const auto& app : bundled()) {
-      const std::string path = dir + "/" + app.name + ".ini";
-      try {
-        AtomicFile out(path);
-        out.stream() << apps::to_config_text(app);
-        out.commit();
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
-        return exit_code_for(e);
-      }
-      std::fprintf(stderr, "wrote %s\n", path.c_str());
-    }
-    return kExitOk;
   }
 
   usage(argv[0]);
