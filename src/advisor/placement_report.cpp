@@ -48,6 +48,16 @@ std::uint64_t parse_u64_value(const std::string& value,
   return v;
 }
 
+void put_count(std::string& key, std::uint64_t value) {
+  key += std::to_string(value);
+  key += ';';
+}
+
+void put_text(std::string& key, const std::string& text) {
+  put_count(key, text.size());
+  key += text;
+}
+
 }  // namespace
 
 std::string write_placement_report(const Placement& placement) {
@@ -138,6 +148,30 @@ Placement read_placement_report(const std::string& text) {
   if (placement.tiers.empty())
     throw FormatError("placement report contains no tiers");
   return placement;
+}
+
+std::string runtime_key(const Placement& placement) {
+  std::string key;
+  put_count(key, placement.tiers.size());
+  put_count(key, placement.enforced_fast_budget_bytes);
+  put_count(key, placement.lb_size);
+  put_count(key, placement.ub_size);
+  for (std::size_t t = 0; t < placement.tiers.size(); ++t) {
+    const TierPlacement& tier = placement.tiers[t];
+    put_count(key, tier.budget_bytes);
+    // The last tier is the fallback: its objects are never matched.
+    if (t + 1 == placement.tiers.size()) break;
+    put_count(key, tier.objects.size());
+    for (const ObjectInfo& obj : tier.objects) {
+      put_count(key, obj.stack.frames.size());
+      for (const callstack::CodeLocation& frame : obj.stack.frames) {
+        put_text(key, frame.module);
+        put_text(key, frame.function);
+        put_count(key, frame.line);
+      }
+    }
+  }
+  return key;
 }
 
 }  // namespace hmem::advisor

@@ -33,4 +33,15 @@ std::string write_placement_report(const Placement& placement);
 /// std::runtime_error on malformed input.
 Placement read_placement_report(const std::string& text);
 
+/// Serialises exactly the fields of `placement` that auto-hbwmalloc
+/// (runtime/auto_hbwmalloc.cpp) reads: the tier count, every tier's
+/// budget, the call stacks of every non-fallback tier in list order (the
+/// first match wins), the enforced fast budget, and the lb/ub size filter.
+/// Strategy, threshold, static recommendations, tier and object names,
+/// miss counts and object sizes are left out: the runtime never reads
+/// them. Two placements with equal keys therefore drive the runtime — and,
+/// with every other run input fixed, a whole production run — identically.
+/// The encoding is length-prefixed, so distinct inputs never collide.
+std::string runtime_key(const Placement& placement);
+
 }  // namespace hmem::advisor

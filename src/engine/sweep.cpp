@@ -1,14 +1,19 @@
 #include "engine/sweep.hpp"
 
+#include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <mutex>
+#include <unordered_map>
 
+#include "advisor/placement_report.hpp"
 #include "advisor/schedule_report.hpp"
 #include "common/arena.hpp"
 #include "common/assert.hpp"
+#include "common/fault.hpp"
 #include "common/parallel.hpp"
 
 namespace hmem::engine {
@@ -36,11 +41,41 @@ std::vector<std::uint64_t> budgets_of(const SweepSpec& spec,
   return spec.budgets_for ? spec.budgets_for(app) : default_budgets(app);
 }
 
+// Whole-field store value parsers: trailing text means a damaged record.
+bool parse_real(const std::string& field, double& out) {
+  if (field.empty() || std::isspace(static_cast<unsigned char>(field[0]))) {
+    return false;
+  }
+  char* end = nullptr;
+  out = std::strtod(field.c_str(), &end);
+  return *end == '\0';
+}
+
+bool parse_count(const std::string& field, std::uint64_t& out) {
+  if (field.empty() || field[0] < '0' || field[0] > '9') return false;
+  char* end = nullptr;
+  errno = 0;
+  out = std::strtoull(field.c_str(), &end, 10);
+  return errno == 0 && *end == '\0';
+}
+
 }  // namespace
 
 struct SweepEngine::ProfileEntry {
   std::once_flag once;
   analysis::AggregateResult report;
+};
+
+// Keyed by advisor::runtime_key. The rest of a static run's input — app,
+// machine, production seed, runtime options and kernel — is fixed per
+// engine and per (app, machine), which is this memo's scope.
+struct SweepEngine::RunMemo {
+  struct Entry {
+    std::once_flag once;
+    StaticRun run;
+  };
+  std::mutex mutex;  ///< guards the map only; runs happen outside it
+  std::unordered_map<std::string, std::unique_ptr<Entry>> entries;
 };
 
 SweepEngine::SweepEngine(SweepSpec spec) : spec_(std::move(spec)) {
@@ -104,6 +139,8 @@ SweepEngine::SweepEngine(SweepSpec spec) : spec_(std::move(spec)) {
 
   profiles_.resize(spec_.apps.size() * spec_.machines.size());
   for (auto& entry : profiles_) entry = std::make_unique<ProfileEntry>();
+  run_memos_.resize(profiles_.size());
+  for (auto& memo : run_memos_) memo = std::make_unique<RunMemo>();
 }
 
 SweepEngine::~SweepEngine() = default;
@@ -146,6 +183,46 @@ const analysis::AggregateResult& SweepEngine::profile_for(std::size_t app,
   return entry.report;
 }
 
+SweepEngine::StaticRun SweepEngine::static_run(
+    const SweepCell& cell, const advisor::Placement& placement, Arena* arena) {
+  const auto simulate = [&] {
+    RunOptions opts;
+    opts.condition = Condition::kFramework;
+    opts.placement = &placement;
+    opts.runtime_options = spec_.base.runtime_options;
+    opts.seed = spec_.base.production_seed;
+    opts.node = spec_.machines[cell.machine];
+    opts.kernel = spec_.base.kernel;
+    opts.scratch = arena;
+    const RunResult r = run_app(spec_.apps[cell.app], opts);
+    return StaticRun{r.fom, r.fast_hwm_bytes,
+                     r.autohbw.has_value() && r.autohbw->any_overflow};
+  };
+  // An armed alloc schedule makes a run depend on the global fault hit
+  // index, so a faulted result belongs to its cell alone.
+  if (fault::armed()) return simulate();
+
+  RunMemo& memo = *run_memos_[cell.app * spec_.machines.size() + cell.machine];
+  std::string key = advisor::runtime_key(placement);
+  RunMemo::Entry* entry = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(memo.mutex);
+    std::unique_ptr<RunMemo::Entry>& slot = memo.entries[std::move(key)];
+    if (!slot) slot = std::make_unique<RunMemo::Entry>();
+    entry = slot.get();
+  }
+  // A throwing run leaves the flag unset: the next cell with this key
+  // simulates (and throws) again, exactly as without the memo.
+  bool computed_here = false;
+  std::call_once(entry->once, [&] {
+    entry->run = simulate();
+    computed_here = true;
+  });
+  (computed_here ? run_memo_misses_ : run_memo_hits_)
+      .fetch_add(1, std::memory_order_relaxed);
+  return entry->run;
+}
+
 SweepCellResult SweepEngine::run_cell(const SweepCell& cell, Arena* arena) {
   const apps::AppSpec& app = spec_.apps[cell.app];
   const memsim::MachineConfig& node = spec_.machines[cell.machine];
@@ -179,19 +256,10 @@ SweepCellResult SweepEngine::run_cell(const SweepCell& cell, Arena* arena) {
       const advisor::Placement placement = adv.advise(report.objects);
       const std::string text = advisor::write_placement_report(placement);
       const advisor::Placement parsed = advisor::read_placement_report(text);
-
-      RunOptions opts;
-      opts.condition = Condition::kFramework;
-      opts.placement = &parsed;
-      opts.runtime_options = spec_.base.runtime_options;
-      opts.seed = spec_.base.production_seed;
-      opts.node = node;
-      opts.kernel = spec_.base.kernel;
-      opts.scratch = arena;
-      const RunResult r = run_app(app, opts);
+      const StaticRun r = static_run(cell, parsed, arena);
       result.fom = r.fom;
       result.fast_hwm_bytes = r.fast_hwm_bytes;
-      result.any_overflow = r.autohbw.has_value() && r.autohbw->any_overflow;
+      result.any_overflow = r.any_overflow;
       break;
     }
     case CellKind::kDynamic: {
@@ -206,16 +274,7 @@ SweepCellResult SweepEngine::run_cell(const SweepCell& cell, Arena* arena) {
       const advisor::Placement placement = adv.advise(report.objects);
       const std::string text = advisor::write_placement_report(placement);
       const advisor::Placement parsed = advisor::read_placement_report(text);
-
-      RunOptions static_opts;
-      static_opts.condition = Condition::kFramework;
-      static_opts.placement = &parsed;
-      static_opts.runtime_options = spec_.base.runtime_options;
-      static_opts.seed = spec_.base.production_seed;
-      static_opts.node = node;
-      static_opts.kernel = spec_.base.kernel;
-      static_opts.scratch = arena;
-      const RunResult static_run = run_app(app, static_opts);
+      const double static_fom = static_run(cell, parsed, arena).fom;
 
       advisor::PhaseAdvisor phase_adv(spec, spec_.base.advisor);
       const advisor::PlacementSchedule schedule =
@@ -237,7 +296,7 @@ SweepCellResult SweepEngine::run_cell(const SweepCell& cell, Arena* arena) {
 
       result.fom = dynamic_run.fom;
       result.fast_hwm_bytes = dynamic_run.fast_hwm_bytes;
-      result.static_fom = static_run.fom;
+      result.static_fom = static_fom;
       result.phases = schedule.phases.size();
       result.migration_bytes = dynamic_run.migration_bytes;
       result.migration_cost_s = dynamic_run.migration_cost_s;
@@ -332,6 +391,8 @@ std::vector<SweepOutcome> SweepEngine::run(SweepStore* store, bool resume) {
   stats_.cells_resumed = resumed;
   stats_.profile_hits = profile_hits_.load(std::memory_order_relaxed);
   stats_.profile_misses = profile_misses_.load(std::memory_order_relaxed);
+  stats_.run_memo_hits = run_memo_hits_.load(std::memory_order_relaxed);
+  stats_.run_memo_misses = run_memo_misses_.load(std::memory_order_relaxed);
   stats_.arena_peak_cell_bytes =
       std::max(stats_.arena_peak_cell_bytes, arena_peak_cell);
   stats_.arena_reserved_bytes =
@@ -392,14 +453,19 @@ bool parse_sweep_result(const std::string& value, SweepCellResult& result) {
     }
   }
   if (parts.size() != 7) return false;
-  char* end = nullptr;
-  result.fom = std::strtod(parts[0].c_str(), &end);
-  result.fast_hwm_bytes = std::strtoull(parts[1].c_str(), &end, 10);
-  result.any_overflow = parts[2] == "1";
-  result.static_fom = std::strtod(parts[3].c_str(), &end);
-  result.phases = std::strtoull(parts[4].c_str(), &end, 10);
-  result.migration_bytes = std::strtoull(parts[5].c_str(), &end, 10);
-  result.migration_cost_s = std::strtod(parts[6].c_str(), &end);
+  if (parts[2] != "0" && parts[2] != "1") return false;
+  SweepCellResult r;
+  r.any_overflow = parts[2] == "1";
+  std::uint64_t phases = 0;
+  if (!parse_real(parts[0], r.fom) ||
+      !parse_count(parts[1], r.fast_hwm_bytes) ||
+      !parse_real(parts[3], r.static_fom) || !parse_count(parts[4], phases) ||
+      !parse_count(parts[5], r.migration_bytes) ||
+      !parse_real(parts[6], r.migration_cost_s)) {
+    return false;
+  }
+  r.phases = static_cast<std::size_t>(phases);
+  result = r;
   return true;
 }
 

@@ -3,19 +3,25 @@
 // The paper's evaluation is a grid — apps × machines × budgets ×
 // conditions/strategies — and every cell is an independent simulation. This
 // engine enumerates the grid deterministically and executes it on the
-// work-queue thread pool with three layers the per-row Fig4Runner lacked:
+// work-queue thread pool with four layers the per-row Fig4Runner lacked:
 //
 //  1. Shared immutable state. App specs and machine presets live in the
 //     SweepSpec; each (app, machine) pair's stage-1 profile is computed at
 //     most once (std::call_once) and reused by every budget/strategy cell.
 //     Each cell compiles its own kernel programs: compilation is ~1.5% of a
 //     run, too little for a cross-cell program cache to pay.
-//  2. Per-cell arenas. Each worker owns a bump Arena (common/arena.hpp)
+//  2. A run memo per (app, machine). Many strategy/budget cells advise the
+//     same placement; a static production run is a pure function of what
+//     auto-hbwmalloc reads of it (advisor::runtime_key), so each distinct
+//     key is simulated once (std::call_once) and every framework cell and
+//     dynamic static leg with that key reuses its (fom, fast_hwm,
+//     overflow). Bypassed while a fault schedule is armed.
+//  3. Per-cell arenas. Each worker owns a bump Arena (common/arena.hpp)
 //     threaded into RunOptions::scratch and reset between cells, so
 //     steady-state sweeping does no global-allocator traffic for the
 //     engine's scratch state. Cells are bit-identical to the non-arena
 //     path (tests/test_sweep.cpp asserts it on every bundled workload).
-//  3. Multi-process sharding. shard_index/shard_count partition the cell
+//  4. Multi-process sharding. shard_index/shard_count partition the cell
 //     space by index modulo; each process appends its shard's results to
 //     its own SweepStore, and merge_sweep_stores combines the shard stores
 //     into one file byte-identical to an unsharded run's store.
@@ -124,6 +130,11 @@ struct SweepStats {
   /// hit reuses it. Counted once per framework/dynamic cell.
   std::uint64_t profile_hits = 0;
   std::uint64_t profile_misses = 0;
+  /// Static production runs: a miss simulates a distinct runtime input, a
+  /// hit reuses the memoised result. Counted once per framework/dynamic
+  /// cell; nothing is counted while a fault schedule bypasses the memo.
+  std::uint64_t run_memo_hits = 0;
+  std::uint64_t run_memo_misses = 0;
   /// Always zero (there is no program cache); kept for existing readers.
   std::uint64_t program_hits = 0;
   std::uint64_t program_misses = 0;
@@ -135,9 +146,17 @@ struct SweepStats {
   double cells_per_second = 0;  ///< computed cells / wall_seconds
 
   double profile_hit_rate() const {
+    return hit_rate(profile_hits, profile_misses);
+  }
+  double run_memo_hit_rate() const {
+    return hit_rate(run_memo_hits, run_memo_misses);
+  }
+
+ private:
+  static double hit_rate(std::uint64_t hits, std::uint64_t misses) {
     const double total =
-        static_cast<double>(profile_hits) + static_cast<double>(profile_misses);
-    return total > 0 ? static_cast<double>(profile_hits) / total : 0.0;
+        static_cast<double>(hits) + static_cast<double>(misses);
+    return total > 0 ? static_cast<double>(hits) / total : 0.0;
   }
 };
 
@@ -157,8 +176,9 @@ class SweepEngine {
   /// every computed cell is durably appended in enumeration order; with
   /// resume, cells already in the store are loaded instead of re-run.
   /// Outcomes cover the full grid; cells outside this shard (and not
-  /// resumed) come back empty. Shared stage-1 profiles survive across
-  /// run() calls, so a second run on the same engine reuses them all.
+  /// resumed) come back empty. Shared stage-1 profiles and the run memo
+  /// survive across run() calls, so a second run on the same engine reuses
+  /// them all.
   std::vector<SweepOutcome> run(SweepStore* store = nullptr,
                                 bool resume = false);
 
@@ -170,17 +190,32 @@ class SweepEngine {
 
  private:
   struct ProfileEntry;
+  struct RunMemo;
+  /// What a cell keeps of a static framework run. Plain values only: the
+  /// memo outlives the worker arena the run allocated from.
+  struct StaticRun {
+    double fom = 0;
+    std::uint64_t fast_hwm_bytes = 0;
+    bool any_overflow = false;
+  };
 
   const analysis::AggregateResult& profile_for(std::size_t app,
                                                std::size_t machine,
                                                bool count_reuse);
+  /// The kFramework production run of `placement` on the cell's (app,
+  /// machine), served from the run memo when its runtime key repeats.
+  StaticRun static_run(const SweepCell& cell,
+                       const advisor::Placement& placement, Arena* arena);
   SweepCellResult run_cell(const SweepCell& cell, Arena* arena);
 
   SweepSpec spec_;
   std::vector<SweepCell> cells_;
   std::vector<std::unique_ptr<ProfileEntry>> profiles_;
+  std::vector<std::unique_ptr<RunMemo>> run_memos_;  ///< parallel to profiles_
   std::atomic<std::uint64_t> profile_hits_{0};
   std::atomic<std::uint64_t> profile_misses_{0};
+  std::atomic<std::uint64_t> run_memo_hits_{0};
+  std::atomic<std::uint64_t> run_memo_misses_{0};
   SweepStats stats_;
 };
 

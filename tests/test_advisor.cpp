@@ -2,7 +2,9 @@
 // multi-tier cascade, and the placement-report round trip.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <stdexcept>
+#include <utility>
 
 #include "advisor/advisor.hpp"
 #include "advisor/knapsack.hpp"
@@ -405,6 +407,98 @@ TEST(PlacementReport, MalformedInputsThrow) {
   EXPECT_THROW(
       read_placement_report("[tier x budget=100]\nname | z | 2 | app.x!f:1\n"),
       std::runtime_error);
+}
+
+// runtime_key holds exactly what auto-hbwmalloc reads: every field it
+// reads moves the key, every field it ignores leaves the key alone.
+TEST(PlacementReport, RuntimeKeyCoversExactlyWhatTheRuntimeReads) {
+  Placement base;
+  base.tiers.resize(3);
+  base.tiers[0].tier_name = "hbm";
+  base.tiers[0].budget_bytes = 1 << 20;
+  base.tiers[0].objects = {obj("a", 4096, 10), obj("b", 8192, 20)};
+  base.tiers[1].tier_name = "ddr";
+  base.tiers[1].budget_bytes = 1 << 24;
+  base.tiers[1].objects = {obj("c", 4096, 5)};
+  base.tiers[2].tier_name = "pmem";
+  base.tiers[2].budget_bytes = 1 << 30;
+  base.tiers[2].objects = {obj("d", 4096, 1)};
+  base.static_recommendations = {obj("s", 777, 5000, false)};
+  base.lb_size = 4096;
+  base.ub_size = 8192;
+  base.enforced_fast_budget_bytes = 1 << 19;
+  base.strategy = Strategy::kMisses;
+  base.threshold_pct = 1.0;
+  const std::string key = runtime_key(base);
+  EXPECT_EQ(runtime_key(read_placement_report(write_placement_report(base))),
+            key);
+
+  const std::vector<std::pair<const char*, std::function<void(Placement&)>>>
+      read = {
+          {"tier count", [](Placement& p) { p.tiers.pop_back(); }},
+          {"fast budget", [](Placement& p) { p.tiers[0].budget_bytes += 1; }},
+          {"middle budget",
+           [](Placement& p) { p.tiers[1].budget_bytes += 1; }},
+          {"fallback budget",
+           [](Placement& p) { p.tiers[2].budget_bytes += 1; }},
+          {"object added",
+           [](Placement& p) { p.tiers[1].objects.push_back(obj("e", 1, 1)); }},
+          {"object order",
+           [](Placement& p) {
+             std::swap(p.tiers[0].objects[0], p.tiers[0].objects[1]);
+           }},
+          {"object moved to another tier",
+           [](Placement& p) {
+             p.tiers[1].objects.push_back(p.tiers[0].objects.back());
+             p.tiers[0].objects.pop_back();
+           }},
+          {"frame module",
+           [](Placement& p) {
+             p.tiers[0].objects[0].stack.frames[0].module += "_";
+           }},
+          {"frame function",
+           [](Placement& p) {
+             p.tiers[0].objects[0].stack.frames[0].function += "_";
+           }},
+          {"frame line",
+           [](Placement& p) { p.tiers[1].objects[0].stack.frames[0].line = 9; }},
+          {"frame depth",
+           [](Placement& p) {
+             p.tiers[0].objects[0].stack.frames.push_back(
+                 p.tiers[0].objects[0].stack.frames[0]);
+           }},
+          {"enforced fast budget",
+           [](Placement& p) { p.enforced_fast_budget_bytes += 1; }},
+          {"lb_size", [](Placement& p) { p.lb_size += 1; }},
+          {"ub_size", [](Placement& p) { p.ub_size += 1; }},
+      };
+  for (const auto& [what, mutate] : read) {
+    Placement p = base;
+    mutate(p);
+    EXPECT_NE(runtime_key(p), key) << what;
+  }
+
+  const std::vector<std::pair<const char*, std::function<void(Placement&)>>>
+      ignored = {
+          {"strategy", [](Placement& p) { p.strategy = Strategy::kDensity; }},
+          {"threshold_pct", [](Placement& p) { p.threshold_pct = 5.0; }},
+          {"static recommendations",
+           [](Placement& p) { p.static_recommendations.clear(); }},
+          {"tier name", [](Placement& p) { p.tiers[0].tier_name += "_"; }},
+          {"object name",
+           [](Placement& p) { p.tiers[0].objects[0].name += "_"; }},
+          {"llc misses",
+           [](Placement& p) { p.tiers[0].objects[0].llc_misses = 1; }},
+          {"max size",
+           [](Placement& p) { p.tiers[1].objects[0].max_size_bytes = 1; }},
+          {"fallback tier objects",
+           [](Placement& p) { p.tiers[2].objects.clear(); }},
+      };
+  for (const auto& [what, mutate] : ignored) {
+    Placement p = base;
+    mutate(p);
+    EXPECT_EQ(runtime_key(p), key) << what;
+  }
 }
 
 TEST(PlacementReport, IsHumanReadable) {

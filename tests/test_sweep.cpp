@@ -5,8 +5,10 @@
 //  * bit-identity — arena-backed cells reproduce the plain-allocator path
 //    exactly, on every bundled workload (allocator choice can move bytes,
 //    never change them);
-//  * shared state — stage-1 profiles computed once per (app, machine) and
-//    warm engine runs identical to cold ones that reuse every profile;
+//  * shared state — stage-1 profiles computed once per (app, machine),
+//    a run memo whose reused static runs equal direct runs bit for bit
+//    (and stands aside under fault injection), and warm engine runs
+//    identical to cold ones that reuse every profile and memoised run;
 //  * sharding — disjoint/complete cell partition, and a 2-shard merged
 //    store byte-identical to the unsharded store, including after a torn
 //    shard tail is resumed;
@@ -22,8 +24,10 @@
 #include <vector>
 
 #include "analysis/aggregator.hpp"
+#include "advisor/placement_report.hpp"
 #include "apps/workloads.hpp"
 #include "common/arena.hpp"
+#include "common/fault.hpp"
 #include "common/units.hpp"
 #include "engine/pipeline.hpp"
 #include "engine/sweep.hpp"
@@ -229,6 +233,10 @@ TEST(Sweep, ResultSerializationRoundTripsExactly) {
   EXPECT_EQ(parsed.migration_cost_s, r.migration_cost_s);
   engine::SweepCellResult bad;
   EXPECT_FALSE(engine::parse_sweep_result("1|2|3", bad));
+  // A damaged field fails the parse (and the cell is recomputed) instead
+  // of resuming whatever prefix strtod/strtoull could read.
+  EXPECT_FALSE(engine::parse_sweep_result("abc|1|0|0|0|0|0", bad));
+  EXPECT_FALSE(engine::parse_sweep_result("1.5x|2|7|0|0|0|0", bad));
 }
 
 // The heart of the arena contract: for every bundled workload, a run whose
@@ -291,11 +299,73 @@ TEST(Sweep, WarmEngineRunReusesProfilesAndIsIdentical) {
 
   const auto warm = engine.run();
   const engine::SweepStats warm_stats = engine.stats();
-  // Profiles survive across run() calls: the second pass computes no new
-  // profiles and reuses one for every framework/dynamic cell.
+  // Profiles and the run memo survive across run() calls: the second pass
+  // computes no new profiles and no new static runs.
   EXPECT_EQ(warm_stats.profile_misses, 4u);
   EXPECT_GT(warm_stats.profile_hits, cold_stats.profile_hits);
+  EXPECT_EQ(warm_stats.run_memo_misses, cold_stats.run_memo_misses);
+  EXPECT_GT(warm_stats.run_memo_hits, cold_stats.run_memo_hits);
   expect_same_outcomes(cold, warm);
+}
+
+// The run memo serves repeated runtime inputs: every framework result and
+// dynamic static leg equals an independent run_app on the cell's parsed
+// placement, bit for bit.
+TEST(Sweep, RunMemoMatchesDirectRuns) {
+  engine::SweepEngine engine(small_grid());
+  const auto outcomes = engine.run();
+  const engine::SweepSpec& spec = engine.spec();
+  std::uint64_t memo_cells = 0;
+  for (const engine::SweepOutcome& outcome : outcomes) {
+    const engine::SweepCell& cell = outcome.cell;
+    if (cell.kind == engine::CellKind::kBaseline) continue;
+    ++memo_cells;
+    SCOPED_TRACE(engine::sweep_cell_key(spec, cell));
+    const apps::AppSpec& app = spec.apps[cell.app];
+    const memsim::MachineConfig& node = spec.machines[cell.machine];
+    const advisor::Options options =
+        cell.kind == engine::CellKind::kFramework
+            ? spec.strategies[cell.strategy].options
+            : spec.base.advisor;
+    const advisor::HmemAdvisor adv(
+        engine::machine_memory_spec(node, cell.budget_bytes, app.ranks),
+        options);
+    const advisor::Placement placement = advisor::read_placement_report(
+        advisor::write_placement_report(adv.advise(
+            engine.profile_report(cell.app, cell.machine).objects)));
+    engine::RunOptions opts;
+    opts.condition = engine::Condition::kFramework;
+    opts.placement = &placement;
+    opts.runtime_options = spec.base.runtime_options;
+    opts.seed = spec.base.production_seed;
+    opts.node = node;
+    opts.kernel = spec.base.kernel;
+    const engine::RunResult direct = engine::run_app(app, opts);
+    if (cell.kind == engine::CellKind::kFramework) {
+      EXPECT_EQ(outcome.result.fom, direct.fom);
+      EXPECT_EQ(outcome.result.fast_hwm_bytes, direct.fast_hwm_bytes);
+      EXPECT_EQ(outcome.result.any_overflow,
+                direct.autohbw.has_value() && direct.autohbw->any_overflow);
+    } else {
+      EXPECT_EQ(outcome.result.static_fom, direct.fom);
+    }
+  }
+  const engine::SweepStats& stats = engine.stats();
+  EXPECT_GT(stats.run_memo_hits, 0u);
+  EXPECT_EQ(stats.run_memo_hits + stats.run_memo_misses, memo_cells);
+}
+
+// An armed fault schedule makes a run depend on the global hit index, so
+// the memo stands aside: no cell reuses another's faulted result.
+TEST(Sweep, RunMemoIsBypassedUnderFaults) {
+  struct Disarm {
+    ~Disarm() { fault::disarm(); }
+  } disarm_on_exit;
+  ASSERT_EQ(fault::configure("alloc:p=0.1,seed=1"), "");
+  engine::SweepEngine engine(small_grid());
+  engine.run();
+  EXPECT_EQ(engine.stats().run_memo_hits, 0u);
+  EXPECT_EQ(engine.stats().cells_computed, 48u);
 }
 
 TEST(Sweep, JobsDoNotChangeOutcomes) {

@@ -1,7 +1,7 @@
 // hmem_sweep — fleet-scale evaluation sweeps over the (app x machine x
 // budget x condition/strategy) grid, on top of the sweep engine
-// (engine/sweep.hpp): shared stage-1 profiles, a process-wide compiled
-// kernel cache, per-cell arena scratch, resumable checkpoint stores and
+// (engine/sweep.hpp): shared stage-1 profiles, a memo of distinct static
+// production runs, per-cell arena scratch, resumable checkpoint stores and
 // deterministic multi-process sharding.
 //
 //   usage: hmem_sweep [options]
@@ -30,8 +30,8 @@
 //     --out results.csv     write the cell CSV to a file (atomic) instead
 //                           of only stdout
 //     --bench-out f.json    write sweep throughput metrics (cells/sec,
-//                           per-cell peak scratch, cache hit rates, peak
-//                           RSS) as JSON
+//                           per-cell peak scratch, profile and run-memo
+//                           hit rates, peak RSS, cores) as JSON
 //     --faults spec         fault-injection schedule (overrides
 //                           HMEM_FAULTS)
 //     --merge out.dat --stores a.dat,b.dat,...
@@ -52,6 +52,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "apps/workloads.hpp"
@@ -408,7 +409,8 @@ int main(int argc, char** argv) {
   }
   std::printf(
       " — computed %zu, resumed %zu in %.2fs (%.2f cells/s)\n"
-      "caches: profile %llu/%llu hits (%.0f%%)\n"
+      "caches: profile %llu/%llu hits (%.0f%%), run memo %llu/%llu hits "
+      "(%.0f%%)\n"
       "memory: peak cell scratch %s, arena reserved %s, peak RSS %s\n",
       stats.cells_computed, stats.cells_resumed, stats.wall_seconds,
       stats.cells_per_second,
@@ -416,6 +418,10 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(stats.profile_hits +
                                       stats.profile_misses),
       100.0 * stats.profile_hit_rate(),
+      static_cast<unsigned long long>(stats.run_memo_hits),
+      static_cast<unsigned long long>(stats.run_memo_hits +
+                                      stats.run_memo_misses),
+      100.0 * stats.run_memo_hit_rate(),
       format_bytes(stats.arena_peak_cell_bytes).c_str(),
       format_bytes(stats.arena_reserved_bytes).c_str(),
       format_bytes(peak_rss_bytes()).c_str());
@@ -475,10 +481,14 @@ int main(int argc, char** argv) {
         "  \"profile_hits\": %llu,\n"
         "  \"profile_misses\": %llu,\n"
         "  \"profile_hit_rate\": %.6f,\n"
+        "  \"run_memo_hits\": %llu,\n"
+        "  \"run_memo_misses\": %llu,\n"
+        "  \"run_memo_hit_rate\": %.6f,\n"
         "  \"arena_peak_cell_bytes\": %zu,\n"
         "  \"arena_reserved_bytes\": %zu,\n"
         "  \"peak_rss_bytes\": %zu,\n"
         "  \"jobs\": %d,\n"
+        "  \"cores\": %u,\n"
         "  \"kernel\": \"%s\",\n"
         "  \"smoke\": %s\n"
         "}\n",
@@ -486,9 +496,13 @@ int main(int argc, char** argv) {
         stats.cells_resumed, stats.wall_seconds, stats.cells_per_second,
         static_cast<unsigned long long>(stats.profile_hits),
         static_cast<unsigned long long>(stats.profile_misses),
-        stats.profile_hit_rate(), stats.arena_peak_cell_bytes,
-        stats.arena_reserved_bytes,
-        peak_rss_bytes(), jobs, engine::kernel::kernel_name(kernel),
+        stats.profile_hit_rate(),
+        static_cast<unsigned long long>(stats.run_memo_hits),
+        static_cast<unsigned long long>(stats.run_memo_misses),
+        stats.run_memo_hit_rate(), stats.arena_peak_cell_bytes,
+        stats.arena_reserved_bytes, peak_rss_bytes(), jobs,
+        std::thread::hardware_concurrency(),
+        engine::kernel::kernel_name(kernel),
         smoke ? "true" : "false");
     std::string error;
     if (!write_file_atomic(bench_out, buf, &error)) {
