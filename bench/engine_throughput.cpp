@@ -170,7 +170,7 @@ int main(int argc, char** argv) {
 
   const bool native = engine::kernel::native_available();
   const KernelKind selected =
-      engine::kernel::resolve_kernel(requested, /*cache_mode=*/false);
+      engine::kernel::select_kernel(requested, /*cache_mode=*/false);
   std::vector<KernelKind> kernels = {KernelKind::kInterp,
                                      KernelKind::kBytecode};
   if (native) kernels.push_back(KernelKind::kNative);

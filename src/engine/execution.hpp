@@ -117,7 +117,8 @@ struct RunOptions {
   /// kernels are bit-identical on every RunResult field and, in profiled
   /// runs, every trace byte; the request is resolved through the fallback
   /// ladder in engine/kernel/kernel.hpp (cache mode -> interp, missing
-  /// native support -> bytecode). kAuto consults HMEM_KERNEL, then bytecode.
+  /// native support -> bytecode). kAuto consults HMEM_KERNEL, then picks
+  /// native when its self-test passed, else bytecode.
   kernel::KernelKind kernel = kernel::KernelKind::kAuto;
 
   /// Memory resource backing the run's scratch state: the simulated tier

@@ -166,6 +166,7 @@ struct Frame {
   MissRecord* miss_out = nullptr;
   std::uint64_t scratch = 0;        ///< native spill slot
   std::uint64_t draw = 0;           ///< native spill slot (profiled draw)
+  std::uint64_t next_block = 0;     ///< native: next access's block entry
   // LLC geometry + way state (memsim::Cache::Tables, flattened).
   memsim::Address* tags = nullptr;   ///< sets * ways
   std::uint64_t* order = nullptr;    ///< recency word per set

@@ -31,10 +31,12 @@ std::optional<KernelKind> parse_kernel(const std::string& name) {
 
 std::string kernel_list() { return "interp, bytecode, native, auto"; }
 
-KernelKind resolve_kernel(KernelKind requested, bool cache_mode) {
+KernelKind select_kernel(KernelKind requested, bool cache_mode) {
   KernelKind kind = requested;
   if (kind == KernelKind::kAuto) {
-    kind = KernelKind::kBytecode;
+    // The fastest rung the host supports; the ladder below drops to
+    // bytecode when the native self-test did not pass.
+    kind = KernelKind::kNative;
     if (const char* env = std::getenv("HMEM_KERNEL")) {
       // An unknown value keeps the default: the env var is a convenience
       // override, and a typo should not abort an otherwise valid run.
@@ -49,6 +51,11 @@ KernelKind resolve_kernel(KernelKind requested, bool cache_mode) {
   if (kind == KernelKind::kNative && !native_available()) {
     kind = KernelKind::kBytecode;
   }
+  return kind;
+}
+
+KernelKind resolve_kernel(KernelKind requested, bool cache_mode) {
+  KernelKind kind = select_kernel(requested, cache_mode);
   // Injected compile failures walk the same ladder a real backend failure
   // would: native falls back to bytecode, bytecode to the interpreter.
   // Every rung computes identical results, so a fault here only changes

@@ -1,5 +1,6 @@
 #include "engine/kernel/native.hpp"
 
+#include <algorithm>
 #include <cstddef>
 #include <cstring>
 #include <memory>
@@ -47,6 +48,7 @@ constexpr int kFrameTierSim = offsetof(Frame, tier_sim);
 constexpr int kFrameMissOut = offsetof(Frame, miss_out);
 constexpr int kFrameScratch = offsetof(Frame, scratch);
 constexpr int kFrameDraw = offsetof(Frame, draw);
+constexpr int kFrameNextBlock = offsetof(Frame, next_block);
 constexpr int kFrameTags = offsetof(Frame, tags);
 constexpr int kFrameOrder = offsetof(Frame, order);
 static_assert(sizeof(memsim::Address) == 8);
@@ -204,7 +206,6 @@ class Asm {
   void xor32_rr(int dst, int src) { rex_opt(src, 0, dst); byte(0x31); modrm(3, src, dst); }
   void cmp_rr(int a, int b) { rex(true, a, 0, b); byte(0x3B); modrm(3, a, b); }  // flags(a - b)
   void cmp_r_mem(int a, int base, int disp) { rex(true, a, 0, base); byte(0x3B); mem(a, base, disp); }
-  void cmp_mem_r(int base, int disp, int r) { rex(true, r, 0, base); byte(0x39); mem(r, base, disp); }
   void xor_r_mem(int dst, int base, int disp) { rex(true, dst, 0, base); byte(0x33); mem(dst, base, disp); }
   void adc_ri8(int r, std::uint8_t v) { rex(true, 0, 0, r); byte(0x83); modrm(3, 2, r); byte(v); }
   void shl_ri(int r, int n) { rex(true, 0, 0, r); byte(0xC1); modrm(3, 4, r); byte(static_cast<std::uint8_t>(n)); }
@@ -228,17 +229,33 @@ class Asm {
   void jmp_label(Label& l) { byte(0xE9); rel32(l); }
   void jb_label(Label& l) { byte(0x0F); byte(0x82); rel32(l); }
   void jae_label(Label& l) { byte(0x0F); byte(0x83); rel32(l); }
-  void jmp_sib(int base, int index) { rex_opt(4, index, base); byte(0xFF); sib_mem(4, base, index, 3); }
   void ret() { byte(0xC3); }
   void cmp_mem0(int base, int disp) {
     rex(true, 0, 0, base); byte(0x83); mem(7, base, disp); byte(0);
   }
   void je_label(Label& l) { byte(0x0F); byte(0x84); rel32(l); }
-  /// jne over a stub of unknown length: returns the rel8 patch position.
-  std::size_t jne_short() { byte(0x75); byte(0); return pos() - 1; }
-  void patch_short(std::size_t at) {
-    buf[at] = static_cast<std::uint8_t>(pos() - (at + 1));
+  void jne_label(Label& l) { byte(0x0F); byte(0x85); rel32(l); }
+  void jmp_mem(int base, int disp) { rex_opt(0, 0, base); byte(0xFF); mem(4, base, disp); }
+  // 32-bit forms (the upper half of the destination is zeroed).
+  void and32_rr(int dst, int src) { rex_opt(src, 0, dst); byte(0x21); modrm(3, src, dst); }
+  void or32_rr(int dst, int src) { rex_opt(src, 0, dst); byte(0x09); modrm(3, src, dst); }
+  void and32_ri(int r, std::uint32_t v) { rex_opt(0, 0, r); byte(0x81); modrm(3, 4, r); imm32(v); }
+  void shl32_ri(int r, int n) { rex_opt(0, 0, r); byte(0xC1); modrm(3, 4, r); byte(static_cast<std::uint8_t>(n)); }
+  void shr32_ri(int r, int n) { rex_opt(0, 0, r); byte(0xC1); modrm(3, 5, r); byte(static_cast<std::uint8_t>(n)); }
+  void bsf32_rr(int dst, int src) { rex_opt(dst, 0, src); byte(0x0F); byte(0xBC); modrm(3, dst, src); }
+  void imul_rr(int dst, int src) { rex(true, dst, 0, src); byte(0x0F); byte(0xAF); modrm(3, dst, src); }
+  // SSE2 packed-integer ops for the tag probe (xmm0..xmm7).
+  void sse_rm(std::uint8_t prefix, std::uint8_t op, int x, int base, int disp) {
+    byte(prefix); rex_opt(x, 0, base); byte(0x0F); byte(op); mem(x, base, disp);
   }
+  void sse_rr(std::uint8_t op, int x, int x2) { byte(0x66); byte(0x0F); byte(op); modrm(3, x, x2); }
+  void movdqu_x_mem(int x, int base, int disp) { sse_rm(0xF3, 0x6F, x, base, disp); }
+  void movq_x_mem(int x, int base, int disp) { sse_rm(0xF3, 0x7E, x, base, disp); }  // upper qword zeroed
+  void punpcklqdq(int x, int x2) { sse_rr(0x6C, x, x2); }
+  void pcmpeqd(int x, int x2) { sse_rr(0x76, x, x2); }
+  void packssdw(int x, int x2) { sse_rr(0x6B, x, x2); }
+  void packsswb(int x, int x2) { sse_rr(0x63, x, x2); }
+  void pmovmskb(int r, int x) { sse_rr(0xD7, r, x); }  // r is a low register
   // SSE2 scalar double ops (xmm0..xmm7, low bases only — no REX needed).
   void movsd_x_mem(int x, int base, int disp) { byte(0xF2); byte(0x0F); byte(0x10); mem(x, base, disp); }
   void movsd_mem_x(int base, int disp, int x) { byte(0xF2); byte(0x0F); byte(0x11); mem(x, base, disp); }
@@ -283,29 +300,64 @@ bool NativeKernel::compile(const Program& p, std::uint32_t ways,
   a.mov_r_mem(kR13, kRbx, 8);
   a.mov_r_mem(kR14, kRbx, 16);
   a.mov_r_mem(kR15, kRbx, 24);
+  a.movsd_x_mem(7, kRbx, kFrameLatency);  // xmm7 = the running latency sum
   a.xor32_rr(kRbp, kRbp);  // k = 0
   a.cmp_mem0(kRbx, kFrameAccesses);  // n_accesses == 0?
   a.je_label(done);
 
-  // ---- per-access prelude: draw, alias sample, dispatch.
+  // Lookahead dispatch: xoshiro256**'s output depends only on the state
+  // before it advances, so the next access's draw — and from it the column,
+  // the alias decision and the block entry — can be computed from r13
+  // without stepping the generator. Each block runs this right after its own
+  // extra draws and parks the entry in frame.next_block; the loop top then
+  // advances the state and jumps there, so the dispatch target is resolved
+  // long before the jump instead of at the end of a dependent chain.
+  // Clobbers rax, rcx, rsi, rdi and r8.
+  const auto emit_lookahead = [&]() {
+    a.lea_r13x5(kRax);  // the next draw: rotl(s1 * 5, 7) * 9
+    a.rol_ri(kRax, 7);
+    a.lea_sib(kRax, kRax, kRax, 3);
+    a.mov32_rr(kRcx, kRax);  // zero-extended low 32 bits
+    a.imul_rri(kRcx, kRcx, static_cast<std::uint32_t>(n_cols));
+    a.shr_ri(kRcx, 32);      // column
+    a.shr_ri(kRax, 32);
+    a.mov_ri64(kRdi, p.coin_mask);
+    a.and_rr(kRax, kRdi);    // coin
+    a.mov_ri64(kRsi, reinterpret_cast<std::uint64_t>(p.threshold.data()));
+    a.mov_r_sib(kRdi, kRsi, kRcx, 3);   // thr[col]
+    a.mov_ri64(kRsi, reinterpret_cast<std::uint64_t>(p.alias.data()));
+    a.mov32_r_sib(kR8, kRsi, kRcx, 2);  // alias[col], zero-extended
+    a.cmp_rr(kRax, kRdi);               // coin - thr
+    a.cmovae_rr(kRcx, kR8);             // slot = coin < thr ? col : alias
+    a.mov_ri64(kRsi, reinterpret_cast<std::uint64_t>(jump_table_.data()));
+    a.mov_r_sib(kRax, kRsi, kRcx, 3);
+    a.mov_mem_r(kRbx, kFrameNextBlock, kRax);
+  };
+  emit_lookahead();  // the first access's block
+
+  // xoshiro256** step: draw in rax (when wanted), state advanced in
+  // r12..r15. Clobbers rax and rdi only.
+  const auto emit_step = [&](bool want_draw) {
+    if (want_draw) {
+      a.lea_r13x5(kRax);  // s1 * 5
+      a.rol_ri(kRax, 7);
+      a.lea_sib(kRax, kRax, kRax, 3);  // * 9
+    }
+    a.mov_rr(kRdi, kR13);
+    a.shl_ri(kRdi, 17);  // t
+    a.xor_rr(kR14, kR12);
+    a.xor_rr(kR15, kR13);
+    a.xor_rr(kR13, kR14);
+    a.xor_rr(kR12, kR15);
+    a.xor_rr(kR14, kRdi);
+    a.rol_ri(kR15, 45);
+  };
+
+  // ---- per-access prelude: advance the generator, dispatch.
   a.bind(loop);
-  a.call_label(rng_next);  // rax = draw (clobbers rdi)
+  emit_step(profiled);
   if (profiled) a.mov_mem_r(kRbx, kFrameDraw, kRax);  // for the write coin
-  a.mov32_rr(kRcx, kRax);  // zero-extended low 32 bits
-  a.imul_rri(kRcx, kRcx, static_cast<std::uint32_t>(n_cols));
-  a.shr_ri(kRcx, 32);      // column
-  a.mov_rr(kRdx, kRax);
-  a.shr_ri(kRdx, 32);
-  a.mov_ri64(kRdi, p.coin_mask);
-  a.and_rr(kRdx, kRdi);    // coin
-  a.mov_ri64(kRsi, reinterpret_cast<std::uint64_t>(p.threshold.data()));
-  a.mov_r_sib(kRdi, kRsi, kRcx, 3);   // thr[col]
-  a.mov_ri64(kRsi, reinterpret_cast<std::uint64_t>(p.alias.data()));
-  a.mov32_r_sib(kR8, kRsi, kRcx, 2);  // alias[col], zero-extended
-  a.cmp_rr(kRdx, kRdi);               // coin - thr
-  a.cmovae_rr(kRcx, kR8);             // slot = coin < thr ? col : alias
-  a.mov_ri64(kRsi, reinterpret_cast<std::uint64_t>(jump_table_.data()));
-  a.jmp_sib(kRsi, kRcx);
+  a.jmp_mem(kRbx, kFrameNextBlock);
 
   // Inline Lemire below(bound) with the rejection threshold precomputed;
   // result in rdx. rng_next preserves rcx/rsi, so the loop re-multiplies
@@ -409,10 +461,13 @@ bool NativeKernel::compile(const Program& p, std::uint32_t ways,
         break;
       }
       default:
+        // The C call clobbers every xmm register: park the latency sum.
+        a.movsd_mem_x(kRbx, kFrameLatency, 7);
         a.mov_ri64(kRdi, reinterpret_cast<std::uint64_t>(gen));
         a.mov_ri64(kRax,
                    reinterpret_cast<std::uint64_t>(&hmem_kernel_gen_next));
         a.call_r(kRax);
+        a.movsd_x_mem(7, kRbx, kFrameLatency);
         break;
     }
     a.mov_ri64(kRcx, off.imm0);
@@ -427,8 +482,8 @@ bool NativeKernel::compile(const Program& p, std::uint32_t ways,
     a.jmp_label(serve);
   };
 
-  // ---- per-slot blocks. Contract with .serve: r10 = addr, r11 = serving
-  // tier, xmm1 = miss latency.
+  // ---- per-slot blocks: own draws, lookahead, offset. Contract with
+  // .serve: r10 = addr, r11 = serving tier, xmm1 = miss latency.
   for (std::size_t s = 0; s < p.slot_count(); ++s) {
     block_offset[s] = a.pos();
     const Insn* in = &p.code[p.block_start[s]];
@@ -438,11 +493,13 @@ bool NativeKernel::compile(const Program& p, std::uint32_t ways,
         a.shl_ri(kRdx, 6);  // * kCacheLineBytes
         a.mov_ri64(kR10, in->imm0);
         a.add_rr(kR10, kRdx);
+        emit_lookahead();
         const Insn& sv = p.code[p.block_start[s] + 1];
         emit_serve_const(sv.a, sv.f);
         break;
       }
       case Op::kFixedAddr: {
+        emit_lookahead();
         emit_offset(p.code[p.block_start[s] + 1]);
         a.mov_ri64(kR10, in->imm0);
         a.add_rr(kR10, kRax);
@@ -458,6 +515,7 @@ bool NativeKernel::compile(const Program& p, std::uint32_t ways,
                                                    in->imm0));
         a.add_rr(kRax, kRdx);
         a.mov_mem_r(kRbx, kFrameScratch, kRax);  // spill rec* across the offset
+        emit_lookahead();
         emit_offset(p.code[p.block_start[s] + 1]);
         a.mov_r_mem(kRsi, kRbx, kFrameScratch);
         a.mov_r_mem(kR10, kRsi, 0);   // rec.base
@@ -473,8 +531,7 @@ bool NativeKernel::compile(const Program& p, std::uint32_t ways,
   }
 
   // ---- shared LLC probe: the exact Cache::access sequence with geometry
-  // baked in and the hit scan unrolled. rax = tag, rsi = &tags[set * ways],
-  // rdx = &order[set].
+  // baked in. rax = tag, rsi = &tags[set * ways], rdx = &order[set].
   a.bind(serve);
   a.mov_rr(kRax, kR10);
   a.shr_ri(kRax, static_cast<int>(line_shift));  // tag
@@ -486,13 +543,48 @@ bool NativeKernel::compile(const Program& p, std::uint32_t ways,
   a.imul_rri(kRcx, kRcx, ways);
   a.mov_r_mem(kRsi, kRbx, kFrameTags);
   a.lea_sib(kRsi, kRsi, kRcx, 3);
-  for (std::uint32_t w = 0; w < ways; ++w) {
-    a.cmp_mem_r(kRsi, static_cast<int>(w) * 8, kRax);
-    const std::size_t skip = a.jne_short();
-    a.mov_ri64(kRcx, w * kNibbleOnes);  // the way's id in every nibble
-    a.jmp_label(hit);
-    a.patch_short(skip);
+  // SSE2 tag match, branch-free until the one hit test: the tag broadcast
+  // in xmm2 is compared two ways (16 bytes) at a time, an odd last way
+  // loaded alone (movq zeroes the upper half, so nothing past the set — or
+  // past the array, for the last set — is read). Up to four compares pack
+  // to one byte per dword and pmovmskb gives one bit per dword; ways 8..15
+  // fill the upper half of ecx. A way matches when both of its dword bits
+  // are set; bits of absent ways (an odd tail, or a repeated register when
+  // a group is short) are masked off, and bsf picks the lowest way —
+  // Cache::access's first match.
+  a.movq_x_r(2, kRax);
+  a.punpcklqdq(2, 2);
+  const std::uint32_t chunks = (ways + 1) / 2;
+  for (std::uint32_t g = 0; g * 4 < chunks; ++g) {
+    const std::uint32_t n = std::min<std::uint32_t>(4, chunks - g * 4);
+    for (std::uint32_t c = 0; c < n; ++c) {
+      const std::uint32_t chunk = g * 4 + c;
+      const int x = 3 + static_cast<int>(c);
+      if (2 * chunk + 1 < ways) {
+        a.movdqu_x_mem(x, kRsi, static_cast<int>(chunk) * 16);
+      } else {
+        a.movq_x_mem(x, kRsi, static_cast<int>(chunk) * 16);
+      }
+      a.pcmpeqd(x, 2);
+    }
+    a.packssdw(3, n > 1 ? 4 : 3);
+    if (n > 2) a.packssdw(5, n > 3 ? 6 : 5);
+    a.packsswb(3, n > 2 ? 5 : 3);
+    if (g == 0) {
+      a.pmovmskb(kRcx, 3);
+    } else {
+      a.pmovmskb(kRdi, 3);
+      a.shl32_ri(kRdi, 16);
+      a.or32_rr(kRcx, kRdi);
+    }
   }
+  a.mov32_rr(kRdi, kRcx);
+  a.shr32_ri(kRdi, 1);
+  a.and32_rr(kRcx, kRdi);  // bit 2w: both dwords of way w match
+  const std::uint64_t way_bits =
+      0x5555555555555555ULL & ((1ULL << (2 * ways)) - 1);
+  a.and32_ri(kRcx, static_cast<std::uint32_t>(way_bits));
+  a.jne_label(hit);
   // Miss (Cache::evict): pop the least-recent way, push it on top, install.
   a.mov_r_mem(kR8, kRdx, 0);
   a.mov_ri32(kRcx, 0xF);
@@ -503,9 +595,7 @@ bool NativeKernel::compile(const Program& p, std::uint32_t ways,
   a.or_rr(kR8, kR9);
   a.mov_mem_r(kRdx, 0, kR8);
   a.mov_sib_r(kRsi, kRcx, 3, kRax);  // tags[victim] = tag
-  a.movsd_x_mem(0, kRbx, kFrameLatency);
-  a.addsd(0, 1);                    // latency += miss latency
-  a.movsd_mem_x(kRbx, kFrameLatency, 0);
+  a.addsd(7, 1);                    // latency += miss latency
   a.mov_r_mem(kRcx, kRbx, kFrameTierSim);
   a.add_sib_imm8(kRcx, kR11, 64);   // [tier] += kCacheLineBytes
   if (profiled) {
@@ -527,13 +617,16 @@ bool NativeKernel::compile(const Program& p, std::uint32_t ways,
   a.inc_mem(kRbx, kFrameMisses);
   a.jmp_label(next);
 
-  // Hit (Cache::touch), rcx = way * kNibbleOnes: flag the way's nibble,
-  // splice it out below/above, push it on top. Inline — no call.
+  // Hit (Cache::touch), ecx = the match bits: flag the way's nibble, splice
+  // it out below/above, push it on top. Inline — no call.
   a.bind(hit);
-  a.mov_r_mem(kR8, kRdx, 0);        // order
-  a.mov_rr(kR9, kR8);
-  a.xor_rr(kR9, kRcx);              // x: zero nibble at the way
+  a.bsf32_rr(kRcx, kRcx);
+  a.shr32_ri(kRcx, 1);              // way
   a.mov_ri64(kRax, kNibbleOnes);
+  a.mov_rr(kR9, kRax);
+  a.imul_rr(kR9, kRcx);             // the way's id in every nibble
+  a.mov_r_mem(kR8, kRdx, 0);        // order
+  a.xor_rr(kR9, kR8);               // x: zero nibble at the way
   a.mov_rr(kRdi, kR9);
   a.sub_rr(kRdi, kRax);
   a.not_r(kR9);
@@ -551,15 +644,12 @@ bool NativeKernel::compile(const Program& p, std::uint32_t ways,
   a.not_r(kRax);
   a.and_rr(kR8, kRax);              // (order >> 4) & ~below
   a.or_rr(kR8, kR9);
-  a.shr_ri(kRcx, 60);               // way
   a.shl_ri(kRcx, top_shift);
   a.or_rr(kR8, kRcx);
   a.mov_mem_r(kRdx, 0, kR8);
-  a.movsd_x_mem(0, kRbx, kFrameLatency);
   a.mov_ri64(kRax, bits_of(p.llc_latency_ns));
   a.movq_x_r(1, kRax);
-  a.addsd(0, 1);
-  a.movsd_mem_x(kRbx, kFrameLatency, 0);
+  a.addsd(7, 1);
 
   a.bind(next);
   a.inc_r(kRbp);
@@ -567,6 +657,7 @@ bool NativeKernel::compile(const Program& p, std::uint32_t ways,
   a.jb_label(loop);
 
   a.bind(done);
+  a.movsd_mem_x(kRbx, kFrameLatency, 7);
   a.mov_mem_r(kRbx, 0, kR12);
   a.mov_mem_r(kRbx, 8, kR13);
   a.mov_mem_r(kRbx, 16, kR14);
@@ -580,20 +671,9 @@ bool NativeKernel::compile(const Program& p, std::uint32_t ways,
   a.pop_r(kRbx);
   a.ret();
 
-  // ---- xoshiro256** step: draw in rax, state advanced in r12..r15.
-  // Clobbers rax and rdi only — below()'s constants survive in rcx/rsi.
+  // ---- the step as a subroutine for below()'s draws; rcx/rsi survive.
   a.bind(rng_next);
-  a.lea_r13x5(kRax);   // s1 * 5
-  a.rol_ri(kRax, 7);
-  a.lea_sib(kRax, kRax, kRax, 3);  // * 9
-  a.mov_rr(kRdi, kR13);
-  a.shl_ri(kRdi, 17);  // t
-  a.xor_rr(kR14, kR12);
-  a.xor_rr(kR15, kR13);
-  a.xor_rr(kR13, kR14);
-  a.xor_rr(kR12, kR15);
-  a.xor_rr(kR14, kRdi);
-  a.rol_ri(kR15, 45);
+  emit_step(true);
   a.ret();
 
   // ---- map, resolve the dispatch table, seal W^X.
@@ -622,14 +702,18 @@ namespace {
 
 /// The self-test's program: two stack blocks, then one object block per
 /// generator in `gens` — fixed-address blocks, except a three-instance pick
-/// for gens[1] — served from alternating tiers.
+/// for gens[1] — served from alternating tiers. Only the slots in `active`
+/// ever run: the other columns divert every coin to an active one.
 Program self_test_program(
-    const std::vector<std::unique_ptr<apps::AccessGenerator>>& gens) {
+    const std::vector<std::unique_ptr<apps::AccessGenerator>>& gens,
+    const std::vector<std::uint32_t>& active) {
   Program p;
   const std::size_t n = 2 + gens.size();
   for (std::size_t c = 0; c < n; ++c) {
-    p.threshold.push_back(1 + c % 2);  // odd columns keep every coin
-    p.alias.push_back(static_cast<std::uint32_t>((c + 3) % n));
+    const bool on =
+        std::find(active.begin(), active.end(), c) != active.end();
+    p.threshold.push_back(on ? 1 + c % 2 : 0);  // odd columns keep every coin
+    p.alias.push_back(active[(c + 3) % active.size()]);
   }
   p.coin_mask = 1;
   p.write_threshold = 512;  // about a quarter of the accesses write
@@ -643,11 +727,14 @@ Program self_test_program(
     serve.f = tier == 0 ? 130.0 : 155.0;
     p.code.push_back(serve);
   };
-  for (const std::uint64_t lines : {96, 64}) {  // 96: Lemire's threshold
+  // 96 lines exercise Lemire's rejection threshold. The second stack sits
+  // 2^38 bytes above the first: its tags equal the first's in the low dword
+  // and differ in the high one, which the probe must tell apart.
+  for (const std::uint64_t lines : {96, 64}) {
     p.block_start.push_back(static_cast<std::uint32_t>(p.code.size()));
     Insn stack;
     stack.op = Op::kStackAddr;
-    stack.imm0 = (lines == 96 ? 1ULL : 2ULL) << 20;
+    stack.imm0 = (1ULL << 20) + (lines == 96 ? 0 : 1ULL << 38);
     stack.imm1 = lines;
     p.code.push_back(stack);
     serve_fixed(lines == 96 ? 0 : 1);
@@ -724,11 +811,13 @@ struct SelfTestOutcome {
 /// a bursty call-out) runs through both backends from identical state,
 /// unprofiled and profiled, and must agree on every output bit — frame
 /// results, LLC state, RNG state, each generator's stream position and
-/// every miss record. A failure (broken mmap policy, emitter regression on
-/// an exotic toolchain) downgrades the process to the bytecode VM, so a
-/// mis-emitted path can never reach a result or a trace.
+/// every miss record. It runs in three LLC geometries, one per shape of the
+/// emitted tag probe — 4 ways, 16 ways (every preset) and an odd 3 — and in
+/// each, every block shape alone and all of them together must both hit
+/// and miss. A failure (broken mmap policy, emitter regression on an exotic
+/// toolchain) downgrades the process to the bytecode VM, so a mis-emitted
+/// path can never reach a result or a trace.
 bool native_self_test() {
-  constexpr std::uint32_t kWays = 4;
   constexpr std::uint64_t kSets = 8;
   constexpr std::uint64_t kAccesses = 512;
   const auto object = [](apps::AccessPattern pattern, std::uint64_t lines,
@@ -748,22 +837,27 @@ bool native_self_test() {
       object(apps::AccessPattern::kRandomPermute, 20, 0),
       object(apps::AccessPattern::kBursty, 300, 0),
   };
+  // Slots by block shape (self_test_program's layout), then all together.
+  const std::vector<std::uint32_t> slot_sets[] = {
+      {0, 1}, {2, 4, 5, 6}, {3}, {0, 1, 2, 3, 4, 5, 6}};
 
-  const auto run = [&](bool native, bool profiled, SelfTestOutcome* out) {
+  const auto run = [&](std::uint32_t ways,
+                       const std::vector<std::uint32_t>& active, bool native,
+                       bool profiled, SelfTestOutcome* out) {
     std::vector<std::unique_ptr<apps::AccessGenerator>> gens;
     for (const apps::ObjectSpec& spec : specs) {
       gens.push_back(
           std::make_unique<apps::AccessGenerator>(spec, 0x5eed + gens.size()));
     }
-    const Program p = self_test_program(gens);
+    const Program p = self_test_program(gens, active);
     if (!verify_program(p).empty()) return false;
-    out->tags.assign(kSets * kWays, memsim::Cache::kInvalidTag);
-    out->order.assign(kSets, memsim::Cache::initial_order(kWays));
+    out->tags.assign(kSets * ways, memsim::Cache::kInvalidTag);
+    out->order.assign(kSets, memsim::Cache::initial_order(ways));
     if (profiled) out->records.resize(kAccesses);
     Frame f;
     f.tags = out->tags.data();
     f.order = out->order.data();
-    f.ways = kWays;
+    f.ways = ways;
     f.line_shift = 6;
     f.set_mask = kSets - 1;
     f.n_accesses = kAccesses;
@@ -772,7 +866,7 @@ bool native_self_test() {
     Xoshiro256 rng(0x5e1f7e57ULL);
     if (native) {
       NativeKernel kern;
-      if (!kern.compile(p, kWays, 6, kSets - 1, profiled)) return false;
+      if (!kern.compile(p, ways, 6, kSets - 1, profiled)) return false;
       rng.save_state(f.rng_state);
       kern.run(f);
       for (int i = 0; i < 4; ++i) out->rng[i] = f.rng_state[i];
@@ -789,14 +883,21 @@ bool native_self_test() {
     return true;
   };
 
-  for (const bool profiled : {false, true}) {
-    SelfTestOutcome bytecode, native;
-    if (!run(false, profiled, &bytecode) || !run(true, profiled, &native)) {
-      return false;
+  for (const std::uint32_t ways : {4u, 16u, 3u}) {
+    for (const std::vector<std::uint32_t>& active : slot_sets) {
+      for (const bool profiled : {false, true}) {
+        SelfTestOutcome bytecode, native;
+        if (!run(ways, active, false, profiled, &bytecode) ||
+            !run(ways, active, true, profiled, &native)) {
+          return false;
+        }
+        if (!(bytecode == native)) return false;
+        // The burst must actually have exercised both paths it checks.
+        if (bytecode.misses == 0 || bytecode.misses == kAccesses) {
+          return false;
+        }
+      }
     }
-    if (!(bytecode == native)) return false;
-    // The burst must actually have exercised the miss path it checks.
-    if (profiled && bytecode.records.empty()) return false;
   }
   return true;
 }

@@ -4,12 +4,24 @@
 // as a straight-line System V x86-64 function: the xoshiro256** generator
 // lives in callee-saved registers for the whole burst, the alias table and
 // every per-slot constant (addresses, tiers, miss latencies, Lemire
-// rejection thresholds) are baked as immediates, the LLC probe is an
-// unrolled tag scan against geometry baked at compile time followed by an
-// inline recency-word update (pop/push on a miss, SWAR splice on a hit —
-// memsim::Cache::evict/touch, emitted without a call). Per-object offsets
-// are inline too: seq/stride walks (add, compare, cmov), random draws (a
-// xoshiro256** step on the object's own state plus Lemire) and
+// rejection thresholds) are baked as immediates, and the latency sum stays
+// in a register. The per-access path is branch-light:
+//   * Lookahead dispatch. xoshiro256**'s output depends only on the state
+//     before it advances, so each block, right after its own extra draws,
+//     computes the next access's draw, column, alias decision and block
+//     entry without side effects and parks the entry in Frame::next_block.
+//     The loop top advances the generator and jumps there; the indirect
+//     jump resolves while the current access's probe is still in flight.
+//   * SSE2 tag match. The tag is broadcast into xmm2 and compared two ways
+//     per 16-byte load (an odd last way loaded alone, so no read passes the
+//     tag array), packed to one bit per dword with pmovmskb; whole-tag
+//     matches take the single jne to the hit path, where bsf picks the
+//     lowest way — Cache::access's first match. SSE2 is the x86-64
+//     baseline, so there is no CPUID dispatch.
+// The recency-word update is inline (pop/push on a miss, SWAR splice on a
+// hit — memsim::Cache::evict/touch, emitted without a call). Per-object
+// offsets are inline too: seq/stride walks (add, compare, cmov), random
+// draws (a xoshiro256** step on the object's own state plus Lemire) and
 // random-permute cursors step the generator's state in place
 // (apps/workload_gen.hpp). Only zipf, pointer-chase and bursty call out,
 // through one extern "C" shim (their streams are independent, so a C call
@@ -24,7 +36,8 @@
 // a silent fallback to the bytecode VM. Availability includes a one-time
 // emit-and-execute self-test differenced against run_bytecode — stack,
 // walk, random, permute, pick and call-out blocks, unprofiled and profiled
-// (miss records compared one by one) — so a mis-assembling toolchain or a
+// (miss records compared one by one), at 4, 16 and 3 LLC ways, each block
+// shape made to both hit and miss — so a mis-assembling toolchain or a
 // hardened-kernel mmap policy degrades to the portable path instead of
 // corrupting results or traces.
 #pragma once
@@ -73,8 +86,9 @@ class NativeKernel {
   ExecutableAllocator alloc_;
   void* entry_ = nullptr;
   bool profiled_ = false;
-  /// Per-slot entry addresses, indexed by the alias sample; the dispatch
-  /// `jmp [table + slot*8]` bakes this vector's address.
+  /// Per-slot entry addresses, indexed by the alias sample; each block's
+  /// lookahead loads the next access's entry from here (the vector's
+  /// address is baked) into Frame::next_block for the loop top's jump.
   std::vector<std::uint64_t> jump_table_;
 };
 

@@ -197,6 +197,11 @@ TEST_F(FaultsTest, KernelCompileFaultsFallThroughBitIdentical) {
   // interp, and every rung computes identical results, so the run is
   // bit-identical to asking for the interpreter outright.
   ASSERT_EQ(fault::configure("kernel_compile:p=1,seed=3"), "");
+  // Naming the kernel for a report neither fires nor counts a fault.
+  EXPECT_EQ(engine::kernel::select_kernel(engine::kernel::KernelKind::kBytecode,
+                                          false),
+            engine::kernel::KernelKind::kBytecode);
+  EXPECT_EQ(fault::counters(fault::Site::kKernelCompile).hits, 0u);
   options.kernel = engine::kernel::KernelKind::kNative;
   const engine::RunResult faulted = engine::run_app(app, options);
   EXPECT_GT(fault::counters(fault::Site::kKernelCompile).hits, 0u);

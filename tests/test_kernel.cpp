@@ -7,6 +7,12 @@
 // tolerance.
 #include <gtest/gtest.h>
 
+#if defined(__unix__) || defined(__APPLE__)
+#include <sys/mman.h>
+#include <unistd.h>
+#endif
+
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
@@ -48,9 +54,13 @@ TEST(KernelSelect, ParseAndNameRoundTrip) {
 
 TEST(KernelSelect, LadderNeverFailsAndNeverReturnsAuto) {
   unsetenv("HMEM_KERNEL");
-  // auto defaults to bytecode; interp is always honoured.
+  // auto defaults to the fastest backend the host passes the self-test
+  // for; interp is always honoured.
+  const KernelKind fastest = engine::kernel::native_available()
+                                 ? KernelKind::kNative
+                                 : KernelKind::kBytecode;
   EXPECT_EQ(engine::kernel::resolve_kernel(KernelKind::kAuto, false, false),
-            KernelKind::kBytecode);
+            fastest);
   EXPECT_EQ(engine::kernel::resolve_kernel(KernelKind::kInterp, false, false),
             KernelKind::kInterp);
   // Cache mode runs the interpreter regardless of the request.
@@ -65,6 +75,14 @@ TEST(KernelSelect, LadderNeverFailsAndNeverReturnsAuto) {
                              KernelKind::kBytecode, KernelKind::kNative}) {
     for (const bool cache_mode : {false, true}) {
       EXPECT_EQ(engine::kernel::resolve_kernel(k, cache_mode, true),
+                engine::kernel::resolve_kernel(k, cache_mode));
+    }
+  }
+  // With no fault armed, the side-effect-free selection is the ladder.
+  for (const KernelKind k : {KernelKind::kAuto, KernelKind::kInterp,
+                             KernelKind::kBytecode, KernelKind::kNative}) {
+    for (const bool cache_mode : {false, true}) {
+      EXPECT_EQ(engine::kernel::select_kernel(k, cache_mode),
                 engine::kernel::resolve_kernel(k, cache_mode));
     }
   }
@@ -88,11 +106,18 @@ TEST(KernelSelect, EnvVarSteersAutoOnly) {
       engine::kernel::resolve_kernel(KernelKind::kBytecode, false, false),
       KernelKind::kBytecode);
   // A typo'd value keeps the default instead of aborting the run.
+  const KernelKind fastest = engine::kernel::native_available()
+                                 ? KernelKind::kNative
+                                 : KernelKind::kBytecode;
   setenv("HMEM_KERNEL", "turbo", 1);
   EXPECT_EQ(engine::kernel::resolve_kernel(KernelKind::kAuto, false, false),
-            KernelKind::kBytecode);
+            fastest);
   // "auto" in the env cannot recurse.
   setenv("HMEM_KERNEL", "auto", 1);
+  EXPECT_EQ(engine::kernel::resolve_kernel(KernelKind::kAuto, false, false),
+            fastest);
+  // The env var can still pin the portable VM.
+  setenv("HMEM_KERNEL", "bytecode", 1);
   EXPECT_EQ(engine::kernel::resolve_kernel(KernelKind::kAuto, false, false),
             KernelKind::kBytecode);
   unsetenv("HMEM_KERNEL");
@@ -460,6 +485,86 @@ TEST(ExecAlloc, RegionsAreIndependent) {
   // The destructor unmaps b.
 }
 
+// ---- native tag probe ------------------------------------------------------
+
+#if defined(__unix__) || defined(__APPLE__)
+// The native probe compares two ways per 16-byte load, as dword pairs, and
+// loads an odd last way alone. Placing the tag array flush against an inaccessible page
+// turns any read past the last set into a fault; every legal way count runs
+// the native burst against the bytecode VM from identical state.
+TEST(NativeProbe, EveryWayCountMatchesBytecodeWithinTheTagArray) {
+  if (!engine::kernel::native_available()) {
+    GTEST_SKIP() << "native backend unavailable on this build";
+  }
+  constexpr std::uint64_t kSets = 8;
+  constexpr std::uint64_t kAccesses = 4000;
+  const long page = sysconf(_SC_PAGESIZE);
+  ASSERT_GT(page, 0);
+  const std::size_t bytes = static_cast<std::size_t>(page);
+  void* region = mmap(nullptr, 2 * bytes, PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  ASSERT_NE(region, MAP_FAILED);
+  ASSERT_EQ(mprotect(static_cast<char*>(region) + bytes, bytes, PROT_NONE),
+            0);
+  // The second stack's tags equal the first's in the low dword only (2^38
+  // bytes apart), so a probe that matched dwords instead of whole tags
+  // would report false hits.
+  engine::kernel::Program p = valid_program();
+  p.code[2].imm0 = p.code[0].imm0 + (1ULL << 38);
+  for (std::uint32_t ways = 1; ways <= memsim::Cache::kMaxWays; ++ways) {
+    const std::size_t n_tags = kSets * ways;
+    auto* guarded = reinterpret_cast<memsim::Address*>(
+        static_cast<char*>(region) + bytes - n_tags * sizeof(memsim::Address));
+    std::vector<memsim::Address> tags(n_tags, memsim::Cache::kInvalidTag);
+    std::vector<std::uint64_t> order(kSets,
+                                     memsim::Cache::initial_order(ways));
+    std::uint64_t tier_sim[2] = {0, 0};
+    const auto frame = [&](memsim::Address* tag_array,
+                           std::uint64_t* order_words) {
+      engine::kernel::Frame f;
+      f.tags = tag_array;
+      f.order = order_words;
+      f.ways = ways;
+      f.line_shift = 6;
+      f.set_mask = kSets - 1;
+      f.n_accesses = kAccesses;
+      f.tier_sim = tier_sim;
+      return f;
+    };
+
+    engine::kernel::Frame vm = frame(tags.data(), order.data());
+    Xoshiro256 rng(0xfeedULL + ways);
+    engine::kernel::run_bytecode(p, vm, rng);
+    const std::uint64_t vm_tier_sim[2] = {tier_sim[0], tier_sim[1]};
+
+    std::fill(guarded, guarded + n_tags, memsim::Cache::kInvalidTag);
+    std::vector<std::uint64_t> native_order(
+        kSets, memsim::Cache::initial_order(ways));
+    tier_sim[0] = tier_sim[1] = 0;
+    engine::kernel::Frame nat = frame(guarded, native_order.data());
+    Xoshiro256(0xfeedULL + ways).save_state(nat.rng_state);
+    engine::kernel::NativeKernel kern;
+    ASSERT_TRUE(kern.compile(p, ways, 6, kSets - 1, false)) << ways;
+    kern.run(nat);
+
+    const std::string label = "ways " + std::to_string(ways);
+    EXPECT_GT(vm.misses, 0u) << label;
+    EXPECT_LT(vm.misses, kAccesses) << label;  // some hits too
+    EXPECT_EQ(nat.misses, vm.misses) << label;
+    EXPECT_EQ(nat.latency_ns, vm.latency_ns) << label;
+    EXPECT_EQ(tier_sim[0], vm_tier_sim[0]) << label;
+    EXPECT_EQ(tier_sim[1], vm_tier_sim[1]) << label;
+    EXPECT_TRUE(std::equal(tags.begin(), tags.end(), guarded)) << label;
+    EXPECT_EQ(native_order, order) << label;
+    std::uint64_t vm_state[4];
+    rng.save_state(vm_state);
+    EXPECT_EQ(std::memcmp(vm_state, nat.rng_state, sizeof(vm_state)), 0)
+        << label;
+  }
+  munmap(region, 2 * bytes);
+}
+#endif
+
 // ---- differential bit-identity ---------------------------------------------
 
 void expect_same_run(const engine::RunResult& oracle,
@@ -739,6 +844,36 @@ TEST(KernelDifferential, LlcResidentRunsHitThroughEveryBackend) {
         expect_same_run(oracle, engine::run_app(app, opts),
                         app.name + "/" + engine::condition_name(condition) +
                             "/" + engine::kernel::kernel_name(k));
+      }
+    }
+  }
+}
+
+TEST(KernelDifferential, OddWayLlcGeometries) {
+  // The native probe's shape depends on the way count (pairs per load, an
+  // odd tail, one or two mask halves); the presets are all 16-way, so the
+  // geometries a machine INI can still ask for run here.
+  for (const std::uint32_t ways : {1u, 3u, 12u}) {
+    memsim::MachineConfig node =
+        memsim::MachineConfig::knl7250(memsim::MemMode::kFlat);
+    node.llc.ways = ways;
+    node.llc.size_bytes = 1024ULL * ways * node.llc.line_bytes;  // 1024 sets
+    for (const bool overflow : {false, true}) {
+      const apps::AppSpec app = llc_resident_app(overflow);
+      engine::RunOptions opts;
+      opts.condition = engine::Condition::kNumactl;
+      opts.node = node;
+      opts.kernel = KernelKind::kInterp;
+      const engine::RunResult oracle = engine::run_app(app, opts);
+      const std::uint64_t accesses =
+          app.iterations * app.accesses_per_iteration;
+      EXPECT_GT(oracle.llc_misses, 0u) << app.name << " ways " << ways;
+      EXPECT_LT(oracle.llc_misses, accesses) << app.name << " ways " << ways;
+      for (const KernelKind k : compiled_kernels()) {
+        opts.kernel = k;
+        expect_same_run(oracle, engine::run_app(app, opts),
+                        app.name + "/ways " + std::to_string(ways) + "/" +
+                            engine::kernel::kernel_name(k));
       }
     }
   }

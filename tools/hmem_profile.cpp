@@ -29,7 +29,8 @@
 //     --machine m      machine preset (knl, spr-hbm, ddr-cxl,
 //                      hbm-ddr-pmem) or a machine config file (default knl)
 //     --kernel k       access-loop backend: interp | bytecode | native |
-//                      auto (default auto = HMEM_KERNEL, then bytecode);
+//                      auto (default auto = HMEM_KERNEL, then native,
+//                      else bytecode);
 //                      traces are bit-identical across kernels
 //     --checksums      binary format only: guard every event chunk with a
 //                      CRC-32 so later salvage can drop exactly the

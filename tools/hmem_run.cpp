@@ -38,8 +38,9 @@
 //     jobs        run conditions concurrently (default 1)
 //     kernel      access-loop backend: interp | bytecode | native | auto
 //                 (default auto, which honours HMEM_KERNEL then picks
-//                 bytecode). All kernels produce bit-identical reports;
-//                 unavailable choices fall back down the ladder (cache
+//                 native, or bytecode where native is unavailable). All
+//                 kernels produce bit-identical reports; unavailable
+//                 choices fall back down the ladder (cache
 //                 condition -> interp, no native support -> bytecode).
 //     replay      recorded trace shard(s); pass every .rank<k> shard of a
 //                 multi-rank profile

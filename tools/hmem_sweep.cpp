@@ -23,7 +23,8 @@
 //     --shards I/N          run shard I of N (1-based): this process
 //                           computes cells with (index % N) == I-1
 //     --kernel kind         access-loop backend (auto/interp/bytecode/
-//                           native)
+//                           native; default auto = HMEM_KERNEL, then
+//                           native, else bytecode)
 //     --smoke               shrink every app for CI (structure preserved)
 //     --store cells.dat     append finished cells to a checksummed store
 //     --resume              (requires --store) skip cells already stored
@@ -31,7 +32,8 @@
 //                           of only stdout
 //     --bench-out f.json    write sweep throughput metrics (cells/sec,
 //                           per-cell peak scratch, profile and run-memo
-//                           hit rates, peak RSS, cores) as JSON
+//                           hit rates, peak RSS, cores, the kernel
+//                           --kernel resolved to) as JSON
 //     --faults spec         fault-injection schedule (overrides
 //                           HMEM_FAULTS)
 //     --merge out.dat --stores a.dat,b.dat,...
@@ -502,7 +504,8 @@ int main(int argc, char** argv) {
         stats.run_memo_hit_rate(), stats.arena_peak_cell_bytes,
         stats.arena_reserved_bytes, peak_rss_bytes(), jobs,
         std::thread::hardware_concurrency(),
-        engine::kernel::kernel_name(kernel),
+        engine::kernel::kernel_name(
+            engine::kernel::select_kernel(kernel, /*cache_mode=*/false)),
         smoke ? "true" : "false");
     std::string error;
     if (!write_file_atomic(bench_out, buf, &error)) {
