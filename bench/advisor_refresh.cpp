@@ -36,6 +36,7 @@
 #include "apps/workloads.hpp"
 #include "bench_common.hpp"
 #include "common/atomic_file.hpp"
+#include "common/host_context.hpp"
 #include "engine/execution.hpp"
 #include "engine/pipeline.hpp"
 #include "memsim/machine.hpp"
@@ -247,6 +248,7 @@ int main(int argc, char** argv) {
        << "  \"machine\": \"" << node.name << "\",\n"
        << "  \"reps\": " << reps << ",\n"
        << "  \"refresh_every\": " << refresh_every << ",\n"
+       << host_context_json()
        << "  \"converged_bit_identical\": true,\n";
   char line[512];
   for (const auto& fig : figures) {

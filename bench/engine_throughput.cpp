@@ -39,6 +39,7 @@
 #include "apps/workloads.hpp"
 #include "bench_common.hpp"
 #include "common/atomic_file.hpp"
+#include "common/host_context.hpp"
 #include "common/parallel.hpp"
 #include "engine/execution.hpp"
 #include "engine/kernel/kernel.hpp"
@@ -330,7 +331,7 @@ int main(int argc, char** argv) {
                 "  \"serial_speedup_vs_baseline\": %.3f,\n"
                 "  \"ranks\": %d,\n"
                 "  \"jobs\": %d,\n"
-                "  \"cores\": %d,\n"
+                "%s"
                 "  \"rank_speedup\": %.3f,\n"
                 "  \"parallel_efficiency\": %.3f,\n"
                 "  \"parallel_bit_identical\": true\n"
@@ -341,7 +342,8 @@ int main(int argc, char** argv) {
                 bytecode_aps, native_aps, profiled_bytecode_aps,
                 profiled_native_aps, serial_aps, baseline_aps,
                 baseline_aps > 0 ? serial_aps / baseline_aps : 0.0,
-                ranks, job_counts.back(), hardware_jobs(), final_speedup,
+                ranks, job_counts.back(), host_context_json().c_str(),
+                final_speedup,
                 final_efficiency);
   std::string error;
   if (!write_file_atomic(out_path, buffer, &error)) {

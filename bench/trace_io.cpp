@@ -16,6 +16,7 @@
 #include <string>
 
 #include "common/atomic_file.hpp"
+#include "common/host_context.hpp"
 #include "common/prng.hpp"
 #include "trace/format.hpp"
 #include "trace/visitor.hpp"
@@ -172,12 +173,13 @@ int main(int argc, char** argv) {
   std::printf("  binary read speedup: %.2fx, size ratio: %.2fx\n",
               read_speedup, size_ratio);
 
-  char buffer[1024];
+  char buffer[2048];
   std::snprintf(buffer, sizeof(buffer),
                 "{\n"
                 "  \"bench\": \"trace_io\",\n"
                 "  \"events\": %zu,\n"
                 "  \"reps\": %d,\n"
+                "%s"
                 "  \"text\": {\"write_eps\": %.0f, \"read_eps\": %.0f, "
                 "\"bytes\": %zu},\n"
                 "  \"binary\": {\"write_eps\": %.0f, \"read_eps\": %.0f, "
@@ -185,9 +187,9 @@ int main(int argc, char** argv) {
                 "  \"binary_read_speedup\": %.3f,\n"
                 "  \"binary_size_ratio\": %.3f\n"
                 "}\n",
-                events, reps, text.write_eps, text.read_eps, text.bytes,
-                binary.write_eps, binary.read_eps, binary.bytes, read_speedup,
-                size_ratio);
+                events, reps, host_context_json().c_str(), text.write_eps,
+                text.read_eps, text.bytes, binary.write_eps, binary.read_eps,
+                binary.bytes, read_speedup, size_ratio);
   std::string error;
   if (!write_file_atomic(out_path, buffer, &error)) {
     std::fprintf(stderr, "cannot write %s: %s\n", out_path, error.c_str());

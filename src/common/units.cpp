@@ -33,7 +33,15 @@ std::optional<std::uint64_t> parse_bytes(const std::string& text) {
   } else {
     return std::nullopt;
   }
-  return static_cast<std::uint64_t>(std::llround(value * multiplier));
+  const double bytes = value * multiplier;
+  // Reject what no uint64 can hold: NaN, infinities and anything >= 2^64
+  // (the negated compare is false for NaN too).
+  constexpr double kTwo63 = 9223372036854775808.0;
+  if (!(bytes < 2 * kTwo63)) return std::nullopt;
+  // Every double in [2^63, 2^64) is an integer, so the cast is exact;
+  // below that llround keeps rounding fractional byte counts.
+  if (bytes >= kTwo63) return static_cast<std::uint64_t>(bytes);
+  return static_cast<std::uint64_t>(std::llround(bytes));
 }
 
 std::string format_bytes(std::uint64_t bytes) {

@@ -16,7 +16,8 @@ inline constexpr std::uint64_t kMiB = 1024ULL * kKiB;
 inline constexpr std::uint64_t kGiB = 1024ULL * kMiB;
 
 /// Parses "4096", "4K", "256M", "16G", "1.5G" (case-insensitive, optional
-/// trailing 'B' / "iB"). Returns nullopt on malformed input.
+/// trailing 'B' / "iB"). Returns nullopt on malformed input and on sizes
+/// no uint64 holds (NaN, infinities, 2^64 bytes and more).
 std::optional<std::uint64_t> parse_bytes(const std::string& text);
 
 /// Renders bytes with the largest exact-ish unit: "256 MiB", "16 GiB",

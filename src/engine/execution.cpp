@@ -213,6 +213,12 @@ const char* condition_name(Condition condition) {
   return "?";
 }
 
+bool schedule_transitions(const RunOptions& options) {
+  return options.condition == Condition::kDynamic &&
+         (static_cast<bool>(options.advisor_hook) ||
+          options.schedule->phases.size() > 1);
+}
+
 RunResult run_app(const AppSpec& app, const RunOptions& options) {
   const std::string problem = apps::validate(app);
   HMEM_ASSERT_MSG(problem.empty(), problem.c_str());
@@ -533,15 +539,11 @@ RunResult run_app(const AppSpec& app, const RunOptions& options) {
   // region costs its live size as a source-tier read plus a destination-tier
   // write at the per-rank roofline bandwidths, serialized at the boundary
   // (a real migration stalls the ranks the same way). A single-phase
-  // schedule never transitions, making the run bit-identical to kFramework
-  // on the same placement.
+  // schedule never transitions (see schedule_transitions), making the run
+  // bit-identical to kFramework on the same placement.
   const advisor::PlacementSchedule* schedule = options.schedule;
   const bool has_hook = static_cast<bool>(options.advisor_hook);
-  // A hook keeps the dynamic machinery armed even on a single-phase
-  // schedule: the advisor may still grow the schedule mid-run.
-  const bool dynamic_on =
-      options.condition == Condition::kDynamic &&
-      (has_hook || schedule->phases.size() > 1);
+  const bool dynamic_on = schedule_transitions(options);
   const std::size_t slow_policy_tier = policy_tiers.size() - 1;
   std::vector<std::size_t> sched_of_phase;          // app phase -> schedule
   std::vector<std::vector<std::size_t>> desired_tier;  // [sched][object]

@@ -198,6 +198,14 @@ struct RunResult {
   std::optional<runtime::AutoHbwStats> autohbw;
 };
 
+/// True when a run under `options` may swap placements at phase
+/// boundaries: a kDynamic run whose schedule has more than one phase, or
+/// that has an advisor hook (the advisor may still grow the schedule
+/// mid-run). Any other kDynamic run never transitions and is bit-identical
+/// to kFramework on the schedule's first placement — the sweep's run memo
+/// serves such runs as static runs on the strength of this one predicate.
+bool schedule_transitions(const RunOptions& options);
+
 /// Runs one application once under the given options. Throws
 /// ResourceError when an object or the stack cannot be allocated in the
 /// simulated machine (naming it and the tier), and ConfigError when a

@@ -292,14 +292,24 @@ SweepCellResult SweepEngine::run_cell(const SweepCell& cell, Arena* arena) {
       dynamic_opts.node = node;
       dynamic_opts.kernel = spec_.base.kernel;
       dynamic_opts.scratch = arena;
-      const RunResult dynamic_run = run_app(app, dynamic_opts);
-
-      result.fom = dynamic_run.fom;
-      result.fast_hwm_bytes = dynamic_run.fast_hwm_bytes;
+      if (schedule_transitions(dynamic_opts)) {
+        const RunResult dynamic_run = run_app(app, dynamic_opts);
+        result.fom = dynamic_run.fom;
+        result.fast_hwm_bytes = dynamic_run.fast_hwm_bytes;
+        result.migration_bytes = dynamic_run.migration_bytes;
+        result.migration_cost_s = dynamic_run.migration_cost_s;
+      } else {
+        // A schedule that never transitions is a static run on its one
+        // placement, bit for bit: the run memo serves it (and, on every
+        // paper cell, already holds it from the static leg). It migrates
+        // nothing, so the migration fields stay zero.
+        const StaticRun r = static_run(
+            cell, parsed_schedule.phases.front().placement, arena);
+        result.fom = r.fom;
+        result.fast_hwm_bytes = r.fast_hwm_bytes;
+      }
       result.static_fom = static_fom;
       result.phases = schedule.phases.size();
-      result.migration_bytes = dynamic_run.migration_bytes;
-      result.migration_cost_s = dynamic_run.migration_cost_s;
       break;
     }
   }

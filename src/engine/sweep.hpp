@@ -15,7 +15,12 @@
 //     auto-hbwmalloc reads of it (advisor::runtime_key), so each distinct
 //     key is simulated once (std::call_once) and every framework cell and
 //     dynamic static leg with that key reuses its (fom, fast_hwm,
-//     overflow). Bypassed while a fault schedule is armed.
+//     overflow). A dynamic cell whose schedule never transitions (one
+//     phase; engine::schedule_transitions) is a static run on that phase's
+//     placement and is served the same way. Multi-phase schedules are
+//     simulated directly: every transition clears auto-hbwmalloc's
+//     raw-stack cache, so even phases sharing one key do not make a static
+//     run. Bypassed while a fault schedule is armed.
 //  3. Per-cell arenas. Each worker owns a bump Arena (common/arena.hpp)
 //     threaded into RunOptions::scratch and reset between cells, so
 //     steady-state sweeping does no global-allocator traffic for the
@@ -131,8 +136,10 @@ struct SweepStats {
   std::uint64_t profile_hits = 0;
   std::uint64_t profile_misses = 0;
   /// Static production runs: a miss simulates a distinct runtime input, a
-  /// hit reuses the memoised result. Counted once per framework/dynamic
-  /// cell; nothing is counted while a fault schedule bypasses the memo.
+  /// hit reuses the memoised result. Counted once per framework cell and
+  /// dynamic static leg, and once more per dynamic cell whose schedule has
+  /// one phase; nothing is counted while a fault schedule bypasses the
+  /// memo.
   std::uint64_t run_memo_hits = 0;
   std::uint64_t run_memo_misses = 0;
   /// Always zero (there is no program cache); kept for existing readers.
@@ -204,6 +211,11 @@ class SweepEngine {
                                                bool count_reuse);
   /// The kFramework production run of `placement` on the cell's (app,
   /// machine), served from the run memo when its runtime key repeats.
+  /// Framework cells, dynamic static legs and one-phase dynamic runs (a
+  /// kDynamic run that never transitions is this run, bit for bit) all
+  /// come through here. While a fault schedule is armed it simulates
+  /// every call, making the same allocation calls in the same order as
+  /// the run it stands for.
   StaticRun static_run(const SweepCell& cell,
                        const advisor::Placement& placement, Arena* arena);
   SweepCellResult run_cell(const SweepCell& cell, Arena* arena);

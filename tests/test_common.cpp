@@ -8,6 +8,7 @@
 #include "common/alias.hpp"
 #include "common/config.hpp"
 #include "common/csv.hpp"
+#include "common/host_context.hpp"
 #include "common/prng.hpp"
 #include "common/stats.hpp"
 #include "common/strings.hpp"
@@ -196,6 +197,14 @@ TEST(Units, ParseVariants) {
   EXPECT_FALSE(parse_bytes("oops").has_value());
   EXPECT_FALSE(parse_bytes("-3K").has_value());
   EXPECT_FALSE(parse_bytes("").has_value());
+  // Sizes no uint64 holds are rejected, not saturated to 2^63.
+  for (const char* text : {"nan", "inf", "-nan", "1e30", "1e30G",
+                           "18446744073709551616", "17179869184G"}) {
+    EXPECT_FALSE(parse_bytes(text).has_value()) << text;
+  }
+  // Just below 2^64 (2^64 - 2^30) and at 2^63 parse exactly.
+  EXPECT_EQ(parse_bytes("17179869183G").value(), 18446744072635809792ULL);
+  EXPECT_EQ(parse_bytes("8388608T").value(), 1ULL << 63);
 }
 
 TEST(Units, FormatTrimsZeros) {
@@ -209,6 +218,21 @@ TEST(Units, RoundTrip) {
   for (std::uint64_t v : {1ULL, 4096ULL, 32ULL * kMiB, 16ULL * kGiB}) {
     EXPECT_EQ(parse_bytes(format_bytes(v)).value(), v);
   }
+}
+
+// -------------------------------------------------------- host context ----
+
+TEST(HostContext, JsonMembersNameTheHost) {
+  const std::string json = host_context_json();
+  for (const char* key : {"cores", "build_type", "compiler", "os_kernel"}) {
+    EXPECT_NE(json.find("  \"" + std::string(key) + "\": "),
+              std::string::npos)
+        << key;
+  }
+  // Spliced before a record's last member: every line is one member.
+  ASSERT_GE(json.size(), 2u);
+  EXPECT_EQ(json.substr(json.size() - 2), ",\n");
+  EXPECT_EQ(json.find("\"build_type\": \"\""), std::string::npos);
 }
 
 // ------------------------------------------------------------- strings ----

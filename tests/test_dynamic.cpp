@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "advisor/phase_advisor.hpp"
 #include "advisor/placement_report.hpp"
@@ -17,6 +19,7 @@
 #include "common/units.hpp"
 #include "engine/experiment.hpp"
 #include "engine/pipeline.hpp"
+#include "engine/sweep.hpp"
 #include "runtime/policy.hpp"
 
 namespace hmem {
@@ -365,29 +368,92 @@ apps::AppSpec shrunk(apps::AppSpec app, std::uint64_t iterations = 4,
   return app;
 }
 
-TEST(DynamicCondition, BitIdenticalToFrameworkOnSinglePhaseWorkload) {
-  engine::PipelineOptions options;
-  options.per_phase = true;
-  options.sampler.period = 4000;
-  const engine::PipelineResult result =
-      engine::run_pipeline(shrunk(apps::app_by_name("hpcg")), options);
+void expect_same_autohbw_stats(const runtime::AutoHbwStats& a,
+                               const runtime::AutoHbwStats& b) {
+  EXPECT_EQ(a.intercepted_allocs, b.intercepted_allocs);
+  EXPECT_EQ(a.size_filtered_out, b.size_filtered_out);
+  EXPECT_EQ(a.cache_hits, b.cache_hits);
+  EXPECT_EQ(a.cache_misses, b.cache_misses);
+  EXPECT_EQ(a.matched, b.matched);
+  EXPECT_EQ(a.promoted, b.promoted);
+  EXPECT_EQ(a.budget_rejections, b.budget_rejections);
+  EXPECT_EQ(a.migrations, b.migrations);
+  EXPECT_EQ(a.migrated_bytes, b.migrated_bytes);
+  EXPECT_EQ(a.fast_bytes_in_use, b.fast_bytes_in_use);
+  EXPECT_EQ(a.fast_hwm, b.fast_hwm);
+  EXPECT_EQ(a.any_overflow, b.any_overflow);
+  EXPECT_EQ(a.tier_bytes_in_use, b.tier_bytes_in_use);
+  EXPECT_EQ(a.tier_hwm, b.tier_hwm);
+  EXPECT_EQ(a.tier_promoted, b.tier_promoted);
+  EXPECT_EQ(a.tier_budget_rejections, b.tier_budget_rejections);
+}
 
-  const engine::RunResult& s = result.production_run;
-  const engine::RunResult& d = result.dynamic_run;
-  EXPECT_EQ(s.fom, d.fom);        // bit-identical, not approximately
-  EXPECT_EQ(s.time_s, d.time_s);
-  EXPECT_EQ(s.llc_misses, d.llc_misses);
-  EXPECT_EQ(s.fast_hwm_bytes, d.fast_hwm_bytes);
-  EXPECT_EQ(s.alloc_calls, d.alloc_calls);
-  ASSERT_EQ(s.tier_traffic.size(), d.tier_traffic.size());
-  for (std::size_t t = 0; t < s.tier_traffic.size(); ++t) {
-    EXPECT_EQ(s.tier_traffic[t].bytes, d.tier_traffic[t].bytes);
-    EXPECT_EQ(d.tier_traffic[t].migration_bytes, 0u);
+// The contract the sweep's run memo relies on (engine::schedule_transitions):
+// a kDynamic run on a one-phase schedule is the kFramework run on that
+// phase's placement, on every RunResult field but the condition name. Every
+// single-phase bundled app, shrunk, on knl at the two ends of its paper
+// budget ladder (bt's is the node-wide OpenMP one).
+TEST(DynamicCondition, BitIdenticalToFrameworkOnSinglePhaseWorkload) {
+  for (const char* name :
+       {"bt", "cgpop", "gtc-p", "hpcg", "maxw-dgtd", "minife"}) {
+    const apps::AppSpec app = shrunk(apps::app_by_name(name));
+    const std::vector<std::uint64_t> ladder = engine::default_budgets(app);
+    for (const std::uint64_t budget : {ladder.front(), ladder.back()}) {
+      SCOPED_TRACE(std::string(name) + " @ " + format_bytes(budget));
+      engine::PipelineOptions options;
+      options.per_phase = true;
+      options.sampler.period = 4000;
+      options.fast_budget_per_rank = budget;
+      const engine::PipelineResult result = engine::run_pipeline(app, options);
+      ASSERT_EQ(result.schedule.phases.size(), 1u);
+
+      engine::RunOptions fw;
+      fw.condition = engine::Condition::kFramework;
+      fw.placement = &result.schedule.phases.front().placement;
+      fw.runtime_options = options.runtime_options;
+      fw.seed = options.production_seed;
+      fw.node = options.node;
+      fw.kernel = options.kernel;
+      const engine::RunResult s = engine::run_app(app, fw);
+      const engine::RunResult& d = result.dynamic_run;
+
+      // The advised one-phase placement is the static one, so the sweep's
+      // static leg already holds this run.
+      EXPECT_EQ(advisor::runtime_key(result.schedule.phases.front().placement),
+                advisor::runtime_key(result.placement));
+      EXPECT_EQ(result.production_run.fom, d.fom);
+
+      EXPECT_EQ(s.condition, "framework");
+      EXPECT_EQ(d.condition, "dynamic");
+      EXPECT_EQ(s.app, d.app);
+      EXPECT_EQ(s.fom_unit, d.fom_unit);
+      EXPECT_EQ(s.fom, d.fom);  // bit-identical, not approximately
+      EXPECT_EQ(s.time_s, d.time_s);
+      EXPECT_EQ(s.fast_hwm_bytes, d.fast_hwm_bytes);
+      EXPECT_EQ(s.total_hwm_bytes, d.total_hwm_bytes);
+      ASSERT_EQ(s.tier_traffic.size(), d.tier_traffic.size());
+      for (std::size_t t = 0; t < s.tier_traffic.size(); ++t) {
+        EXPECT_EQ(s.tier_traffic[t].name, d.tier_traffic[t].name);
+        EXPECT_EQ(s.tier_traffic[t].bytes, d.tier_traffic[t].bytes);
+        EXPECT_EQ(d.tier_traffic[t].migration_bytes, 0u);
+      }
+      EXPECT_EQ(s.achieved_bw_gbs, d.achieved_bw_gbs);
+      EXPECT_EQ(d.migration_bytes, 0u);
+      EXPECT_EQ(d.migration_count, 0u);
+      EXPECT_EQ(d.migration_cost_s, 0.0);
+      EXPECT_EQ(s.llc_misses, d.llc_misses);
+      EXPECT_EQ(s.samples, d.samples);
+      EXPECT_EQ(s.monitoring_overhead, d.monitoring_overhead);
+      EXPECT_EQ(s.alloc_calls, d.alloc_calls);
+      EXPECT_EQ(s.allocs_per_second, d.allocs_per_second);
+      EXPECT_EQ(s.interposition_overhead_ns, d.interposition_overhead_ns);
+      EXPECT_EQ(s.trace, nullptr);
+      EXPECT_EQ(d.trace, nullptr);
+      ASSERT_TRUE(s.autohbw.has_value());
+      ASSERT_TRUE(d.autohbw.has_value());
+      expect_same_autohbw_stats(*s.autohbw, *d.autohbw);
+    }
   }
-  EXPECT_EQ(d.migration_bytes, 0u);
-  EXPECT_EQ(d.migration_count, 0u);
-  EXPECT_EQ(d.migration_cost_s, 0.0);
-  ASSERT_EQ(result.schedule.phases.size(), 1u);
 }
 
 TEST(DynamicCondition, BeatsStaticDfomOnChurnUnderKnl) {

@@ -550,6 +550,8 @@ TEST_F(FaultsTest, CliExitCodes) {
         std::string("hmem_run snap --ranks 2z")}) {
     EXPECT_EQ(run_tool(tail), 2) << tail;
   }
+  // A size no uint64 holds is malformed too, not 2^63 bytes.
+  EXPECT_EQ(run_tool("hmem_sweep --budgets nan"), 2);
   const std::filesystem::path out_path(out);
   const std::string tmp_prefix = out_path.filename().string() + ".tmp";
   for (const auto& entry :
@@ -644,6 +646,7 @@ TEST_F(FaultsTest, CliExitCodes) {
                      " --checksums --period 50"),
             0);
   EXPECT_EQ(run_tool("hmem_advise " + shard + " 64M"), 0);
+  EXPECT_EQ(run_tool("hmem_advise " + shard + " 1e30G"), 2);
   std::remove(shard.c_str());
   std::remove(config.c_str());
   std::remove(out.c_str());

@@ -24,7 +24,9 @@
 #include <vector>
 
 #include "analysis/aggregator.hpp"
+#include "advisor/phase_advisor.hpp"
 #include "advisor/placement_report.hpp"
+#include "advisor/schedule_report.hpp"
 #include "apps/workloads.hpp"
 #include "common/arena.hpp"
 #include "common/fault.hpp"
@@ -310,29 +312,35 @@ TEST(Sweep, WarmEngineRunReusesProfilesAndIsIdentical) {
 
 // The run memo serves repeated runtime inputs: every framework result and
 // dynamic static leg equals an independent run_app on the cell's parsed
-// placement, bit for bit.
+// placement, and every dynamic result an independent kDynamic run_app on
+// the cell's parsed schedule, bit for bit. small_grid() holds hpcg (a
+// one-phase schedule, served by the memo) and churn (two phases, simulated
+// directly), so both dynamic routes are covered.
 TEST(Sweep, RunMemoMatchesDirectRuns) {
   engine::SweepEngine engine(small_grid());
   const auto outcomes = engine.run();
   const engine::SweepSpec& spec = engine.spec();
-  std::uint64_t memo_cells = 0;
+  std::uint64_t memo_lookups = 0;
+  std::uint64_t one_phase_cells = 0;
+  std::uint64_t multi_phase_cells = 0;
   for (const engine::SweepOutcome& outcome : outcomes) {
     const engine::SweepCell& cell = outcome.cell;
     if (cell.kind == engine::CellKind::kBaseline) continue;
-    ++memo_cells;
+    ++memo_lookups;
     SCOPED_TRACE(engine::sweep_cell_key(spec, cell));
     const apps::AppSpec& app = spec.apps[cell.app];
     const memsim::MachineConfig& node = spec.machines[cell.machine];
+    const advisor::MemorySpec memory =
+        engine::machine_memory_spec(node, cell.budget_bytes, app.ranks);
     const advisor::Options options =
         cell.kind == engine::CellKind::kFramework
             ? spec.strategies[cell.strategy].options
             : spec.base.advisor;
-    const advisor::HmemAdvisor adv(
-        engine::machine_memory_spec(node, cell.budget_bytes, app.ranks),
-        options);
+    const analysis::AggregateResult& report =
+        engine.profile_report(cell.app, cell.machine);
+    const advisor::HmemAdvisor adv(memory, options);
     const advisor::Placement placement = advisor::read_placement_report(
-        advisor::write_placement_report(adv.advise(
-            engine.profile_report(cell.app, cell.machine).objects)));
+        advisor::write_placement_report(adv.advise(report.objects)));
     engine::RunOptions opts;
     opts.condition = engine::Condition::kFramework;
     opts.placement = &placement;
@@ -346,13 +354,36 @@ TEST(Sweep, RunMemoMatchesDirectRuns) {
       EXPECT_EQ(outcome.result.fast_hwm_bytes, direct.fast_hwm_bytes);
       EXPECT_EQ(outcome.result.any_overflow,
                 direct.autohbw.has_value() && direct.autohbw->any_overflow);
+      continue;
+    }
+    EXPECT_EQ(outcome.result.static_fom, direct.fom);
+
+    const advisor::PhaseAdvisor phase_adv(memory, spec.base.advisor);
+    const advisor::PlacementSchedule schedule =
+        advisor::read_schedule_report(advisor::write_schedule_report(
+            phase_adv.advise(report.phases)));
+    engine::RunOptions dyn = opts;
+    dyn.condition = engine::Condition::kDynamic;
+    dyn.placement = nullptr;
+    dyn.schedule = &schedule;
+    const engine::RunResult dynamic = engine::run_app(app, dyn);
+    EXPECT_EQ(outcome.result.fom, dynamic.fom);
+    EXPECT_EQ(outcome.result.fast_hwm_bytes, dynamic.fast_hwm_bytes);
+    EXPECT_EQ(outcome.result.phases, schedule.phases.size());
+    EXPECT_EQ(outcome.result.migration_bytes, dynamic.migration_bytes);
+    EXPECT_EQ(outcome.result.migration_cost_s, dynamic.migration_cost_s);
+    if (engine::schedule_transitions(dyn)) {
+      ++multi_phase_cells;
     } else {
-      EXPECT_EQ(outcome.result.static_fom, direct.fom);
+      ++one_phase_cells;
+      ++memo_lookups;  // the dynamic run itself is a memo lookup
     }
   }
+  EXPECT_GT(one_phase_cells, 0u);
+  EXPECT_GT(multi_phase_cells, 0u);
   const engine::SweepStats& stats = engine.stats();
   EXPECT_GT(stats.run_memo_hits, 0u);
-  EXPECT_EQ(stats.run_memo_hits + stats.run_memo_misses, memo_cells);
+  EXPECT_EQ(stats.run_memo_hits + stats.run_memo_misses, memo_lookups);
 }
 
 // An armed fault schedule makes a run depend on the global hit index, so

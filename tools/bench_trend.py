@@ -41,6 +41,7 @@ import sys
 # Keys that pin a measurement's conditions rather than measure anything.
 CONTEXT_KEYS = (
     "bench", "app", "machine", "kernel", "ranks", "jobs", "cores",
+    "build_type", "compiler", "os_kernel",
     "smoke", "reps", "events", "accesses_per_run", "cells_total",
     "cells_in_shard", "shards",
 )

@@ -32,8 +32,10 @@
 //                           of only stdout
 //     --bench-out f.json    write sweep throughput metrics (cells/sec,
 //                           per-cell peak scratch, profile and run-memo
-//                           hit rates, peak RSS, cores, the kernel
-//                           --kernel resolved to) as JSON
+//                           hit rates, peak RSS, the host context, the
+//                           kernel --kernel resolved to) as JSON. Memo
+//                           lookups count framework cells, dynamic static
+//                           legs and one-phase dynamic runs
 //     --faults spec         fault-injection schedule (overrides
 //                           HMEM_FAULTS)
 //     --merge out.dat --stores a.dat,b.dat,...
@@ -54,13 +56,13 @@
 #include <memory>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "apps/workloads.hpp"
 #include "cli.hpp"
 #include "common/atomic_file.hpp"
 #include "common/config.hpp"
+#include "common/host_context.hpp"
 #include "common/strings.hpp"
 #include "common/units.hpp"
 #include "engine/sweep.hpp"
@@ -469,7 +471,7 @@ int main(int argc, char** argv) {
   }
 
   if (!bench_out.empty()) {
-    char buf[1024];
+    char buf[2048];
     std::snprintf(
         buf, sizeof(buf),
         "{\n"
@@ -490,7 +492,7 @@ int main(int argc, char** argv) {
         "  \"arena_reserved_bytes\": %zu,\n"
         "  \"peak_rss_bytes\": %zu,\n"
         "  \"jobs\": %d,\n"
-        "  \"cores\": %u,\n"
+        "%s"
         "  \"kernel\": \"%s\",\n"
         "  \"smoke\": %s\n"
         "}\n",
@@ -503,7 +505,7 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(stats.run_memo_misses),
         stats.run_memo_hit_rate(), stats.arena_peak_cell_bytes,
         stats.arena_reserved_bytes, peak_rss_bytes(), jobs,
-        std::thread::hardware_concurrency(),
+        host_context_json().c_str(),
         engine::kernel::kernel_name(
             engine::kernel::select_kernel(kernel, /*cache_mode=*/false)),
         smoke ? "true" : "false");
