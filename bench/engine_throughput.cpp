@@ -1,7 +1,7 @@
 // Engine throughput: simulated accesses/second (serial hot loop) and
 // multi-rank scaling of the parallel execution engine.
 //
-// Three measurements, all on the bundled HPCG signature:
+// Four measurements, all but the second on the bundled HPCG signature:
 //  * kernels: every available access kernel (interp, bytecode, native) is
 //    first checked bit-identical to the interpreter on a short run, then
 //    timed serially best-of-reps — unprofiled, and profiled (the stage-1
@@ -9,6 +9,10 @@
 //    --check-ordering fails the bench when a compiled kernel times slower
 //    than the interpreter it replaces, or profiled native slower than
 //    profiled bytecode — the regression guard CI's Release smoke runs.
+//  * rebinding: the same check and serial timing of bytecode and native on
+//    lulesh and maxw-dgtd, whose live sets change every phase, so every
+//    burst runs a freshly compiled program (and, natively, a rebound slot
+//    table).
 //  * serial: the selected kernel's (--kernel; default native, degrading
 //    down the fallback ladder) accesses per wall-clock second, compared
 //    against --baseline-aps (default: the PR-3 interpreter figure) for the
@@ -251,6 +255,41 @@ int main(int argc, char** argv) {
     }
   }
 
+  // ---- Rebinding apps: compiled kernels on per-phase live sets ---------
+  std::vector<KernelKind> compiled = {KernelKind::kBytecode};
+  if (native) compiled.push_back(KernelKind::kNative);
+  std::string rebinding_json;
+  for (const char* name : {"lulesh", "maxw-dgtd"}) {
+    apps::AppSpec rebinding = apps::app_by_name(name);
+    rebinding.iterations *= static_cast<std::uint64_t>(std::max(1, scale));
+    apps::AppSpec rebinding_short = rebinding;
+    rebinding_short.iterations = 2;
+    const engine::RunResult oracle =
+        rank_run(rebinding_short, node, 0, KernelKind::kInterp);
+    const std::uint64_t n = accesses_per_run(rebinding);
+    double aps[3] = {0, 0, 0};
+    for (const KernelKind k : compiled) {
+      if (!same_result(oracle, rank_run(rebinding_short, node, 0, k))) {
+        std::fprintf(stderr, "kernel %s diverges from the interpreter on %s\n",
+                     engine::kernel::kernel_name(k), name);
+        return 1;
+      }
+      aps[static_cast<int>(k) - 1] = time_kernel(rebinding, node, k, false,
+                                                 reps, n);
+      std::printf("  %-8s on %s: %.0f accesses/sec\n",
+                  engine::kernel::kernel_name(k), name,
+                  aps[static_cast<int>(k) - 1]);
+    }
+    char entry[256];
+    std::snprintf(entry, sizeof(entry),
+                  "%s\n    \"%s\": {\"accesses_per_run\": %llu, "
+                  "\"bytecode_accesses_per_sec\": %.0f, "
+                  "\"native_accesses_per_sec\": %.0f}",
+                  rebinding_json.empty() ? "" : ",", name,
+                  static_cast<unsigned long long>(n), aps[1], aps[2]);
+    rebinding_json += entry;
+  }
+
   const double serial_aps = kernel_aps[static_cast<int>(selected) - 1];
   if (baseline_aps > 0) {
     std::printf("  selected %s vs baseline %.0f: %.2fx\n",
@@ -312,7 +351,7 @@ int main(int argc, char** argv) {
       final_speedup /
       static_cast<double>(std::min(job_counts.back(), hardware_jobs()));
 
-  char buffer[2048];
+  char buffer[4096];
   std::snprintf(buffer, sizeof(buffer),
                 "{\n"
                 "  \"bench\": \"engine_throughput\",\n"
@@ -326,6 +365,7 @@ int main(int argc, char** argv) {
                 "  \"native_accesses_per_sec\": %.0f,\n"
                 "  \"profiled_bytecode_accesses_per_sec\": %.0f,\n"
                 "  \"profiled_native_accesses_per_sec\": %.0f,\n"
+                "  \"rebinding\": {%s\n  },\n"
                 "  \"serial_accesses_per_sec\": %.0f,\n"
                 "  \"baseline_accesses_per_sec\": %.0f,\n"
                 "  \"serial_speedup_vs_baseline\": %.3f,\n"
@@ -340,7 +380,8 @@ int main(int argc, char** argv) {
                 engine::kernel::kernel_name(selected),
                 static_cast<unsigned long long>(accesses), reps, interp_aps,
                 bytecode_aps, native_aps, profiled_bytecode_aps,
-                profiled_native_aps, serial_aps, baseline_aps,
+                profiled_native_aps, rebinding_json.c_str(), serial_aps,
+                baseline_aps,
                 baseline_aps > 0 ? serial_aps / baseline_aps : 0.0,
                 ranks, job_counts.back(), host_context_json().c_str(),
                 final_speedup,

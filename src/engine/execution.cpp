@@ -74,13 +74,14 @@ class MissBuffer {
 };
 
 /// Compiled form of one phase plus the epochs it was compiled against. The
-/// program bakes live-instance addresses, so it is stale the moment the
-/// live set changes (live_epoch) OR a dynamic-schedule migration moves an
-/// instance without any alloc/free (addr_epoch — the case live_epoch alone
-/// cannot see).
+/// program and the native slot table built from it hold live-instance
+/// addresses (the run's one emitted native loop holds none), so both are
+/// stale the moment the live set changes (live_epoch) OR a dynamic-schedule
+/// migration moves an instance without any alloc/free (addr_epoch — the
+/// case live_epoch alone cannot see).
 struct PhaseKernel {
   kernel::Program program;
-  kernel::NativeKernel native;
+  kernel::SlotTable slots;
   bool use_native = false;
   std::uint64_t live_epoch = ~0ULL;
   std::uint64_t addr_epoch = ~0ULL;
@@ -727,6 +728,13 @@ RunResult run_app(const AppSpec& app, const RunOptions& options) {
   const bool use_kernel = kern != kernel::KernelKind::kInterp;
   std::vector<std::unique_ptr<PhaseKernel>> kprograms;
   if (use_kernel) kprograms.resize(app.phases.size());
+  // The native loop is emitted once per run, for the LLC geometry and the
+  // profiling mode; each phase program is bound to it as data.
+  kernel::NativeKernel native;
+  if (kern == kernel::KernelKind::kNative) {
+    const memsim::Cache::Tables llc = machine.llc().tables();
+    native.emit(llc.ways, llc.line_shift, llc.set_mask, prof.has_value());
+  }
 
   const std::uint64_t miss_count_per_sim =
       std::max<std::uint64_t>(1, static_cast<std::uint64_t>(std::llround(scale)));
@@ -762,8 +770,9 @@ RunResult run_app(const AppSpec& app, const RunOptions& options) {
         rebuild_phase_table(table, phase, state, live_epoch);
       }
 
-      // Compiled-kernel program for this phase, regenerated exactly when
-      // the live-set or address epoch moves (steady phases reuse it).
+      // Compiled-kernel program for this phase, regenerated (and rebound
+      // to the native loop) exactly when the live-set or address epoch
+      // moves; steady phases reuse it.
       if (use_kernel) {
         if (!kprograms[p]) kprograms[p] = std::make_unique<PhaseKernel>();
         PhaseKernel& kp = *kprograms[p];
@@ -790,13 +799,10 @@ RunResult run_app(const AppSpec& app, const RunOptions& options) {
           kp.addr_epoch = addr_epoch;
           kp.use_native = false;
           if (kern == kernel::KernelKind::kNative) {
-            const memsim::Cache::Tables llc = machine.llc().tables();
-            // An injected compile fault behaves exactly like compile()
-            // returning false: this phase runs on bytecode instead.
-            kp.use_native =
-                !fault::inject(fault::Site::kKernelCompile) &&
-                kp.native.compile(kp.program, llc.ways, llc.line_shift,
-                                  llc.set_mask, prof.has_value());
+            // An injected compile fault behaves exactly like a failed
+            // emission: this phase runs on bytecode instead.
+            kp.use_native = !fault::inject(fault::Site::kKernelCompile) &&
+                            native.ok() && kp.slots.bind(kp.program);
           }
         }
       }
@@ -825,7 +831,7 @@ RunResult run_app(const AppSpec& app, const RunOptions& options) {
         if (prof) frame.miss_out = miss_records.data();
         if (kp.use_native) {
           rng.save_state(frame.rng_state);
-          kp.native.run(frame);
+          native.run(kp.slots, frame);
           rng.restore_state(frame.rng_state);
         } else {
           kernel::run_bytecode(kp.program, frame, rng);

@@ -30,9 +30,12 @@
 // pointer-chase and bursty call out through kAddGenOffset. The serve op
 // probes the LLC in place, accounts the miss and, in profiled bursts,
 // writes a miss record into the frame's buffer. Two backends execute the
-// same program: the portable bytecode VM here and the optional x86-64
-// native emitter (native.hpp). The interpreter remains the oracle: all
-// backends are bit-identical on every RunResult field and trace byte.
+// same program: the portable bytecode VM here, and the optional x86-64
+// native loop (native.hpp), which is emitted once per run and reads each
+// program as data — a SlotTable of per-slot records built from it, so a
+// recompile at an epoch only rebinds tables. The interpreter remains the
+// oracle: all backends are bit-identical on every RunResult field and
+// trace byte.
 //
 // verify() checks every structural invariant before a program may run, and
 // is the contract the fuzz harness drives: a defect-injected stream must be
@@ -147,13 +150,15 @@ struct MissRecord {
   bool is_write = false;
 };
 
+struct SlotColumn;  // native.hpp
+
 /// Mutable per-burst state shared by both backends. The engine fills it
 /// from the live run (cache tables, tier accumulators, RNG state), executes
 /// one phase burst, and reads the accumulated results back. The native
 /// backend addresses the frame by offsetof displacements baked into its
-/// code. The LLC way state is the cache's own arrays, mutated in place:
-/// tags per way and one recency word per set (memsim::Cache::touch/evict
-/// define its encoding).
+/// code, and reads the bound phase's tables through it. The LLC way state
+/// is the cache's own arrays, mutated in place: tags per way and one
+/// recency word per set (memsim::Cache::touch/evict define its encoding).
 struct Frame {
   std::uint64_t rng_state[4] = {0, 0, 0, 0};  ///< xoshiro256** state in/out
   double latency_ns = 0.0;          ///< out: summed in access order
@@ -164,15 +169,22 @@ struct Frame {
   /// increment) is recorded at miss_out[m], so the buffer needs room for
   /// misses + n_accesses records. Null runs the burst unprofiled.
   MissRecord* miss_out = nullptr;
-  std::uint64_t scratch = 0;        ///< native spill slot
+  std::uint64_t spill[2] = {0, 0};  ///< native spill slots (call-outs)
   std::uint64_t draw = 0;           ///< native spill slot (profiled draw)
-  std::uint64_t next_block = 0;     ///< native: next access's block entry
   // LLC geometry + way state (memsim::Cache::Tables, flattened).
   memsim::Address* tags = nullptr;   ///< sets * ways
   std::uint64_t* order = nullptr;    ///< recency word per set
   std::uint64_t ways = 0;
   std::uint64_t line_shift = 0;
   std::uint64_t set_mask = 0;
+  // The bound phase, as the native loop reads it (NativeKernel::run fills
+  // these from a SlotTable; the bytecode VM reads its Program instead).
+  const SlotColumn* columns = nullptr;  ///< one per alias column
+  std::uint64_t n_cols = 0;
+  std::uint64_t coin_mask = 0;
+  std::uint64_t write_threshold = 0;
+  std::uint64_t write_shift = 0;
+  double llc_latency_ns = 0.0;
 };
 
 /// Executes one phase burst through the bytecode VM. The program must have

@@ -1,6 +1,7 @@
 #include "engine/kernel/native.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstring>
 #include <memory>
@@ -24,14 +25,109 @@ extern "C" std::uint64_t hmem_kernel_gen_next(void* gen) {
   return static_cast<apps::AccessGenerator*>(gen)->next_offset();
 }
 
+namespace {
+
+/// Points `rec` at an inline generator's state: copied in for a burst,
+/// stepped in the record, copied back.
+template <typename State>
+void adopt_state(SlotRecord& rec, State* state) {
+  static_assert(std::is_trivially_copyable_v<State> &&
+                sizeof(State) <= sizeof(SlotRecord::state));
+  rec.gen = state;
+  rec.state_bytes = sizeof(State);
+}
+
+/// True when no line below `lines` starts at or past `clamp`, so clamping
+/// the offsets of a stream over those lines is a no-op.
+bool lines_in_range(std::uint64_t lines, std::uint64_t clamp) {
+  return lines - 1 < clamp / memsim::kCacheLineBytes +
+                         (clamp % memsim::kCacheLineBytes != 0);
+}
+
+}  // namespace
+
+bool SlotTable::bind(const Program& p) {
+  program_ = &p;
+  records_.assign(p.slot_count(), SlotRecord{});
+  for (std::size_t s = 0; s < p.slot_count(); ++s) {
+    SlotRecord& rec = records_[s];
+    const Insn* in = &p.code[p.block_start[s]];
+    if (in->op == Op::kStackAddr) {
+      rec.base = in->imm0;
+      rec.latency_ns = in[1].f;
+      rec.tier = in[1].a;
+      rec.kind = kShapeStack | kDrawsMain;
+      rec.bound = in->imm1;
+      continue;
+    }
+    // An object block: the address head, its offset op, its serve op.
+    if (in->op == Op::kPickAddr) {
+      rec.kind = kDrawsMain;
+      rec.pool = p.instances.data() + in->imm0;
+      rec.bound = in->a;
+    } else {
+      rec.base = in->imm0;
+      rec.latency_ns = in[2].f;
+      rec.tier = in[2].a;
+    }
+    const Insn& off = in[1];
+    apps::AccessGenerator* const gen = p.gens[off.a];
+    const apps::InlineGen& state = gen->inline_state();
+    rec.clamp = off.imm0;
+    switch (off.op) {
+      case Op::kWalkOffset:
+        adopt_state(rec, state.walk);
+        if (!lines_in_range(state.walk->lines, rec.clamp)) {
+          rec.kind |= kClamped;
+        }
+        break;
+      case Op::kRandomOffset:
+        rec.kind |= kShapeRandom;
+        adopt_state(rec, state.random);
+        if (!lines_in_range(state.random->lines, rec.clamp)) {
+          rec.kind |= kClamped;
+        }
+        break;
+      case Op::kPermuteOffset:
+        rec.kind |= kShapePermute;
+        adopt_state(rec, state.permute);
+        break;
+      default:
+        rec.kind |= kShapeCall;
+        rec.gen = gen;
+        break;
+    }
+  }
+  std::vector<const void*> gens;
+  for (const SlotRecord& rec : records_) {
+    if (rec.gen != nullptr) gens.push_back(rec.gen);
+  }
+  std::sort(gens.begin(), gens.end());
+  if (std::adjacent_find(gens.begin(), gens.end()) != gens.end()) {
+    program_ = nullptr;  // unbound: run() refuses it
+    return false;
+  }
+  columns_.assign(p.threshold.size(), SlotColumn{});
+  for (std::size_t c = 0; c < columns_.size(); ++c) {
+    SlotColumn& col = columns_[c];
+    const SlotRecord& own = records_[c];
+    const SlotRecord& alias = records_[p.alias[c]];
+    col.threshold = p.threshold[c];
+    col.rec = &own;
+    col.alias_rec = &alias;
+    col.kind = static_cast<std::uint8_t>(own.kind);
+    col.alias_kind = static_cast<std::uint8_t>(alias.kind);
+  }
+  return true;
+}
+
 #ifndef HMEM_NATIVE_X64
 
 bool native_available() { return false; }
-bool NativeKernel::compile(const Program&, std::uint32_t, std::uint32_t,
-                           std::uint64_t, bool) {
+bool NativeKernel::emit(std::uint32_t, std::uint32_t, std::uint64_t, bool) {
   return false;
 }
-void NativeKernel::run(Frame&) const {}
+void NativeKernel::run(SlotTable&, Frame&) const {}
 
 #else  // HMEM_NATIVE_X64
 
@@ -46,24 +142,51 @@ constexpr int kFrameMisses = offsetof(Frame, misses);
 constexpr int kFrameAccesses = offsetof(Frame, n_accesses);
 constexpr int kFrameTierSim = offsetof(Frame, tier_sim);
 constexpr int kFrameMissOut = offsetof(Frame, miss_out);
-constexpr int kFrameScratch = offsetof(Frame, scratch);
+constexpr int kFrameSpill = offsetof(Frame, spill);
 constexpr int kFrameDraw = offsetof(Frame, draw);
-constexpr int kFrameNextBlock = offsetof(Frame, next_block);
 constexpr int kFrameTags = offsetof(Frame, tags);
 constexpr int kFrameOrder = offsetof(Frame, order);
+constexpr int kFrameColumns = offsetof(Frame, columns);
+constexpr int kFrameCols = offsetof(Frame, n_cols);
+constexpr int kFrameCoinMask = offsetof(Frame, coin_mask);
+constexpr int kFrameWriteThreshold = offsetof(Frame, write_threshold);
+constexpr int kFrameWriteShift = offsetof(Frame, write_shift);
+constexpr int kFrameLlcLatency = offsetof(Frame, llc_latency_ns);
 static_assert(sizeof(memsim::Address) == 8);
+// An instance record and a slot record serve alike: base, latency, tier.
 static_assert(offsetof(InstanceSlot, base) == 0);
 static_assert(offsetof(InstanceSlot, latency_ns) == 8);
 static_assert(offsetof(InstanceSlot, tier) == 16);
+static_assert(offsetof(SlotRecord, base) == 0);
+static_assert(offsetof(SlotRecord, latency_ns) == 8);
+static_assert(offsetof(SlotRecord, tier) == 16);
+constexpr int kSlotState = offsetof(SlotRecord, state);
+constexpr int kSlotPool = offsetof(SlotRecord, pool);
+constexpr int kSlotBound = offsetof(SlotRecord, bound);
+constexpr int kSlotGen = offsetof(SlotRecord, gen);
+constexpr int kSlotClamp = offsetof(SlotRecord, clamp);
+static_assert(offsetof(SlotColumn, threshold) == 0);
+constexpr int kColumnRec = offsetof(SlotColumn, rec);
+constexpr int kColumnAliasRec = offsetof(SlotColumn, alias_rec);
+constexpr int kColumnKind = offsetof(SlotColumn, kind);
+constexpr int kColumnAliasKind = offsetof(SlotColumn, alias_kind);
 // A miss record is three words; the emitted store writes is_write as a
 // whole word (0 or 1 in its low byte, zeros over the padding).
 static_assert(sizeof(MissRecord) == 24);
 static_assert(offsetof(MissRecord, order) == 0);
 static_assert(offsetof(MissRecord, addr) == 8);
 static_assert(offsetof(MissRecord, is_write) == 16);
-// Inline generator state, stepped in place (apps/workload_gen.hpp).
-constexpr int kWalkPosition = offsetof(apps::LineWalk, position);
-constexpr int kPermutePosition = offsetof(apps::PermuteLines, position);
+// Inline generator state, stepped in its record's copy
+// (apps/workload_gen.hpp layouts).
+constexpr int kWalkLines = kSlotState + offsetof(apps::LineWalk, lines);
+constexpr int kWalkStride = kSlotState + offsetof(apps::LineWalk, stride);
+constexpr int kWalkPosition = kSlotState + offsetof(apps::LineWalk, position);
+constexpr int kRandomLines = kSlotState + offsetof(apps::RandomLines, lines);
+constexpr int kRandomRng = kSlotState + offsetof(apps::RandomLines, rng);
+constexpr int kPermuteTable = kSlotState + offsetof(apps::PermuteLines, table);
+constexpr int kPermuteLines = kSlotState + offsetof(apps::PermuteLines, lines);
+constexpr int kPermutePosition =
+    kSlotState + offsetof(apps::PermuteLines, position);
 // RandomLines::rng is stepped as four raw xoshiro256** words, s0 first.
 static_assert(std::is_standard_layout_v<Xoshiro256> &&
               sizeof(Xoshiro256) == 32);
@@ -74,8 +197,10 @@ constexpr std::uint64_t kNibbleOnes = 0x1111111111111111ULL;
 constexpr std::uint64_t kNibbleHighs = 0x8888888888888888ULL;
 
 // Register numbers (SysV). Persistent state sits in callee-saved registers:
-// rbx = Frame*, rbp = access counter, r12..r15 = xoshiro s0..s3. Everything
-// else is per-access scratch.
+// rbx = Frame*, rbp = access counter, r12..r15 = xoshiro s0..s3. Per
+// access, r8 holds the slot's record and r9 the record it serves from (the
+// slot's own, or the picked instance's) until the miss is accounted;
+// everything else is scratch.
 constexpr int kRax = 0, kRcx = 1, kRdx = 2, kRbx = 3;
 constexpr int kRbp = 5, kRsi = 6, kRdi = 7;
 constexpr int kR8 = 8, kR9 = 9, kR10 = 10, kR11 = 11;
@@ -175,14 +300,14 @@ class Asm {
   void mov_ri32(int r, std::uint32_t v) { rex_opt(0, 0, r); byte(0xB8 + (r & 7)); imm32(v); }
   void mov_r_mem(int dst, int base, int disp) { rex(true, dst, 0, base); byte(0x8B); mem(dst, base, disp); }
   void mov_mem_r(int base, int disp, int src) { rex(true, src, 0, base); byte(0x89); mem(src, base, disp); }
-  void mov_r_sib(int dst, int base, int index, int scale_log) {
-    rex(true, dst, index, base); byte(0x8B); sib_mem(dst, base, index, scale_log);
-  }
   void mov32_r_sib(int dst, int base, int index, int scale_log) {
     rex_opt(dst, index, base); byte(0x8B); sib_mem(dst, base, index, scale_log);
   }
   void mov_sib_r(int base, int index, int scale_log, int src) {
     rex(true, src, index, base); byte(0x89); sib_mem(src, base, index, scale_log);
+  }
+  void movzx8_r_mem(int dst, int base, int disp) {
+    rex_opt(dst, 0, base); byte(0x0F); byte(0xB6); mem(dst, base, disp);
   }
   void mov32_rr(int dst, int src) { rex_opt(src, 0, dst); byte(0x89); modrm(3, src, dst); }
   void lea_sib(int dst, int base, int index, int scale_log) {
@@ -198,6 +323,13 @@ class Asm {
   }
   void add_rr(int dst, int src) { rex(true, src, 0, dst); byte(0x01); modrm(3, src, dst); }
   void sub_rr(int dst, int src) { rex(true, src, 0, dst); byte(0x29); modrm(3, src, dst); }
+  void add_r_mem(int dst, int base, int disp) { rex(true, dst, 0, base); byte(0x03); mem(dst, base, disp); }
+  void sub_r_mem(int dst, int base, int disp) { rex(true, dst, 0, base); byte(0x2B); mem(dst, base, disp); }
+  void and_r_mem(int dst, int base, int disp) { rex(true, dst, 0, base); byte(0x23); mem(dst, base, disp); }
+  void imul_r_mem(int dst, int base, int disp) {
+    rex(true, dst, 0, base); byte(0x0F); byte(0xAF); mem(dst, base, disp);
+  }
+  void test_rr(int a, int b) { rex(true, b, 0, a); byte(0x85); modrm(3, b, a); }
   void and_rr(int dst, int src) { rex(true, src, 0, dst); byte(0x21); modrm(3, src, dst); }
   void or_rr(int dst, int src) { rex(true, src, 0, dst); byte(0x09); modrm(3, src, dst); }
   void not_r(int r) { rex(true, 0, 0, r); byte(0xF7); modrm(3, 2, r); }
@@ -210,11 +342,13 @@ class Asm {
   void adc_ri8(int r, std::uint8_t v) { rex(true, 0, 0, r); byte(0x83); modrm(3, 2, r); byte(v); }
   void shl_ri(int r, int n) { rex(true, 0, 0, r); byte(0xC1); modrm(3, 4, r); byte(static_cast<std::uint8_t>(n)); }
   void shr_ri(int r, int n) { rex(true, 0, 0, r); byte(0xC1); modrm(3, 5, r); byte(static_cast<std::uint8_t>(n)); }
+  void shr_cl(int r) { rex(true, 0, 0, r); byte(0xD3); modrm(3, 5, r); }
   void rol_ri(int r, int n) { rex(true, 0, 0, r); byte(0xC1); modrm(3, 0, r); byte(static_cast<std::uint8_t>(n)); }
   void imul_rri(int dst, int src, std::uint32_t v) {
     rex(true, dst, 0, src); byte(0x69); modrm(3, dst, src); imm32(v);
   }
   void mul_r(int r) { rex(true, 0, 0, r); byte(0xF7); modrm(3, 4, r); }
+  void div_r(int r) { rex(true, 0, 0, r); byte(0xF7); modrm(3, 6, r); }
   void cmovae_rr(int dst, int src) { rex(true, dst, 0, src); byte(0x0F); byte(0x43); modrm(3, dst, src); }
   void inc_r(int r) { rex(true, 0, 0, r); byte(0xFF); modrm(3, 0, r); }
   void dec_r(int r) { rex(true, 0, 0, r); byte(0xFF); modrm(3, 1, r); }
@@ -225,7 +359,6 @@ class Asm {
   void sub_rsp8() { byte(0x48); byte(0x83); byte(0xEC); byte(0x08); }
   void add_rsp8() { byte(0x48); byte(0x83); byte(0xC4); byte(0x08); }
   void call_r(int r) { rex_opt(0, 0, r); byte(0xFF); modrm(3, 2, r); }
-  void call_label(Label& l) { byte(0xE8); rel32(l); }
   void jmp_label(Label& l) { byte(0xE9); rel32(l); }
   void jb_label(Label& l) { byte(0x0F); byte(0x82); rel32(l); }
   void jae_label(Label& l) { byte(0x0F); byte(0x83); rel32(l); }
@@ -235,11 +368,12 @@ class Asm {
   }
   void je_label(Label& l) { byte(0x0F); byte(0x84); rel32(l); }
   void jne_label(Label& l) { byte(0x0F); byte(0x85); rel32(l); }
-  void jmp_mem(int base, int disp) { rex_opt(0, 0, base); byte(0xFF); mem(4, base, disp); }
   // 32-bit forms (the upper half of the destination is zeroed).
   void and32_rr(int dst, int src) { rex_opt(src, 0, dst); byte(0x21); modrm(3, src, dst); }
   void or32_rr(int dst, int src) { rex_opt(src, 0, dst); byte(0x09); modrm(3, src, dst); }
   void and32_ri(int r, std::uint32_t v) { rex_opt(0, 0, r); byte(0x81); modrm(3, 4, r); imm32(v); }
+  void test32_ri(int r, std::uint32_t v) { rex_opt(0, 0, r); byte(0xF7); modrm(3, 0, r); imm32(v); }
+  void cmp32_ri8(int r, std::uint8_t v) { rex_opt(0, 0, r); byte(0x83); modrm(3, 7, r); byte(v); }
   void shl32_ri(int r, int n) { rex_opt(0, 0, r); byte(0xC1); modrm(3, 4, r); byte(static_cast<std::uint8_t>(n)); }
   void shr32_ri(int r, int n) { rex_opt(0, 0, r); byte(0xC1); modrm(3, 5, r); byte(static_cast<std::uint8_t>(n)); }
   void bsf32_rr(int dst, int src) { rex_opt(dst, 0, src); byte(0x0F); byte(0xBC); modrm(3, dst, src); }
@@ -256,10 +390,10 @@ class Asm {
   void packssdw(int x, int x2) { sse_rr(0x6B, x, x2); }
   void packsswb(int x, int x2) { sse_rr(0x63, x, x2); }
   void pmovmskb(int r, int x) { sse_rr(0xD7, r, x); }  // r is a low register
-  // SSE2 scalar double ops (xmm0..xmm7, low bases only — no REX needed).
-  void movsd_x_mem(int x, int base, int disp) { byte(0xF2); byte(0x0F); byte(0x10); mem(x, base, disp); }
-  void movsd_mem_x(int base, int disp, int x) { byte(0xF2); byte(0x0F); byte(0x11); mem(x, base, disp); }
-  void addsd(int x, int x2) { byte(0xF2); byte(0x0F); byte(0x58); modrm(3, x, x2); }
+  // SSE2 scalar double ops.
+  void movsd_x_mem(int x, int base, int disp) { sse_rm(0xF2, 0x10, x, base, disp); }
+  void movsd_mem_x(int base, int disp, int x) { sse_rm(0xF2, 0x11, x, base, disp); }
+  void addsd_x_mem(int x, int base, int disp) { sse_rm(0xF2, 0x58, x, base, disp); }
   void movq_x_r(int x, int r) {
     byte(0x66); rex(true, x, 0, r); byte(0x0F); byte(0x6E); modrm(3, x, r);
   }
@@ -267,25 +401,21 @@ class Asm {
 
 }  // namespace
 
-bool NativeKernel::compile(const Program& p, std::uint32_t ways,
-                           std::uint32_t line_shift, std::uint64_t set_mask,
-                           bool profiled) {
+bool NativeKernel::emit(std::uint32_t ways, std::uint32_t line_shift,
+                        std::uint64_t set_mask, bool profiled) {
   if (!ExecutableAllocator::supported()) return false;
   if (entry_ != nullptr) {
     alloc_.release(entry_);
     entry_ = nullptr;
   }
   profiled_ = profiled;
-  const std::uint64_t n_cols = p.threshold.size();
-  if (n_cols == 0 || n_cols > 0x7FFFFFFFULL) return false;
   if (ways == 0 || ways > memsim::Cache::kMaxWays) return false;
   const int top_shift = 4 * static_cast<int>(ways - 1);
 
-  jump_table_.assign(p.slot_count(), 0);
-  std::vector<std::size_t> block_offset(p.slot_count(), 0);
-
   Asm a;
-  Asm::Label loop, serve, hit, next, done, rng_next;
+  Asm::Label loop, walk, clamp, addr, other, random, random_rare, random_ok,
+      not_random, draw_retry, draw_rare, drawn, pick, shape, permute, hit,
+      next, done;
 
   // ---- prologue: 6 pushes + sub 8 leaves rsp 16-aligned at call sites.
   a.push_r(kRbx);
@@ -305,44 +435,11 @@ bool NativeKernel::compile(const Program& p, std::uint32_t ways,
   a.cmp_mem0(kRbx, kFrameAccesses);  // n_accesses == 0?
   a.je_label(done);
 
-  // Lookahead dispatch: xoshiro256**'s output depends only on the state
-  // before it advances, so the next access's draw — and from it the column,
-  // the alias decision and the block entry — can be computed from r13
-  // without stepping the generator. Each block runs this right after its own
-  // extra draws and parks the entry in frame.next_block; the loop top then
-  // advances the state and jumps there, so the dispatch target is resolved
-  // long before the jump instead of at the end of a dependent chain.
-  // Clobbers rax, rcx, rsi, rdi and r8.
-  const auto emit_lookahead = [&]() {
-    a.lea_r13x5(kRax);  // the next draw: rotl(s1 * 5, 7) * 9
+  // xoshiro256** step on r12..r15: draw in rax, rdi clobbered.
+  const auto emit_step = [&]() {
+    a.lea_r13x5(kRax);  // s1 * 5
     a.rol_ri(kRax, 7);
-    a.lea_sib(kRax, kRax, kRax, 3);
-    a.mov32_rr(kRcx, kRax);  // zero-extended low 32 bits
-    a.imul_rri(kRcx, kRcx, static_cast<std::uint32_t>(n_cols));
-    a.shr_ri(kRcx, 32);      // column
-    a.shr_ri(kRax, 32);
-    a.mov_ri64(kRdi, p.coin_mask);
-    a.and_rr(kRax, kRdi);    // coin
-    a.mov_ri64(kRsi, reinterpret_cast<std::uint64_t>(p.threshold.data()));
-    a.mov_r_sib(kRdi, kRsi, kRcx, 3);   // thr[col]
-    a.mov_ri64(kRsi, reinterpret_cast<std::uint64_t>(p.alias.data()));
-    a.mov32_r_sib(kR8, kRsi, kRcx, 2);  // alias[col], zero-extended
-    a.cmp_rr(kRax, kRdi);               // coin - thr
-    a.cmovae_rr(kRcx, kR8);             // slot = coin < thr ? col : alias
-    a.mov_ri64(kRsi, reinterpret_cast<std::uint64_t>(jump_table_.data()));
-    a.mov_r_sib(kRax, kRsi, kRcx, 3);
-    a.mov_mem_r(kRbx, kFrameNextBlock, kRax);
-  };
-  emit_lookahead();  // the first access's block
-
-  // xoshiro256** step: draw in rax (when wanted), state advanced in
-  // r12..r15. Clobbers rax and rdi only.
-  const auto emit_step = [&](bool want_draw) {
-    if (want_draw) {
-      a.lea_r13x5(kRax);  // s1 * 5
-      a.rol_ri(kRax, 7);
-      a.lea_sib(kRax, kRax, kRax, 3);  // * 9
-    }
+    a.lea_sib(kRax, kRax, kRax, 3);  // * 9
     a.mov_rr(kRdi, kR13);
     a.shl_ri(kRdi, 17);  // t
     a.xor_rr(kR14, kR12);
@@ -352,187 +449,67 @@ bool NativeKernel::compile(const Program& p, std::uint32_t ways,
     a.xor_rr(kR14, kRdi);
     a.rol_ri(kR15, 45);
   };
-
-  // ---- per-access prelude: advance the generator, dispatch.
-  a.bind(loop);
-  emit_step(profiled);
-  if (profiled) a.mov_mem_r(kRbx, kFrameDraw, kRax);  // for the write coin
-  a.jmp_mem(kRbx, kFrameNextBlock);
-
-  // Inline Lemire below(bound) with the rejection threshold precomputed;
-  // result in rdx. rng_next preserves rcx/rsi, so the loop re-multiplies
-  // without reloading the constants.
-  const auto emit_below = [&](std::uint64_t bound) {
-    Asm::Label ok, retry;
-    a.call_label(rng_next);
-    a.mov_ri64(kRcx, bound);
-    a.mul_r(kRcx);           // rdx:rax = draw * bound
-    a.cmp_rr(kRax, kRcx);
-    a.jae_label(ok);
-    a.mov_ri64(kRsi, (0 - bound) % bound);
-    a.bind(retry);
-    a.cmp_rr(kRax, kRsi);
-    a.jae_label(ok);
-    a.call_label(rng_next);
-    a.mul_r(kRcx);
-    a.jmp_label(retry);
-    a.bind(ok);
-  };
-  // One xoshiro256** step on the four state words at [rsi] (an object's
-  // RandomLines::rng): draw in rax, state written back. rsi survives;
-  // rcx, rdx, rdi, r8 and r9 are clobbered.
-  const auto emit_state_step = [&]() {
-    a.mov_r_mem(kRdx, kRsi, 8);      // s1
-    a.lea_sib(kRax, kRdx, kRdx, 2);  // s1 * 5
-    a.rol_ri(kRax, 7);
-    a.lea_sib(kRax, kRax, kRax, 3);  // * 9
-    a.mov_rr(kRcx, kRdx);
-    a.shl_ri(kRcx, 17);              // t
-    a.mov_r_mem(kRdi, kRsi, 16);
-    a.xor_r_mem(kRdi, kRsi, 0);      // s2 ^= s0
-    a.mov_r_mem(kR8, kRsi, 24);
-    a.xor_rr(kR8, kRdx);             // s3 ^= s1
-    a.xor_rr(kRdx, kRdi);            // s1 ^= s2
-    a.mov_r_mem(kR9, kRsi, 0);
-    a.xor_rr(kR9, kR8);              // s0 ^= s3
-    a.xor_rr(kRdi, kRcx);            // s2 ^= t
-    a.rol_ri(kR8, 45);               // s3 = rotl(s3, 45)
-    a.mov_mem_r(kRsi, 0, kR9);
-    a.mov_mem_r(kRsi, 8, kRdx);
-    a.mov_mem_r(kRsi, 16, kRdi);
-    a.mov_mem_r(kRsi, 24, kR8);
-  };
-  // An offset op: the object's next line, scaled to bytes in rax and
-  // clamped to [0, size) exactly as the interpreter does. Walks, random
-  // draws and permute cursors step the generator's own state in place with
-  // its constant fields baked in; the remaining patterns call the
-  // AccessGenerator shim. Clobbers every caller-saved register.
-  const auto emit_offset = [&](const Insn& off) {
-    apps::AccessGenerator* const gen = p.gens[off.a];
-    const apps::InlineGen& state = gen->inline_state();
-    switch (off.op) {
-      case Op::kWalkOffset: {
-        const apps::LineWalk& walk = *state.walk;
-        a.mov_ri64(kRsi, reinterpret_cast<std::uint64_t>(&walk));
-        a.mov_r_mem(kRax, kRsi, kWalkPosition);  // line
-        a.mov_ri64(kRdx, walk.stride);
-        a.add_rr(kRdx, kRax);
-        a.mov_ri64(kRdi, walk.lines);
-        a.mov_rr(kRcx, kRdx);
-        a.sub_rr(kRcx, kRdi);     // borrows unless the walk wraps
-        a.cmovae_rr(kRdx, kRcx);
-        a.mov_mem_r(kRsi, kWalkPosition, kRdx);
-        a.shl_ri(kRax, 6);
-        break;
-      }
-      case Op::kRandomOffset: {
-        // Xoshiro256::below(lines) on the object's own generator.
-        const apps::RandomLines& random = *state.random;
-        const std::uint64_t bound = random.lines;
-        Asm::Label retry, ok;
-        a.mov_ri64(kRsi, reinterpret_cast<std::uint64_t>(&random.rng));
-        a.bind(retry);
-        emit_state_step();
-        a.mov_ri64(kRcx, bound);
-        a.mul_r(kRcx);  // rdx:rax = draw * bound
-        a.cmp_rr(kRax, kRcx);
-        a.jae_label(ok);
-        a.mov_ri64(kRdi, (0 - bound) % bound);
-        a.cmp_rr(kRax, kRdi);
-        a.jb_label(retry);
-        a.bind(ok);
-        a.mov_rr(kRax, kRdx);
-        a.shl_ri(kRax, 6);
-        break;
-      }
-      case Op::kPermuteOffset: {
-        const apps::PermuteLines& permute = *state.permute;
-        a.mov_ri64(kRsi, reinterpret_cast<std::uint64_t>(&permute));
-        a.mov_r_mem(kRcx, kRsi, kPermutePosition);
-        a.mov_ri64(kRdi, reinterpret_cast<std::uint64_t>(permute.table));
-        a.mov32_r_sib(kRax, kRdi, kRcx, 2);  // line = table[position]
-        a.inc_r(kRcx);
-        a.xor32_rr(kRdx, kRdx);
-        a.mov_ri64(kRdi, permute.lines);
-        a.cmp_rr(kRcx, kRdi);
-        a.cmovae_rr(kRcx, kRdx);  // ++position == lines -> 0
-        a.mov_mem_r(kRsi, kPermutePosition, kRcx);
-        a.shl_ri(kRax, 6);
-        break;
-      }
-      default:
-        // The C call clobbers every xmm register: park the latency sum.
-        a.movsd_mem_x(kRbx, kFrameLatency, 7);
-        a.mov_ri64(kRdi, reinterpret_cast<std::uint64_t>(gen));
-        a.mov_ri64(kRax,
-                   reinterpret_cast<std::uint64_t>(&hmem_kernel_gen_next));
-        a.call_r(kRax);
-        a.movsd_x_mem(7, kRbx, kFrameLatency);
-        break;
-    }
-    a.mov_ri64(kRcx, off.imm0);
+  // Lemire's rare case, out of line: rax:rdx = the low:high product of a
+  // draw and the bound in rcx, with low < bound. Accepts (high back in rdx,
+  // on to `ok`) unless low falls under the rejection threshold
+  // (0 - bound) % bound, in which case it draws again at `retry`. Clobbers
+  // r10 and r11; rcx survives.
+  const auto emit_lemire_rare = [&](Asm::Label& ok, Asm::Label& retry) {
+    a.mov_rr(kR10, kRax);
+    a.mov_rr(kR11, kRdx);
+    a.mov_rr(kRax, kRcx);
+    a.neg_r(kRax);
     a.xor32_rr(kRdx, kRdx);
-    a.cmp_rr(kRax, kRcx);
-    a.cmovae_rr(kRax, kRdx);
-  };
-  const auto emit_serve_const = [&](std::uint32_t tier, double latency) {
-    a.mov_ri32(kR11, tier);
-    a.mov_ri64(kRax, bits_of(latency));
-    a.movq_x_r(1, kRax);  // xmm1 = miss latency
-    a.jmp_label(serve);
+    a.div_r(kRcx);  // rdx = (0 - bound) % bound
+    a.cmp_rr(kR10, kRdx);
+    a.mov_rr(kRdx, kR11);
+    a.jae_label(ok);
+    a.jmp_label(retry);
   };
 
-  // ---- per-slot blocks: own draws, lookahead, offset. Contract with
-  // .serve: r10 = addr, r11 = serving tier, xmm1 = miss latency.
-  for (std::size_t s = 0; s < p.slot_count(); ++s) {
-    block_offset[s] = a.pos();
-    const Insn* in = &p.code[p.block_start[s]];
-    switch (in->op) {
-      case Op::kStackAddr: {
-        emit_below(in->imm1);
-        a.shl_ri(kRdx, 6);  // * kCacheLineBytes
-        a.mov_ri64(kR10, in->imm0);
-        a.add_rr(kR10, kRdx);
-        emit_lookahead();
-        const Insn& sv = p.code[p.block_start[s] + 1];
-        emit_serve_const(sv.a, sv.f);
-        break;
-      }
-      case Op::kFixedAddr: {
-        emit_lookahead();
-        emit_offset(p.code[p.block_start[s] + 1]);
-        a.mov_ri64(kR10, in->imm0);
-        a.add_rr(kR10, kRax);
-        const Insn& sv = p.code[p.block_start[s] + 2];
-        emit_serve_const(sv.a, sv.f);
-        break;
-      }
-      case Op::kPickAddr: {
-        emit_below(in->a);
-        a.shl_ri(kRdx, 5);  // InstanceSlot stride
-        a.mov_ri64(kRax,
-                   reinterpret_cast<std::uint64_t>(p.instances.data() +
-                                                   in->imm0));
-        a.add_rr(kRax, kRdx);
-        a.mov_mem_r(kRbx, kFrameScratch, kRax);  // spill rec* across the offset
-        emit_lookahead();
-        emit_offset(p.code[p.block_start[s] + 1]);
-        a.mov_r_mem(kRsi, kRbx, kFrameScratch);
-        a.mov_r_mem(kR10, kRsi, 0);   // rec.base
-        a.add_rr(kR10, kRax);
-        a.mov_r_mem(kR11, kRsi, 16);  // rec.tier
-        a.movsd_x_mem(1, kRsi, 8);    // rec.latency_ns
-        a.jmp_label(serve);
-        break;
-      }
-      default:
-        return false;  // verify_program rejects these shapes already
-    }
-  }
+  // ---- per access: the draw, the column, the slot's record and kind.
+  a.bind(loop);
+  emit_step();
+  if (profiled) a.mov_mem_r(kRbx, kFrameDraw, kRax);  // for the write coin
+  a.mov32_rr(kRcx, kRax);  // zero-extended low 32 bits
+  a.imul_r_mem(kRcx, kRbx, kFrameCols);
+  a.shr_ri(kRcx, 32);      // column
+  a.shl_ri(kRcx, 5);       // * sizeof(SlotColumn)
+  a.add_r_mem(kRcx, kRbx, kFrameColumns);
+  a.movzx8_r_mem(kRsi, kRcx, kColumnKind);
+  a.movzx8_r_mem(kRdx, kRcx, kColumnAliasKind);
+  a.mov_r_mem(kR8, kRcx, kColumnRec);
+  a.mov_r_mem(kRdi, kRcx, kColumnAliasRec);
+  a.shr_ri(kRax, 32);
+  a.and_r_mem(kRax, kRbx, kFrameCoinMask);  // coin
+  a.cmp_r_mem(kRax, kRcx, 0);               // coin - threshold
+  a.cmovae_rr(kR8, kRdi);  // r8 = coin < thr ? own record : alias record
+  a.cmovae_rr(kRsi, kRdx);                  // and its kind, in rsi
+  a.mov_rr(kR9, kR8);                       // serving from it, unless picked
+  // Kind zero, an in-range walk that draws nothing, falls through; every
+  // other kind leaves here. The branch waits on the column's load alone.
+  a.test_rr(kRsi, kRsi);
+  a.jne_label(other);
+  // Walk (LineWalk::step) on the record's copy: line = position; position
+  // += stride, wrapped. Only a walk that can pass its object is clamped.
+  a.bind(walk);
+  a.mov_r_mem(kRax, kR8, kWalkPosition);  // line
+  a.mov_r_mem(kRdx, kR8, kWalkStride);
+  a.add_rr(kRdx, kRax);
+  a.mov_rr(kRcx, kRdx);
+  a.sub_r_mem(kRcx, kR8, kWalkLines);  // borrows unless the walk wraps
+  a.cmovae_rr(kRdx, kRcx);
+  a.mov_mem_r(kR8, kWalkPosition, kRdx);
+  a.shl_ri(kRax, 6);
+  a.test32_ri(kRsi, kClamped);
+  a.jne_label(clamp);
 
-  // ---- shared LLC probe: the exact Cache::access sequence with geometry
-  // baked in. rax = tag, rsi = &tags[set * ways], rdx = &order[set].
-  a.bind(serve);
+  // ---- the LLC probe: the exact Cache::access sequence with the geometry
+  // baked in. r10 = addr, rax = tag, rsi = &tags[set * ways], rdx =
+  // &order[set]; r9 = the record a miss is served from.
+  a.bind(addr);  // rax = the offset
+  a.mov_r_mem(kR10, kR9, 0);
+  a.add_rr(kR10, kRax);
   a.mov_rr(kRax, kR10);
   a.shr_ri(kRax, static_cast<int>(line_shift));  // tag
   a.mov_rr(kRcx, kRax);
@@ -540,7 +517,11 @@ bool NativeKernel::compile(const Program& p, std::uint32_t ways,
   a.and_rr(kRcx, kRdi);                  // set
   a.mov_r_mem(kRdx, kRbx, kFrameOrder);
   a.lea_sib(kRdx, kRdx, kRcx, 3);
-  a.imul_rri(kRcx, kRcx, ways);
+  if (std::has_single_bit(ways)) {
+    a.shl_ri(kRcx, std::countr_zero(ways));
+  } else {
+    a.imul_rri(kRcx, kRcx, ways);
+  }
   a.mov_r_mem(kRsi, kRbx, kFrameTags);
   a.lea_sib(kRsi, kRsi, kRcx, 3);
   // SSE2 tag match, branch-free until the one hit test: the tag broadcast
@@ -590,13 +571,14 @@ bool NativeKernel::compile(const Program& p, std::uint32_t ways,
   a.mov_ri32(kRcx, 0xF);
   a.and_rr(kRcx, kR8);              // victim
   a.shr_ri(kR8, 4);
-  a.mov_rr(kR9, kRcx);
-  a.shl_ri(kR9, top_shift);
-  a.or_rr(kR8, kR9);
+  a.mov_rr(kR11, kRcx);
+  a.shl_ri(kR11, top_shift);
+  a.or_rr(kR8, kR11);
   a.mov_mem_r(kRdx, 0, kR8);
   a.mov_sib_r(kRsi, kRcx, 3, kRax);  // tags[victim] = tag
-  a.addsd(7, 1);                    // latency += miss latency
+  a.addsd_x_mem(7, kR9, 8);         // latency += the server's latency
   a.mov_r_mem(kRcx, kRbx, kFrameTierSim);
+  a.mov_r_mem(kR11, kR9, 16);
   a.add_sib_imm8(kRcx, kR11, 64);   // [tier] += kCacheLineBytes
   if (profiled) {
     // miss_out[misses] = {k, addr, draw's write coin}.
@@ -607,10 +589,10 @@ bool NativeKernel::compile(const Program& p, std::uint32_t ways,
     a.mov_mem_r(kRdx, 0, kRbp);
     a.mov_mem_r(kRdx, 8, kR10);
     a.mov_r_mem(kRax, kRbx, kFrameDraw);
-    a.shr_ri(kRax, static_cast<int>(p.write_shift));
-    a.mov_ri64(kRcx, p.write_threshold);
+    a.mov_r_mem(kRcx, kRbx, kFrameWriteShift);
+    a.shr_cl(kRax);
     a.xor32_rr(kR8, kR8);
-    a.cmp_rr(kRax, kRcx);
+    a.cmp_r_mem(kRax, kRbx, kFrameWriteThreshold);
     a.adc_ri8(kR8, 0);               // is_write = coin < threshold
     a.mov_mem_r(kRdx, 16, kR8);
   }
@@ -623,14 +605,14 @@ bool NativeKernel::compile(const Program& p, std::uint32_t ways,
   a.bsf32_rr(kRcx, kRcx);
   a.shr32_ri(kRcx, 1);              // way
   a.mov_ri64(kRax, kNibbleOnes);
-  a.mov_rr(kR9, kRax);
-  a.imul_rr(kR9, kRcx);             // the way's id in every nibble
+  a.mov_rr(kR11, kRax);
+  a.imul_rr(kR11, kRcx);            // the way's id in every nibble
   a.mov_r_mem(kR8, kRdx, 0);        // order
-  a.xor_rr(kR9, kR8);               // x: zero nibble at the way
-  a.mov_rr(kRdi, kR9);
+  a.xor_rr(kR11, kR8);              // x: zero nibble at the way
+  a.mov_rr(kRdi, kR11);
   a.sub_rr(kRdi, kRax);
-  a.not_r(kR9);
-  a.and_rr(kRdi, kR9);
+  a.not_r(kR11);
+  a.and_rr(kRdi, kR11);
   a.mov_ri64(kRax, kNibbleHighs);
   a.and_rr(kRdi, kRax);             // zero = (x - ones) & ~x & highs
   a.mov_rr(kRax, kRdi);
@@ -638,18 +620,16 @@ bool NativeKernel::compile(const Program& p, std::uint32_t ways,
   a.and_rr(kRax, kRdi);             // zero & -zero
   a.shr_ri(kRax, 3);
   a.dec_r(kRax);                    // below
-  a.mov_rr(kR9, kR8);
-  a.and_rr(kR9, kRax);              // order & below
+  a.mov_rr(kR11, kR8);
+  a.and_rr(kR11, kRax);             // order & below
   a.shr_ri(kR8, 4);
   a.not_r(kRax);
   a.and_rr(kR8, kRax);              // (order >> 4) & ~below
-  a.or_rr(kR8, kR9);
+  a.or_rr(kR8, kR11);
   a.shl_ri(kRcx, top_shift);
   a.or_rr(kR8, kRcx);
   a.mov_mem_r(kRdx, 0, kR8);
-  a.mov_ri64(kRax, bits_of(p.llc_latency_ns));
-  a.movq_x_r(1, kRax);
-  a.addsd(7, 1);
+  a.addsd_x_mem(7, kRbx, kFrameLlcLatency);
 
   a.bind(next);
   a.inc_r(kRbp);
@@ -671,18 +651,114 @@ bool NativeKernel::compile(const Program& p, std::uint32_t ways,
   a.pop_r(kRbx);
   a.ret();
 
-  // ---- the step as a subroutine for below()'s draws; rcx/rsi survive.
-  a.bind(rng_next);
-  emit_step(true);
-  a.ret();
+  // ---- every other kind, out of line, dispatched on the kind in rsi.
+  // A single-instance random object, the next most common, runs first.
+  a.bind(other);
+  a.cmp32_ri8(kRsi, kShapeRandom);
+  a.jne_label(not_random);
+  // Random (RandomLines::step) on the record's copy: Xoshiro256::below(lines)
+  // on the object's four state words.
+  a.bind(random);
+  a.mov_r_mem(kRdx, kR8, kRandomRng + 8);   // s1
+  a.lea_sib(kRax, kRdx, kRdx, 2);           // s1 * 5
+  a.rol_ri(kRax, 7);
+  a.lea_sib(kRax, kRax, kRax, 3);           // * 9: the draw
+  a.mov_rr(kRcx, kRdx);
+  a.shl_ri(kRcx, 17);                       // t
+  a.mov_r_mem(kRdi, kR8, kRandomRng + 16);
+  a.xor_r_mem(kRdi, kR8, kRandomRng);       // s2 ^= s0
+  a.mov_r_mem(kR10, kR8, kRandomRng + 24);
+  a.xor_rr(kR10, kRdx);                     // s3 ^= s1
+  a.xor_rr(kRdx, kRdi);                     // s1 ^= s2
+  a.mov_r_mem(kR11, kR8, kRandomRng);
+  a.xor_rr(kR11, kR10);                     // s0 ^= s3
+  a.xor_rr(kRdi, kRcx);                     // s2 ^= t
+  a.rol_ri(kR10, 45);                       // s3 = rotl(s3, 45)
+  a.mov_mem_r(kR8, kRandomRng, kR11);
+  a.mov_mem_r(kR8, kRandomRng + 8, kRdx);
+  a.mov_mem_r(kR8, kRandomRng + 16, kRdi);
+  a.mov_mem_r(kR8, kRandomRng + 24, kR10);
+  a.mov_r_mem(kRcx, kR8, kRandomLines);
+  a.mul_r(kRcx);  // rdx:rax = draw * lines
+  a.cmp_rr(kRax, kRcx);
+  a.jb_label(random_rare);
+  a.bind(random_ok);
+  a.mov_rr(kRax, kRdx);
+  a.shl_ri(kRax, 6);
+  a.test32_ri(kRsi, kClamped);
+  a.je_label(addr);
+  // Offset in rax, clamped to [0, clamp) exactly as the interpreter does.
+  a.bind(clamp);
+  a.xor32_rr(kRdx, kRdx);
+  a.cmp_r_mem(kRax, kR8, kSlotClamp);
+  a.cmovae_rr(kRax, kRdx);
+  a.jmp_label(addr);
 
-  // ---- map, resolve the dispatch table, seal W^X.
+  // Then the main-RNG draw a stack line or an instance pick takes
+  // (below(bound), as the interpreter).
+  a.bind(not_random);
+  a.test32_ri(kRsi, kDrawsMain);
+  a.je_label(shape);
+  a.bind(draw_retry);
+  emit_step();
+  a.mov_r_mem(kRcx, kR8, kSlotBound);
+  a.mul_r(kRcx);  // rdx:rax = draw * bound
+  a.cmp_rr(kRax, kRcx);
+  a.jb_label(draw_rare);
+  a.bind(drawn);  // rdx = the line or the instance
+  a.cmp32_ri8(kRsi, kShapeStack | kDrawsMain);
+  a.jne_label(pick);
+  a.mov_rr(kRax, kRdx);
+  a.shl_ri(kRax, 6);  // a stack line: in range by construction, no clamp
+  a.jmp_label(addr);
+  a.bind(pick);
+  a.shl_ri(kRdx, 5);  // * sizeof(InstanceSlot)
+  a.mov_r_mem(kR9, kR8, kSlotPool);
+  a.add_rr(kR9, kRdx);  // serve from the picked instance
+  // Then the offset, by shape.
+  a.bind(shape);
+  a.mov32_rr(kRax, kRsi);
+  a.and32_ri(kRax, kShapeMask);
+  a.je_label(walk);
+  a.cmp32_ri8(kRax, kShapeRandom);
+  a.je_label(random);
+  a.cmp32_ri8(kRax, kShapePermute);
+  a.je_label(permute);
+  // Call-out: the C call clobbers every caller-saved register and every
+  // xmm register, so park both records and the latency sum in the frame.
+  a.mov_mem_r(kRbx, kFrameSpill, kR8);
+  a.mov_mem_r(kRbx, kFrameSpill + 8, kR9);
+  a.movsd_mem_x(kRbx, kFrameLatency, 7);
+  a.mov_r_mem(kRdi, kR8, kSlotGen);
+  a.mov_ri64(kRax, reinterpret_cast<std::uint64_t>(&hmem_kernel_gen_next));
+  a.call_r(kRax);
+  a.movsd_x_mem(7, kRbx, kFrameLatency);
+  a.mov_r_mem(kR8, kRbx, kFrameSpill);
+  a.mov_r_mem(kR9, kRbx, kFrameSpill + 8);
+  a.jmp_label(clamp);
+
+  // Permute (PermuteLines::step): line = table[position]; wrapping cursor.
+  a.bind(permute);
+  a.mov_r_mem(kRcx, kR8, kPermutePosition);
+  a.mov_r_mem(kRdi, kR8, kPermuteTable);
+  a.mov32_r_sib(kRax, kRdi, kRcx, 2);  // line = table[position]
+  a.inc_r(kRcx);
+  a.xor32_rr(kRdx, kRdx);
+  a.cmp_r_mem(kRcx, kR8, kPermuteLines);
+  a.cmovae_rr(kRcx, kRdx);  // ++position == lines -> 0
+  a.mov_mem_r(kR8, kPermutePosition, kRcx);
+  a.shl_ri(kRax, 6);
+  a.jmp_label(clamp);
+
+  a.bind(draw_rare);
+  emit_lemire_rare(drawn, draw_retry);
+  a.bind(random_rare);
+  emit_lemire_rare(random_ok, random);
+
+  // ---- map and seal W^X.
   void* base = alloc_.allocate(a.buf.size());
   if (base == nullptr) return false;
   std::memcpy(base, a.buf.data(), a.buf.size());
-  for (std::size_t s = 0; s < block_offset.size(); ++s) {
-    jump_table_[s] = reinterpret_cast<std::uint64_t>(base) + block_offset[s];
-  }
   if (!alloc_.seal(base)) {
     alloc_.release(base);
     return false;
@@ -691,25 +767,81 @@ bool NativeKernel::compile(const Program& p, std::uint32_t ways,
   return true;
 }
 
-void NativeKernel::run(Frame& frame) const {
+void NativeKernel::run(SlotTable& table, Frame& frame) const {
   HMEM_ASSERT(entry_ != nullptr);
   HMEM_ASSERT_MSG((frame.miss_out != nullptr) == profiled_,
-                  "miss buffer must match the compiled profiling mode");
+                  "miss buffer must match the emitted profiling mode");
+  HMEM_ASSERT_MSG(table.program_ != nullptr, "run needs a bound table");
+  const Program& p = *table.program_;
+  frame.columns = table.columns_.data();
+  frame.n_cols = p.threshold.size();
+  frame.coin_mask = p.coin_mask;
+  frame.write_threshold = p.write_threshold;
+  frame.write_shift = p.write_shift;
+  frame.llc_latency_ns = p.llc_latency_ns;
+  for (SlotRecord& rec : table.records_) {
+    if (rec.state_bytes != 0) std::memcpy(rec.state, rec.gen, rec.state_bytes);
+  }
   reinterpret_cast<void (*)(Frame*)>(entry_)(&frame);
+  for (const SlotRecord& rec : table.records_) {
+    if (rec.state_bytes != 0) std::memcpy(rec.gen, rec.state, rec.state_bytes);
+  }
 }
 
 namespace {
 
-/// The self-test's program: two stack blocks, then one object block per
-/// generator in `gens` — fixed-address blocks, except a three-instance pick
-/// for gens[1] — served from alternating tiers. Only the slots in `active`
-/// ever run: the other columns divert every coin to an active one.
+/// One slot of a self-test program: a stack of `count` lines (gen < 0), or
+/// an object over gens[gen] — a fixed block when `count` is 0, else a pick
+/// of `count` instances (a pick of one still draws, as kPickAddr does).
+struct SelfTestSlot {
+  int gen;
+  std::uint64_t count;
+  memsim::Address base;
+  std::uint32_t tier;
+};
+
+/// The self-test's two programs over one set of generators, bound to one
+/// emitted loop in succession; they differ in slot count and order, bases,
+/// tiers, stack lines and which streams are picked from. Variant 0: two
+/// stacks (the second 2^38 bytes above the first, so their tags equal in
+/// the low dword and differ in the high one, which the probe must tell
+/// apart; 96 lines exercise Lemire's rejection threshold), then fixed
+/// blocks and a three-instance pick of the random stream. Variant 1:
+/// objects first — both random streams fixed, and picks of the permute
+/// cursor (five instances), the bursty call-out (one) and a second seq
+/// walk (two) — then one stack. Offsets clamp at 40 lines, which the
+/// stride walk and the long random stream overrun and the seq walks and
+/// the short random stream do not.
+const std::vector<SelfTestSlot>& self_test_layout(int variant) {
+  static const std::vector<SelfTestSlot> layouts[2] = {
+      {{-1, 96, 1ULL << 20, 0},
+       {-1, 64, (1ULL << 20) + (1ULL << 38), 1},
+       {0, 0, 4ULL << 20, 0},
+       {1, 3, 5ULL << 20, 1},
+       {2, 0, 6ULL << 20, 0},
+       {3, 0, 7ULL << 20, 1},
+       {4, 0, 8ULL << 20, 0}},
+      {{0, 0, (1ULL << 32) + (9ULL << 20), 1},
+       {1, 0, (1ULL << 32) + (10ULL << 20), 0},
+       {2, 0, (1ULL << 32) + (11ULL << 20), 1},
+       {3, 5, (1ULL << 32) + (12ULL << 20), 0},
+       {4, 1, (1ULL << 32) + (13ULL << 20), 1},
+       {5, 2, (1ULL << 32) + (14ULL << 20), 0},
+       {6, 0, (1ULL << 32) + (15ULL << 20), 1},
+       {-1, 33, (1ULL << 32) + (3ULL << 20), 0}}};
+  return layouts[variant];
+}
+
+/// A self-test program: `variant`'s layout, served from two tiers. Only the
+/// slots in `active` ever run: the other columns divert every coin to an
+/// active one.
 Program self_test_program(
+    int variant,
     const std::vector<std::unique_ptr<apps::AccessGenerator>>& gens,
     const std::vector<std::uint32_t>& active) {
+  const std::vector<SelfTestSlot>& layout = self_test_layout(variant);
   Program p;
-  const std::size_t n = 2 + gens.size();
-  for (std::size_t c = 0; c < n; ++c) {
+  for (std::size_t c = 0; c < layout.size(); ++c) {
     const bool on =
         std::find(active.begin(), active.end(), c) != active.end();
     p.threshold.push_back(on ? 1 + c % 2 : 0);  // odd columns keep every coin
@@ -727,50 +859,45 @@ Program self_test_program(
     serve.f = tier == 0 ? 130.0 : 155.0;
     p.code.push_back(serve);
   };
-  // 96 lines exercise Lemire's rejection threshold. The second stack sits
-  // 2^38 bytes above the first: its tags equal the first's in the low dword
-  // and differ in the high one, which the probe must tell apart.
-  for (const std::uint64_t lines : {96, 64}) {
+  for (const SelfTestSlot& slot : layout) {
     p.block_start.push_back(static_cast<std::uint32_t>(p.code.size()));
-    Insn stack;
-    stack.op = Op::kStackAddr;
-    stack.imm0 = (1ULL << 20) + (lines == 96 ? 0 : 1ULL << 38);
-    stack.imm1 = lines;
-    p.code.push_back(stack);
-    serve_fixed(lines == 96 ? 0 : 1);
-  }
-  for (std::size_t g = 0; g < gens.size(); ++g) {
-    p.block_start.push_back(static_cast<std::uint32_t>(p.code.size()));
-    const memsim::Address base = (4ULL + g) << 20;
     Insn head;
-    if (g == 1) {
+    if (slot.gen < 0) {
+      head.op = Op::kStackAddr;
+      head.imm0 = slot.base;
+      head.imm1 = slot.count;
+      p.code.push_back(head);
+      serve_fixed(slot.tier);
+      continue;
+    }
+    if (slot.count > 0) {
       head.op = Op::kPickAddr;
       head.imm0 = p.instances.size();
-      head.a = 3;
-      for (std::uint64_t i = 0; i < 3; ++i) {
-        InstanceSlot slot;
-        slot.base = base + (i << 16);
-        slot.latency_ns = 100.0 + static_cast<double>(i);
-        slot.tier = i % 2;
-        p.instances.push_back(slot);
+      head.a = static_cast<std::uint32_t>(slot.count);
+      for (std::uint64_t i = 0; i < slot.count; ++i) {
+        InstanceSlot instance;
+        instance.base = slot.base + (i << 16);
+        instance.latency_ns = 100.0 + static_cast<double>(i);
+        instance.tier = (slot.tier + i) % 2;
+        p.instances.push_back(instance);
       }
     } else {
       head.op = Op::kFixedAddr;
-      head.imm0 = base;
+      head.imm0 = slot.base;
     }
     p.code.push_back(head);
     Insn off;
-    off.op = offset_op(*gens[g]);
+    off.op = offset_op(*gens[static_cast<std::size_t>(slot.gen)]);
     off.a = static_cast<std::uint32_t>(p.gens.size());
-    off.imm0 = 40 * memsim::kCacheLineBytes;  // clamps the longer streams
-    p.gens.push_back(gens[g].get());
+    off.imm0 = 40 * memsim::kCacheLineBytes;
+    p.gens.push_back(gens[static_cast<std::size_t>(slot.gen)].get());
     p.code.push_back(off);
-    if (g == 1) {
+    if (slot.count > 0) {
       Insn serve;
       serve.op = Op::kServePicked;
       p.code.push_back(serve);
     } else {
-      serve_fixed(static_cast<std::uint32_t>(g % 2));
+      serve_fixed(slot.tier);
     }
   }
   return p;
@@ -806,17 +933,19 @@ struct SelfTestOutcome {
   }
 };
 
-/// One-time emit-and-execute check: a synthetic program covering every
-/// block shape and offset op (stride walk, seq walk, random, permute, and
-/// a bursty call-out) runs through both backends from identical state,
-/// unprofiled and profiled, and must agree on every output bit — frame
-/// results, LLC state, RNG state, each generator's stream position and
-/// every miss record. It runs in three LLC geometries, one per shape of the
-/// emitted tag probe — 4 ways, 16 ways (every preset) and an odd 3 — and in
-/// each, every block shape alone and all of them together must both hit
-/// and miss. A failure (broken mmap policy, emitter regression on an exotic
-/// toolchain) downgrades the process to the bytecode VM, so a mis-emitted
-/// path can never reach a result or a trace.
+/// One-time emit-and-execute check. Per LLC geometry and profiling mode,
+/// one emitted loop is bound to both self-test programs in succession —
+/// every slot shape (stack; fixed and picked walk, random, permute and
+/// bursty call-out; picks of one and of several instances) — and each
+/// burst must agree with the bytecode VM from identical state on every
+/// output bit: frame results, LLC state, RNG state, each generator's
+/// stream position and every miss record. It runs in three geometries, one
+/// per shape of the emitted tag probe — 4 ways, 16 ways (every preset) and
+/// an odd 3 — and in each, every group of slots by block shape alone and
+/// all of them together must both hit and miss. A failure (broken mmap
+/// policy, emitter regression on an exotic toolchain) downgrades the
+/// process to the bytecode VM, so a mis-emitted path can never reach a
+/// result or a trace.
 bool native_self_test() {
   constexpr std::uint64_t kSets = 8;
   constexpr std::uint64_t kAccesses = 512;
@@ -836,20 +965,24 @@ bool native_self_test() {
       object(apps::AccessPattern::kStream, 30, 0),
       object(apps::AccessPattern::kRandomPermute, 20, 0),
       object(apps::AccessPattern::kBursty, 300, 0),
+      object(apps::AccessPattern::kStream, 24, 0),
+      object(apps::AccessPattern::kRandom, 32, 0),
   };
-  // Slots by block shape (self_test_program's layout), then all together.
-  const std::vector<std::uint32_t> slot_sets[] = {
-      {0, 1}, {2, 4, 5, 6}, {3}, {0, 1, 2, 3, 4, 5, 6}};
+  // Per variant, slots by block shape (stack / fixed / pick), then all.
+  const std::vector<std::uint32_t> slot_sets[2][4] = {
+      {{0, 1}, {2, 4, 5, 6}, {3}, {0, 1, 2, 3, 4, 5, 6}},
+      {{7}, {0, 1, 2, 6}, {3, 4, 5}, {0, 1, 2, 3, 4, 5, 6, 7}}};
 
-  const auto run = [&](std::uint32_t ways,
-                       const std::vector<std::uint32_t>& active, bool native,
-                       bool profiled, SelfTestOutcome* out) {
+  const auto run = [&](int variant, std::uint32_t ways,
+                       const std::vector<std::uint32_t>& active,
+                       const NativeKernel* native, bool profiled,
+                       SelfTestOutcome* out) {
     std::vector<std::unique_ptr<apps::AccessGenerator>> gens;
     for (const apps::ObjectSpec& spec : specs) {
       gens.push_back(
           std::make_unique<apps::AccessGenerator>(spec, 0x5eed + gens.size()));
     }
-    const Program p = self_test_program(gens, active);
+    const Program p = self_test_program(variant, gens, active);
     if (!verify_program(p).empty()) return false;
     out->tags.assign(kSets * ways, memsim::Cache::kInvalidTag);
     out->order.assign(kSets, memsim::Cache::initial_order(ways));
@@ -864,11 +997,11 @@ bool native_self_test() {
     f.tier_sim = out->tier_sim;
     f.miss_out = profiled ? out->records.data() : nullptr;
     Xoshiro256 rng(0x5e1f7e57ULL);
-    if (native) {
-      NativeKernel kern;
-      if (!kern.compile(p, ways, 6, kSets - 1, profiled)) return false;
+    if (native != nullptr) {
+      SlotTable table;
+      if (!table.bind(p)) return false;
       rng.save_state(f.rng_state);
-      kern.run(f);
+      native->run(table, f);
       for (int i = 0; i < 4; ++i) out->rng[i] = f.rng_state[i];
     } else {
       run_bytecode(p, f, rng);
@@ -884,17 +1017,21 @@ bool native_self_test() {
   };
 
   for (const std::uint32_t ways : {4u, 16u, 3u}) {
-    for (const std::vector<std::uint32_t>& active : slot_sets) {
-      for (const bool profiled : {false, true}) {
-        SelfTestOutcome bytecode, native;
-        if (!run(ways, active, false, profiled, &bytecode) ||
-            !run(ways, active, true, profiled, &native)) {
-          return false;
-        }
-        if (!(bytecode == native)) return false;
-        // The burst must actually have exercised both paths it checks.
-        if (bytecode.misses == 0 || bytecode.misses == kAccesses) {
-          return false;
+    for (const bool profiled : {false, true}) {
+      NativeKernel kern;
+      if (!kern.emit(ways, 6, kSets - 1, profiled)) return false;
+      for (const int variant : {0, 1}) {
+        for (const std::vector<std::uint32_t>& active : slot_sets[variant]) {
+          SelfTestOutcome bytecode, native;
+          if (!run(variant, ways, active, nullptr, profiled, &bytecode) ||
+              !run(variant, ways, active, &kern, profiled, &native)) {
+            return false;
+          }
+          if (!(bytecode == native)) return false;
+          // The burst must actually have exercised both paths it checks.
+          if (bytecode.misses == 0 || bytecode.misses == kAccesses) {
+            return false;
+          }
         }
       }
     }

@@ -1,45 +1,57 @@
 // Optional x86-64 native backend for the access kernel.
 //
-// Emits the same program the bytecode VM executes (engine/kernel/ir.hpp)
-// as a straight-line System V x86-64 function: the xoshiro256** generator
-// lives in callee-saved registers for the whole burst, the alias table and
-// every per-slot constant (addresses, tiers, miss latencies, Lemire
-// rejection thresholds) are baked as immediates, and the latency sum stays
-// in a register. The per-access path is branch-light:
-//   * Lookahead dispatch. xoshiro256**'s output depends only on the state
-//     before it advances, so each block, right after its own extra draws,
-//     computes the next access's draw, column, alias decision and block
-//     entry without side effects and parks the entry in Frame::next_block.
-//     The loop top advances the generator and jumps there; the indirect
-//     jump resolves while the current access's probe is still in flight.
-//   * SSE2 tag match. The tag is broadcast into xmm2 and compared two ways
-//     per 16-byte load (an odd last way loaded alone, so no read passes the
-//     tag array), packed to one bit per dword with pmovmskb; whole-tag
-//     matches take the single jne to the hit path, where bsf picks the
-//     lowest way — Cache::access's first match. SSE2 is the x86-64
-//     baseline, so there is no CPUID dispatch.
-// The recency-word update is inline (pop/push on a miss, SWAR splice on a
-// hit — memsim::Cache::evict/touch, emitted without a call). Per-object
-// offsets are inline too: seq/stride walks (add, compare, cmov), random
-// draws (a xoshiro256** step on the object's own state plus Lemire) and
-// random-permute cursors step the generator's state in place
-// (apps/workload_gen.hpp). Only zipf, pointer-chase and bursty call out,
-// through one extern "C" shim (their streams are independent, so a C call
-// is bit-identity-safe). Profiled bursts keep each access's draw and, on a
+// Emits one System V x86-64 function per run — for the run's LLC geometry
+// and profiling mode, and for nothing else — that executes any verified
+// program (engine/kernel/ir.hpp) bound to it as data. Binding builds a
+// SlotTable: one SlotColumn per alias column (threshold, plus the record
+// and kind of the column's own slot and of its alias) and one SlotRecord
+// per slot (instance pool and count, stack base and line count, generator
+// kind, offset clamp, fixed tier and latency, and a copy of the
+// generator's inline state, copied in before each burst and back after).
+// The loop reads the table, the coin mask and the write coin through the
+// Frame. A new live set or a migration rebinds the table; it never
+// re-emits code.
+//
+// Per access the loop steps xoshiro256** (held in callee-saved registers
+// for the whole burst), loads the drawn column, and selects the record and
+// kind with cmov. A slot is data, not a jump target: the only per-access
+// branches are on the kind, which comes from the column's load, so they
+// resolve early. An in-range single-instance walk falls through on one
+// untaken branch; every other kind leaves through it to one out-of-line
+// path: a single-instance random object first, then the stack line or
+// instance index drawn from the main RNG (Lemire, the rejection threshold
+// computed only on the rare path; a single-instance object draws nothing,
+// exactly as the interpreter does), then the offset by shape. Walks (add,
+// compare, cmov), random draws (a xoshiro256** step plus Lemire) and
+// random-permute cursors (a table load and a wrapping cursor) step the
+// record's copy of the generator state (apps/workload_gen.hpp); zipf,
+// pointer-chase and bursty call out through one extern "C" shim (their
+// streams are independent, so a C call is bit-identity-safe). Offsets are
+// clamped exactly as the interpreter clamps them, except where binding
+// proved a walk or random stream cannot pass its object. The LLC probe is
+// an SSE2 tag match: the tag is broadcast into xmm2 and compared two ways
+// per 16-byte load (an odd last way loaded alone, so no read passes the
+// tag array), packed to one bit per dword with pmovmskb; whole-tag matches
+// take the single jne to the hit path, where bsf picks the lowest way —
+// Cache::access's first match. SSE2 is the x86-64 baseline, so there is no
+// CPUID dispatch. The recency-word update is inline (pop/push on a miss,
+// SWAR splice on a hit — memsim::Cache::evict/touch). The latency sum
+// stays in a register. Profiled bursts keep each access's draw and, on a
 // miss, store {access index, address, write coin} into the frame's miss
-// buffer. Code is placed in W^X pages through common/exec_alloc.hpp: mapped
-// writable, sealed read-execute before the first call.
+// buffer. Code is placed in W^X pages through common/exec_alloc.hpp:
+// mapped writable, sealed read-execute before the first call.
 //
 // The backend is compiled in only on x86-64 POSIX builds with the
 // HMEM_NATIVE_KERNEL CMake option on; everywhere else native_available()
-// returns false and compile() fails, which the kernel resolver turns into
-// a silent fallback to the bytecode VM. Availability includes a one-time
-// emit-and-execute self-test differenced against run_bytecode — stack,
-// walk, random, permute, pick and call-out blocks, unprofiled and profiled
-// (miss records compared one by one), at 4, 16 and 3 LLC ways, each block
-// shape made to both hit and miss — so a mis-assembling toolchain or a
-// hardened-kernel mmap policy degrades to the portable path instead of
-// corrupting results or traces.
+// returns false and emit() fails, which the kernel resolver turns into a
+// silent fallback to the bytecode VM. Availability includes a one-time
+// emit-and-execute self-test differenced against run_bytecode: one loop per
+// geometry and mode is bound to two different programs in succession —
+// stack, walk, random, permute, call-out and pick (n = 1 and n > 1) slots,
+// unprofiled and profiled (miss records compared one by one), at 4, 16 and
+// 3 LLC ways, each group of slot shapes made to both hit and miss — so a
+// mis-assembling toolchain or a hardened-kernel mmap policy degrades to the
+// portable path instead of corrupting results or traces.
 #pragma once
 
 #include <cstdint>
@@ -55,41 +67,107 @@ namespace hmem::engine::kernel {
 /// passed. Evaluated once per process.
 bool native_available();
 
+/// How a slot finds its address, which is also all the emitted loop
+/// branches on: the offset shape in the low bits, plus kDrawsMain when the
+/// slot draws below(bound) from the main RNG (a stack line or an instance
+/// pick) and kClamped on a walk or random stream whose offsets can pass its
+/// object's end (other walks and random streams skip the clamp; permute
+/// and call-out offsets always take it). Zero — a single-instance walk
+/// that stays inside its object — falls through.
+enum SlotKind : std::uint8_t {
+  kShapeWalk = 0,     ///< LineWalk, stepped inline
+  kShapeRandom = 1,   ///< RandomLines, stepped inline
+  kShapePermute = 2,  ///< PermuteLines, stepped inline
+  kShapeCall = 3,     ///< AccessGenerator::next_offset() through the shim
+  kShapeStack = 4,    ///< no offset: the drawn stack line
+  kShapeMask = 7,
+  kDrawsMain = 8,
+  kClamped = 16,
+};
+
+/// One slot as the emitted loop reads it. The first three words mirror
+/// InstanceSlot, so a slot that draws no instance serves from its own
+/// record. An inline generator's state is copied into `state` for each
+/// burst and stepped there, at a fixed offset from the record, and copied
+/// back after it.
+struct SlotRecord {
+  std::uint64_t base = 0;      ///< fixed serve: address (stack: its base)
+  double latency_ns = 0.0;     ///< fixed serve: miss latency
+  std::uint64_t tier = 0;      ///< fixed serve: owning tier
+  /// LineWalk, RandomLines or PermuteLines, as laid out in the generator.
+  alignas(8) unsigned char state[40] = {};
+  std::uint64_t clamp = 0;     ///< offsets at or past it map to 0
+  std::uint64_t kind = kShapeWalk;     ///< SlotKind
+  const InstanceSlot* pool = nullptr;  ///< picks: the slot's instances
+  std::uint64_t bound = 0;     ///< pick instance count / stack line count
+  /// Call-outs: the AccessGenerator; inline shapes: the state's home.
+  void* gen = nullptr;
+  std::uint64_t state_bytes = 0;  ///< bytes of `state` in use
+};
+
+/// One alias column: the program's threshold, and the records and kinds of
+/// both slots it can select. The loop's shape branch then waits on one
+/// load after the column draw, and the selected record is a cmov.
+struct SlotColumn {
+  std::uint64_t threshold = 0;
+  const SlotRecord* rec = nullptr;        ///< the column's own slot
+  const SlotRecord* alias_rec = nullptr;  ///< the alias slot
+  std::uint8_t kind = 0;                  ///< SlotKind of rec
+  std::uint8_t alias_kind = 0;            ///< SlotKind of alias_rec
+};
+static_assert(sizeof(SlotColumn) == 32, "the emitted loop bakes the stride");
+
+/// The per-phase data an emitted loop runs: a verified program's alias
+/// columns and write coin, plus one SlotRecord per slot. Rebinding after a
+/// live-set or address epoch is a table rebuild, with no code emitted.
+class SlotTable {
+ public:
+  SlotTable() = default;
+  // The columns point into the records: a copy would point into its source.
+  SlotTable(const SlotTable&) = delete;
+  SlotTable& operator=(const SlotTable&) = delete;
+
+  /// Builds the tables for `program`, which must have passed
+  /// verify_program and must stay alive and unmodified while bound — the
+  /// records point into its instance pool and at its generators. Returns
+  /// false (the caller runs the bytecode VM instead) when two slots share
+  /// one generator, whose state could then not be stepped in one place.
+  bool bind(const Program& program);
+
+ private:
+  friend class NativeKernel;
+  const Program* program_ = nullptr;
+  std::vector<SlotColumn> columns_;
+  std::vector<SlotRecord> records_;
+};
+
 class NativeKernel {
  public:
   NativeKernel() = default;
   NativeKernel(const NativeKernel&) = delete;
   NativeKernel& operator=(const NativeKernel&) = delete;
 
-  /// Emits machine code for `program` against the given LLC geometry (the
-  /// constants from memsim::Cache::tables()). The program must have passed
-  /// verify_program and must stay alive and unmodified for the lifetime of
-  /// the emitted code — its table buffers and its generators' inline state
-  /// are baked in by address. `profiled` emits the miss-record path. Returns
-  /// false (kernel left empty) when the backend is unavailable or a
-  /// constant does not fit the emitted encoding; the caller falls back to
-  /// the bytecode VM.
-  bool compile(const Program& program, std::uint32_t ways,
-               std::uint32_t line_shift, std::uint64_t set_mask,
-               bool profiled);
+  /// Emits the access loop for one LLC geometry (the constants from
+  /// memsim::Cache::tables()); `profiled` emits the miss-record path.
+  /// Returns false (kernel left empty) when the backend is unavailable;
+  /// the caller falls back to the bytecode VM.
+  bool emit(std::uint32_t ways, std::uint32_t line_shift,
+            std::uint64_t set_mask, bool profiled);
 
   bool ok() const { return entry_ != nullptr; }
 
-  /// Executes one burst. frame.rng_state carries the xoshiro256** state in
-  /// and out; latency_ns / misses / tier_sim accumulate, the LLC tags /
-  /// recency words and the generators' state change, and a profiled kernel
-  /// writes frame.miss_out exactly as run_bytecode would. frame.miss_out
-  /// must be set exactly when the kernel was compiled profiled.
-  void run(Frame& frame) const;
+  /// Executes one burst of the program bound to `table`. frame.rng_state
+  /// carries the xoshiro256** state in and out; latency_ns / misses /
+  /// tier_sim accumulate, the LLC tags / recency words and the generators'
+  /// state change, and a profiled kernel writes frame.miss_out exactly as
+  /// run_bytecode would. frame.miss_out must be set exactly when the kernel
+  /// was emitted profiled; the table fields of the frame are filled here.
+  void run(SlotTable& table, Frame& frame) const;
 
  private:
   ExecutableAllocator alloc_;
   void* entry_ = nullptr;
   bool profiled_ = false;
-  /// Per-slot entry addresses, indexed by the alias sample; each block's
-  /// lookahead loads the next access's entry from here (the vector's
-  /// address is baked) into Frame::next_block for the loop top's jump.
-  std::vector<std::uint64_t> jump_table_;
 };
 
 }  // namespace hmem::engine::kernel

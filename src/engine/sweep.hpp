@@ -8,8 +8,9 @@
 //  1. Shared immutable state. App specs and machine presets live in the
 //     SweepSpec; each (app, machine) pair's stage-1 profile is computed at
 //     most once (std::call_once) and reused by every budget/strategy cell.
-//     Each cell compiles its own kernel programs: compilation is ~1.5% of a
-//     run, too little for a cross-cell program cache to pay.
+//     Each cell compiles its own kernel programs (natively: one emitted
+//     loop per run, rebound per epoch), too cheap for a cross-cell program
+//     cache to pay.
 //  2. A run memo per (app, machine). Many strategy/budget cells advise the
 //     same placement; a static production run is a pure function of what
 //     auto-hbwmalloc reads of it (advisor::runtime_key), so each distinct
@@ -73,7 +74,10 @@ struct SweepCell {
   CellKind kind = CellKind::kBaseline;
   Condition baseline = Condition::kDdr;  ///< kBaseline only
   std::size_t strategy = 0;              ///< kFramework only
-  std::uint64_t budget_bytes = 0;        ///< per rank; framework/dynamic
+  /// Per rank; framework/dynamic. The advisor sees it clamped to the
+  /// machine's fast tier (clamp_fast_budget), as hmem_advise does; the cell
+  /// key keeps the requested value.
+  std::uint64_t budget_bytes = 0;
 };
 
 /// Everything a cell persists. One schema for all kinds: baseline and

@@ -544,8 +544,10 @@ TEST(NativeProbe, EveryWayCountMatchesBytecodeWithinTheTagArray) {
     engine::kernel::Frame nat = frame(guarded, native_order.data());
     Xoshiro256(0xfeedULL + ways).save_state(nat.rng_state);
     engine::kernel::NativeKernel kern;
-    ASSERT_TRUE(kern.compile(p, ways, 6, kSets - 1, false)) << ways;
-    kern.run(nat);
+    ASSERT_TRUE(kern.emit(ways, 6, kSets - 1, false)) << ways;
+    engine::kernel::SlotTable table;
+    ASSERT_TRUE(table.bind(p)) << ways;
+    kern.run(table, nat);
 
     const std::string label = "ways " + std::to_string(ways);
     EXPECT_GT(vm.misses, 0u) << label;
@@ -564,6 +566,157 @@ TEST(NativeProbe, EveryWayCountMatchesBytecodeWithinTheTagArray) {
   munmap(region, 2 * bytes);
 }
 #endif
+
+#if defined(HMEM_NATIVE_KERNEL) && defined(__x86_64__) && \
+    (defined(__unix__) || defined(__APPLE__))
+// Compiled in on an x86-64 POSIX host, the backend is unavailable only
+// where executable pages are refused; anything else is a failed self-test.
+TEST(NativeKernel, SelfTestPassesWhereCompiledIn) {
+  ExecutableAllocator alloc;
+  void* page = alloc.allocate(16);
+  ASSERT_NE(page, nullptr);
+  if (!alloc.seal(page)) GTEST_SKIP() << "host refuses executable pages";
+  EXPECT_TRUE(engine::kernel::native_available());
+}
+#endif
+
+// Lemire's rejection path runs with probability about bound / 2^64 per
+// draw, so real bounds never reach it. A stack of 2^63 + 1 lines rejects
+// about half its main-RNG draws, and a clamped random stream over as many
+// lines, or an in-range one over 2^64 / 128.5, reject 1/2 and 1/257 of
+// their own: the native loop's out-of-line rejection must redraw exactly
+// as Xoshiro256::below does.
+TEST(NativeKernel, LemireRejectionMatchesBytecode) {
+  if (!engine::kernel::native_available()) {
+    GTEST_SKIP() << "native backend unavailable on this build";
+  }
+  using engine::kernel::Insn;
+  using engine::kernel::Op;
+  constexpr std::uint64_t kSets = 8;
+  constexpr std::uint64_t kWays = 4;
+  constexpr std::uint64_t kAccesses = 6000;
+  const std::uint64_t huge = (1ULL << 63) + 1;
+  const std::uint64_t wide = ~0ULL / 257 * 2;
+  const auto make_gens = [&] {
+    std::vector<std::unique_ptr<apps::AccessGenerator>> gens;
+    for (const std::uint64_t lines : {huge, wide}) {
+      apps::ObjectSpec spec;
+      spec.name = "wide";
+      spec.size_bytes = 1ULL << 20;
+      spec.pattern = apps::AccessPattern::kRandom;
+      gens.push_back(std::make_unique<apps::AccessGenerator>(spec, lines));
+      gens.back()->inline_state().random->lines = lines;
+    }
+    return gens;
+  };
+  const auto program = [&](const auto& gens) {
+    engine::kernel::Program p = valid_program();
+    p.code[0].imm1 = huge;  // slot 0: the stack
+    p.threshold = {1, 1, 1};
+    p.alias = {1, 2, 0};
+    for (std::size_t g = 0; g < gens.size(); ++g) {
+      p.block_start.push_back(static_cast<std::uint32_t>(p.code.size()));
+      Insn head;
+      head.op = Op::kFixedAddr;
+      head.imm0 = (8ULL + g) << 20;
+      Insn off;
+      off.op = Op::kRandomOffset;
+      off.a = static_cast<std::uint32_t>(g);
+      off.imm0 = g == 0 ? (1ULL << 20) : (1ULL << 63);
+      Insn serve;
+      serve.op = Op::kServeFixed;
+      serve.a = static_cast<std::uint32_t>(g);
+      serve.f = 140.0;
+      p.code.insert(p.code.end(), {head, off, serve});
+      p.gens.push_back(gens[g].get());
+    }
+    p.block_start.erase(p.block_start.begin() + 1);  // drop the second stack
+    return p;
+  };
+  struct Outcome {
+    engine::kernel::Frame frame;
+    std::vector<memsim::Address> tags;
+    std::vector<std::uint64_t> order;
+    std::uint64_t tier_sim[2] = {0, 0};
+    std::uint64_t rng[4] = {0, 0, 0, 0};
+    std::vector<std::uint64_t> next;
+  };
+  const auto run = [&](bool native, Outcome* out) {
+    const auto gens = make_gens();
+    const engine::kernel::Program p = program(gens);
+    ASSERT_EQ(engine::kernel::verify_program(p), "");
+    out->tags.assign(kSets * kWays, memsim::Cache::kInvalidTag);
+    out->order.assign(kSets, memsim::Cache::initial_order(kWays));
+    engine::kernel::Frame& f = out->frame;
+    f.tags = out->tags.data();
+    f.order = out->order.data();
+    f.ways = kWays;
+    f.line_shift = 6;
+    f.set_mask = kSets - 1;
+    f.n_accesses = kAccesses;
+    f.tier_sim = out->tier_sim;
+    Xoshiro256 rng(0x1e3157ULL);
+    if (native) {
+      engine::kernel::NativeKernel kern;
+      ASSERT_TRUE(kern.emit(kWays, 6, kSets - 1, false));
+      engine::kernel::SlotTable table;
+      ASSERT_TRUE(table.bind(p));
+      rng.save_state(f.rng_state);
+      kern.run(table, f);
+      std::memcpy(out->rng, f.rng_state, sizeof(out->rng));
+    } else {
+      engine::kernel::run_bytecode(p, f, rng);
+      rng.save_state(out->rng);
+    }
+    for (const auto& gen : gens) out->next.push_back(gen->next_offset());
+  };
+  Outcome vm, nat;
+  run(false, &vm);
+  run(true, &nat);
+  EXPECT_EQ(nat.frame.misses, vm.frame.misses);
+  EXPECT_EQ(nat.frame.latency_ns, vm.frame.latency_ns);
+  EXPECT_EQ(nat.tags, vm.tags);
+  EXPECT_EQ(nat.order, vm.order);
+  EXPECT_EQ(nat.tier_sim[0], vm.tier_sim[0]);
+  EXPECT_EQ(nat.tier_sim[1], vm.tier_sim[1]);
+  EXPECT_EQ(std::memcmp(nat.rng, vm.rng, sizeof(vm.rng)), 0);
+  EXPECT_EQ(nat.next, vm.next);
+}
+
+// A slot steps its generator's state in its own record during a burst, so
+// a verified program whose two slots share one generator cannot be bound;
+// the engine then runs it on the bytecode VM.
+TEST(NativeKernel, SlotsSharingAGeneratorAreNotBound) {
+  using engine::kernel::Insn;
+  using engine::kernel::Op;
+  apps::ObjectSpec spec;
+  spec.name = "shared";
+  spec.size_bytes = 1ULL << 20;
+  apps::AccessGenerator gen(spec, 3);
+  engine::kernel::Program p = valid_program();
+  p.code.clear();
+  p.block_start.clear();
+  p.gens = {&gen};
+  for (int s = 0; s < 2; ++s) {
+    p.block_start.push_back(static_cast<std::uint32_t>(p.code.size()));
+    Insn head;
+    head.op = Op::kFixedAddr;
+    head.imm0 = (4ULL + s) << 20;
+    Insn off;
+    off.op = engine::kernel::offset_op(gen);
+    off.imm0 = spec.size_bytes;
+    Insn serve;
+    serve.op = Op::kServeFixed;
+    serve.f = 130.0;
+    p.code.insert(p.code.end(), {head, off, serve});
+  }
+  ASSERT_EQ(engine::kernel::verify_program(p), "");
+  engine::kernel::SlotTable table;
+  EXPECT_FALSE(table.bind(p));
+  p.gens.push_back(&gen);  // still one generator behind both indices
+  p.code[4].a = 1;
+  EXPECT_FALSE(table.bind(p));
+}
 
 // ---- differential bit-identity ---------------------------------------------
 
@@ -875,6 +1028,119 @@ TEST(KernelDifferential, OddWayLlcGeometries) {
                         app.name + "/ways " + std::to_string(ways) + "/" +
                             engine::kernel::kernel_name(k));
       }
+    }
+  }
+}
+
+/// Runs `app` under `opts` on the interpreter and on every compiled kernel;
+/// all must agree on every RunResult field and, profiled, on every trace
+/// byte. Returns the oracle.
+engine::RunResult expect_kernels_agree(const apps::AppSpec& app,
+                                       engine::RunOptions opts,
+                                       const std::string& label) {
+  opts.kernel = KernelKind::kInterp;
+  const engine::RunResult oracle = engine::run_app(app, opts);
+  for (const KernelKind k : compiled_kernels()) {
+    opts.kernel = k;
+    const engine::RunResult got = engine::run_app(app, opts);
+    const std::string where = label + "/" + engine::kernel::kernel_name(k);
+    expect_same_run(oracle, got, where);
+    if (opts.profile) {
+      EXPECT_EQ(got.samples, oracle.samples) << where;
+      EXPECT_EQ(got.monitoring_overhead, oracle.monitoring_overhead) << where;
+      EXPECT_TRUE(serialized_trace(got) == serialized_trace(oracle)) << where;
+    }
+  }
+  return oracle;
+}
+
+// The native loop is emitted once per run; each live-set or address epoch
+// rebinds a phase's slot table to it. These runs rebind many times: churn
+// reallocates its buffers every iteration, transient and lulesh allocate per
+// phase, maxw-dgtd's work buffers come and go, and a dynamic schedule moves
+// instances between tiers under live slots.
+TEST(KernelDifferential, RebindingAcrossEpochsMatchesTheOracle) {
+  const memsim::MachineConfig node =
+      memsim::MachineConfig::knl7250(memsim::MemMode::kFlat);
+  for (const char* name : {"churn", "transient", "lulesh", "maxw-dgtd"}) {
+    const apps::AppSpec app = shrink(apps::app_by_name(name));
+    for (const bool profiled : {false, true}) {
+      engine::RunOptions opts;
+      opts.condition = engine::Condition::kNumactl;
+      opts.node = node;
+      opts.profile = profiled;
+      opts.sampler.period = 53;
+      expect_kernels_agree(app, opts,
+                           std::string(name) + (profiled ? "/profiled" : ""));
+    }
+  }
+  // Per-phase placements on a budget too small for both phases' hot sets,
+  // so every phase transition migrates.
+  const apps::AppSpec app = shrink(apps::app_by_name("churn"));
+  engine::PipelineOptions popts;
+  popts.node = node;
+  popts.per_phase = true;
+  popts.fast_budget_per_rank = 96ULL << 20;
+  popts.sampler.period = 197;
+  const engine::PipelineResult pipe = engine::run_pipeline(app, popts);
+  ASSERT_GT(pipe.schedule.phases.size(), 1u);
+  engine::RunOptions opts;
+  opts.condition = engine::Condition::kDynamic;
+  opts.node = node;
+  opts.schedule = &pipe.schedule;
+  const engine::RunResult oracle =
+      expect_kernels_agree(app, opts, "churn/dynamic");
+  EXPECT_GT(oracle.migration_count, 0u);
+}
+
+/// One phase over 70 objects — every pattern, one, two and five instances —
+/// plus the stack: 71 slots of every shape the native loop branches on.
+apps::AppSpec many_slot_app(bool skewed) {
+  using apps::AccessPattern;
+  const AccessPattern patterns[] = {
+      AccessPattern::kStream,        AccessPattern::kStrided,
+      AccessPattern::kRandom,        AccessPattern::kRandomPermute,
+      AccessPattern::kZipf,          AccessPattern::kPointerChase,
+      AccessPattern::kBursty};
+  apps::AppSpec app;
+  app.name = skewed ? "many-slots-skewed" : "many-slots";
+  app.fom_unit = "it/s";
+  app.iterations = 2;
+  app.accesses_per_iteration = 30000;
+  app.access_scale = 120;
+  app.stack_bytes = 1ULL << 20;
+  apps::PhaseSpec phase;
+  phase.name = "main";
+  for (int i = 0; i < 70; ++i) {
+    apps::ObjectSpec object;
+    object.name = "obj" + std::to_string(i);
+    object.size_bytes = (1ULL + i % 4) << 20;
+    object.pattern = patterns[i % 7];
+    object.stride_lines = 3 + i % 5;
+    object.instances = i % 3 == 0 ? 1 : (i % 3 == 1 ? 2 : 5);
+    app.objects.push_back(object);
+    // Skewed: one walk takes most draws, so the other shapes stay rare.
+    phase.object_weights.push_back(skewed ? (i == 0 ? 0.6 : 0.005) : 1.0);
+  }
+  phase.stack_weight = skewed ? 0.05 : 1.0;
+  app.phases = {phase};
+  return app;
+}
+
+TEST(KernelDifferential, ManySlotPhaseOfEveryShape) {
+  const memsim::MachineConfig node =
+      memsim::MachineConfig::knl7250(memsim::MemMode::kFlat);
+  for (const bool skewed : {false, true}) {
+    const apps::AppSpec app = many_slot_app(skewed);
+    ASSERT_EQ(apps::validate(app), "") << app.name;
+    for (const bool profiled : {false, true}) {
+      engine::RunOptions opts;
+      opts.condition = engine::Condition::kNumactl;
+      opts.node = node;
+      opts.profile = profiled;
+      opts.sampler.period = 53;
+      expect_kernels_agree(app, opts,
+                           app.name + (profiled ? "/profiled" : ""));
     }
   }
 }

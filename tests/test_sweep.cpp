@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -465,6 +466,51 @@ TEST(Sweep, ShardedStoresMergeByteIdenticalToUnsharded) {
 
   for (const auto& p : {gold_path, s1_path, s2_path, merged_path}) {
     std::remove(p.c_str());
+  }
+}
+
+// A budget past the machine's fast tier advises at the tier's capacity, as
+// hmem_advise clamps it; the cell keeps the requested budget in its key.
+TEST(Sweep, BudgetsPastTheFastTierAreClamped) {
+  const memsim::MachineConfig knl =
+      memsim::MachineConfig::knl7250(memsim::MemMode::kFlat);
+  const std::uint64_t capacity =
+      knl.tiers[knl.fastest_tier()].capacity_bytes;
+  const std::uint64_t requested = 1024ULL * kGiB;
+  ASSERT_GT(requested, capacity);
+  ASSERT_EQ(engine::clamp_fast_budget(knl, requested), capacity);
+  engine::SweepSpec spec;
+  spec.apps = {smoke_apps()[0]};  // hpcg
+  spec.machines = {knl};
+  spec.baselines = {};
+  spec.strategies = {engine::paper_strategies().front()};
+  spec.budgets_for = [&](const apps::AppSpec&) {
+    return std::vector<std::uint64_t>{requested, capacity};
+  };
+  spec.dynamic_cells = true;
+  engine::SweepEngine engine(std::move(spec));
+  const auto outcomes = engine.run();
+  std::map<std::pair<engine::CellKind, std::uint64_t>, engine::SweepOutcome>
+      by_budget;
+  for (const engine::SweepOutcome& outcome : outcomes) {
+    by_budget.emplace(std::make_pair(outcome.cell.kind,
+                                     outcome.cell.budget_bytes),
+                      outcome);
+  }
+  ASSERT_EQ(by_budget.size(), 4u);
+  for (const engine::CellKind kind :
+       {engine::CellKind::kFramework, engine::CellKind::kDynamic}) {
+    const engine::SweepOutcome& over = by_budget.at({kind, requested});
+    const engine::SweepOutcome& at = by_budget.at({kind, capacity});
+    SCOPED_TRACE(engine::sweep_cell_key(engine.spec(), over.cell));
+    EXPECT_NE(engine::sweep_cell_key(engine.spec(), over.cell),
+              engine::sweep_cell_key(engine.spec(), at.cell));
+    EXPECT_EQ(over.result.fom, at.result.fom);
+    EXPECT_EQ(over.result.fast_hwm_bytes, at.result.fast_hwm_bytes);
+    EXPECT_EQ(over.result.any_overflow, at.result.any_overflow);
+    EXPECT_EQ(over.result.static_fom, at.result.static_fom);
+    EXPECT_EQ(over.result.phases, at.result.phases);
+    EXPECT_EQ(over.result.migration_bytes, at.result.migration_bytes);
   }
 }
 

@@ -9,7 +9,8 @@
 //                           churn and transient)
 //     --machines m1,m2,...  machine presets or config files (default: knl)
 //     --budgets 64M,256M    fast-tier budget points, unit suffixes allowed
-//                           (default: the paper ladder per app)
+//                           (default: the paper ladder per app); clamped
+//                           per machine to its fastest tier
 //     --baselines c1,c2     baseline conditions: ddr, numactl, autohbw,
 //                           cache (default: ddr)
 //     --strategies s1,s2    advisor strategies: density, misses:<pct>, or
@@ -54,6 +55,7 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -65,6 +67,7 @@
 #include "common/host_context.hpp"
 #include "common/strings.hpp"
 #include "common/units.hpp"
+#include "engine/pipeline.hpp"
 #include "engine/sweep.hpp"
 #include "engine/sweep_store.hpp"
 
@@ -397,6 +400,26 @@ int main(int argc, char** argv) {
   }
 
   engine::SweepEngine sweep_engine(std::move(spec));
+  // Framework and dynamic cells advise a budget past the fast tier at the
+  // tier's capacity, as hmem_advise does; say so once per machine and budget.
+  std::set<std::pair<std::size_t, std::uint64_t>> clamp_warned;
+  for (const engine::SweepCell& cell : sweep_engine.cells()) {
+    if (cell.kind == engine::CellKind::kBaseline) continue;
+    const memsim::MachineConfig& node =
+        sweep_engine.spec().machines[cell.machine];
+    bool clamped = false;
+    const std::uint64_t usable =
+        engine::clamp_fast_budget(node, cell.budget_bytes, &clamped);
+    if (clamped &&
+        clamp_warned.emplace(cell.machine, cell.budget_bytes).second) {
+      std::fprintf(stderr,
+                   "warning: budget %s exceeds %s's %s tier capacity %s; "
+                   "clamping\n",
+                   format_bytes(cell.budget_bytes).c_str(), node.name.c_str(),
+                   node.tiers[node.fastest_tier()].name.c_str(),
+                   format_bytes(usable).c_str());
+    }
+  }
   std::vector<engine::SweepOutcome> outcomes;
   try {
     outcomes = sweep_engine.run(store.get(), resume);
