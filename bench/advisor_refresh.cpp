@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
   }
 
   const std::uint64_t budget = engine::clamp_fast_budget(
-      node, 256ull << 20, nullptr);
+      node, 256ull << 20, /*ranks=*/1);
   const advisor::MemorySpec spec =
       engine::machine_memory_spec(node, budget, /*ranks=*/1);
   const advisor::Options options;

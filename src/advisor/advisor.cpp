@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <limits>
+#include <string>
 
 #include "common/assert.hpp"
+#include "common/error.hpp"
+#include "common/units.hpp"
+#include "memsim/address.hpp"
 
 namespace hmem::advisor {
 
@@ -38,6 +42,28 @@ std::optional<std::size_t> Placement::tier_of(callstack::SiteId site) const {
 HmemAdvisor::HmemAdvisor(MemorySpec spec, Options options)
     : spec_(std::move(spec)), options_(options) {
   HMEM_ASSERT(spec_.tier_count() >= 1);
+  // Options come from flags and sweep INI files: what the knapsack solvers
+  // cannot take is a configuration error here, not an abort mid-solve.
+  if (!(options_.threshold_pct >= 0.0 && options_.threshold_pct <= 100.0)) {
+    throw ConfigError("Misses(t%) threshold must be within [0, 100], got " +
+                      std::to_string(options_.threshold_pct));
+  }
+  if (options_.strategy != Strategy::kExact) return;
+  // The exact solver runs on every non-fallback tier, on the virtual budget
+  // and, for static recommendations, on the fastest tier even when it is
+  // the only one.
+  const auto& tiers = spec_.tiers();
+  std::uint64_t largest =
+      std::max(tiers.front().capacity_bytes, options_.virtual_budget_bytes);
+  for (std::size_t t = 0; t + 1 < tiers.size(); ++t) {
+    largest = std::max(largest, tiers[t].capacity_bytes);
+  }
+  if (largest / memsim::kPageBytes > kExactMaxPages) {
+    throw ConfigError("the exact strategy cannot solve a " +
+                      format_bytes(largest) + " tier (at most " +
+                      format_bytes(kExactMaxPages * memsim::kPageBytes) +
+                      "); use a greedy strategy");
+  }
 }
 
 Selection HmemAdvisor::run_strategy(const std::vector<ObjectInfo>& objects,

@@ -86,7 +86,7 @@ Selection exact_knapsack(const std::vector<ObjectInfo>& objects,
   // Guard against accidentally invoking the pseudo-polynomial DP with a
   // budget that would allocate gigabytes of DP table — the exact scenario
   // the paper calls impractical.
-  HMEM_ASSERT_MSG(cap_pages <= (1ULL << 22),
+  HMEM_ASSERT_MSG(cap_pages <= kExactMaxPages,
                   "exact knapsack capacity too large; use a greedy strategy");
   const std::size_t n = objects.size();
   const auto width = static_cast<std::size_t>(cap_pages) + 1;

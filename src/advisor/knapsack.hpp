@@ -43,7 +43,9 @@ Selection greedy_density(const std::vector<ObjectInfo>& objects,
 
 /// Exact 0/1 knapsack via dynamic programming at page granularity.
 /// O(n * capacity_pages) time and memory — the "impractical" baseline; the
-/// caller is expected to keep capacity_pages modest (tests/ablation).
+/// caller must keep capacity_pages within kExactMaxPages (HmemAdvisor
+/// rejects larger tiers as a configuration error).
+inline constexpr std::uint64_t kExactMaxPages = 1ULL << 22;
 Selection exact_knapsack(const std::vector<ObjectInfo>& objects,
                          std::uint64_t capacity_bytes);
 

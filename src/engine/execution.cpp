@@ -214,6 +214,15 @@ const char* condition_name(Condition condition) {
   return "?";
 }
 
+std::optional<Condition> parse_condition(const std::string& name) {
+  for (const Condition c :
+       {Condition::kDdr, Condition::kNumactl, Condition::kAutoHbw,
+        Condition::kCacheMode, Condition::kFramework, Condition::kDynamic}) {
+    if (name == condition_name(c)) return c;
+  }
+  return std::nullopt;
+}
+
 bool schedule_transitions(const RunOptions& options) {
   return options.condition == Condition::kDynamic &&
          (static_cast<bool>(options.advisor_hook) ||

@@ -46,6 +46,8 @@ enum class Condition {
 };
 
 const char* condition_name(Condition condition);
+/// Inverse of condition_name; nullopt for any other text.
+std::optional<Condition> parse_condition(const std::string& name);
 
 struct RunOptions {
   Condition condition = Condition::kDdr;

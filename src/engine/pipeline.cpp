@@ -34,11 +34,13 @@ advisor::MemorySpec machine_memory_spec(const memsim::MachineConfig& node,
 }
 
 std::uint64_t clamp_fast_budget(const memsim::MachineConfig& node,
-                                std::uint64_t requested_bytes,
+                                std::uint64_t requested_bytes, int ranks,
                                 bool* clamped) {
   HMEM_ASSERT(!node.tiers.empty());
+  HMEM_ASSERT(ranks >= 1);
   const std::uint64_t capacity =
-      node.tiers[node.fastest_tier()].capacity_bytes;
+      node.tiers[node.fastest_tier()].capacity_bytes /
+      static_cast<std::uint64_t>(ranks);
   const bool over = requested_bytes > capacity;
   if (clamped != nullptr) *clamped = over;
   return over ? capacity : requested_bytes;

@@ -44,12 +44,13 @@ advisor::MemorySpec machine_memory_spec(const memsim::MachineConfig& node,
                                         std::uint64_t fast_budget_per_rank,
                                         int ranks);
 
-/// Clamps a requested fast-tier budget to what the machine can physically
-/// provide (the fastest tier's full capacity). A budget above that would
-/// make the advisor select a working set the runtime can never host —
-/// callers should warn the user when `*clamped` comes back true.
+/// Clamps a requested per-rank fast-tier budget to what the machine can
+/// physically provide each of `ranks` ranks (an equal share of the fastest
+/// tier's capacity). A budget above that would make the advisor select a
+/// working set the runtime can never host — callers should warn the user
+/// when `*clamped` comes back true.
 std::uint64_t clamp_fast_budget(const memsim::MachineConfig& node,
-                                std::uint64_t requested_bytes,
+                                std::uint64_t requested_bytes, int ranks,
                                 bool* clamped = nullptr);
 
 struct PipelineOptions {

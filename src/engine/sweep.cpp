@@ -245,7 +245,8 @@ SweepCellResult SweepEngine::run_cell(const SweepCell& cell, Arena* arena) {
       const analysis::AggregateResult& report =
           profile_for(cell.app, cell.machine, /*count_reuse=*/true);
       const advisor::MemorySpec spec = machine_memory_spec(
-          node, clamp_fast_budget(node, cell.budget_bytes), app.ranks);
+          node, clamp_fast_budget(node, cell.budget_bytes, app.ranks),
+          app.ranks);
       advisor::Options adv_options =
           spec_.strategies[cell.strategy].options;
       if (spec_.base.advisor.virtual_budget_bytes > 0) {
@@ -269,7 +270,8 @@ SweepCellResult SweepEngine::run_cell(const SweepCell& cell, Arena* arena) {
       const analysis::AggregateResult& report =
           profile_for(cell.app, cell.machine, /*count_reuse=*/true);
       const advisor::MemorySpec spec = machine_memory_spec(
-          node, clamp_fast_budget(node, cell.budget_bytes), app.ranks);
+          node, clamp_fast_budget(node, cell.budget_bytes, app.ranks),
+          app.ranks);
       advisor::HmemAdvisor adv(spec, spec_.base.advisor);
       const advisor::Placement placement = adv.advise(report.objects);
       const std::string text = advisor::write_placement_report(placement);

@@ -74,9 +74,9 @@ struct SweepCell {
   CellKind kind = CellKind::kBaseline;
   Condition baseline = Condition::kDdr;  ///< kBaseline only
   std::size_t strategy = 0;              ///< kFramework only
-  /// Per rank; framework/dynamic. The advisor sees it clamped to the
-  /// machine's fast tier (clamp_fast_budget), as hmem_advise does; the cell
-  /// key keeps the requested value.
+  /// Per rank; framework/dynamic. The advisor sees it clamped to the app's
+  /// per-rank share of the machine's fast tier (clamp_fast_budget); the
+  /// cell key keeps the requested value.
   std::uint64_t budget_bytes = 0;
 };
 

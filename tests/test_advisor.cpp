@@ -343,7 +343,7 @@ TEST(Advisor, ClampedMachineBudgetIsEnforcedOnSinglePlacementPath) {
 
   bool clamped = false;
   const std::uint64_t usable =
-      engine::clamp_fast_budget(node, capacity * 4, &clamped);
+      engine::clamp_fast_budget(node, capacity * 4, 1, &clamped);
   EXPECT_TRUE(clamped);
   EXPECT_EQ(usable, capacity);
 
@@ -356,7 +356,7 @@ TEST(Advisor, ClampedMachineBudgetIsEnforcedOnSinglePlacementPath) {
 
   // A budget the machine can host passes through untouched.
   clamped = true;
-  EXPECT_EQ(engine::clamp_fast_budget(node, capacity / 2, &clamped),
+  EXPECT_EQ(engine::clamp_fast_budget(node, capacity / 2, 1, &clamped),
             capacity / 2);
   EXPECT_FALSE(clamped);
 }

@@ -519,11 +519,25 @@ TEST(ClampFastBudget, ClampsToFastestTierCapacity) {
   const memsim::MachineConfig node =
       memsim::MachineConfig::knl7250(memsim::MemMode::kFlat);
   bool clamped = false;
-  EXPECT_EQ(engine::clamp_fast_budget(node, 256 * kMiB, &clamped),
+  EXPECT_EQ(engine::clamp_fast_budget(node, 256 * kMiB, 1, &clamped),
             256 * kMiB);
   EXPECT_FALSE(clamped);
-  EXPECT_EQ(engine::clamp_fast_budget(node, 64ULL * kGiB, &clamped),
+  EXPECT_EQ(engine::clamp_fast_budget(node, 64ULL * kGiB, 1, &clamped),
             16ULL * kGiB);
+  EXPECT_TRUE(clamped);
+}
+
+TEST(ClampFastBudget, ClampsToOneRanksShare) {
+  // 64 ranks share knl's 16 GiB MCDRAM: 256 MiB each, the top of the
+  // paper's MPI budget ladder, which therefore passes through unclamped.
+  const memsim::MachineConfig node =
+      memsim::MachineConfig::knl7250(memsim::MemMode::kFlat);
+  bool clamped = true;
+  EXPECT_EQ(engine::clamp_fast_budget(node, 256 * kMiB, 64, &clamped),
+            256 * kMiB);
+  EXPECT_FALSE(clamped);
+  EXPECT_EQ(engine::clamp_fast_budget(node, 1ULL * kGiB, 64, &clamped),
+            256 * kMiB);
   EXPECT_TRUE(clamped);
 }
 

@@ -552,6 +552,28 @@ TEST_F(FaultsTest, CliExitCodes) {
   }
   // A size no uint64 holds is malformed too, not 2^63 bytes.
   EXPECT_EQ(run_tool("hmem_sweep --budgets nan"), 2);
+  // A Misses(t%) threshold outside [0, 100], from a flag or a sweep INI,
+  // is a usage error, not an assert in the knapsack.
+  for (const char* strategy : {"misses:150", "misses:nan", "misses:1e400"}) {
+    EXPECT_EQ(run_tool(std::string("hmem_sweep --strategies ") + strategy), 2)
+        << strategy;
+  }
+  const std::string sweep_ini = temp_path("cli_sweep.ini");
+  {
+    std::ofstream ini(sweep_ini);
+    ini << "[sweep]\nstrategies = misses:200\n";
+  }
+  EXPECT_EQ(run_tool("hmem_sweep --sweep-config " + sweep_ini), 2);
+  std::remove(sweep_ini.c_str());
+  // --shards parses both halves whole: trailing text or a sign is an error.
+  for (const char* shards : {"1/2x", "1/2/3", "+1/2", "3/2", "0/2", "1/"}) {
+    EXPECT_EQ(run_tool(std::string("hmem_sweep --smoke --apps churn "
+                                   "--shards ") +
+                       shards),
+              2)
+        << shards;
+  }
+  EXPECT_EQ(run_tool("hmem_sweep --smoke --apps churn --shards 2/2"), 0);
   const std::filesystem::path out_path(out);
   const std::string tmp_prefix = out_path.filename().string() + ".tmp";
   for (const auto& entry :
@@ -646,6 +668,18 @@ TEST_F(FaultsTest, CliExitCodes) {
                      " --checksums --period 50"),
             0);
   EXPECT_EQ(run_tool("hmem_advise " + shard + " 64M"), 0);
+  // Advisor options the knapsack cannot take: a threshold outside
+  // [0, 100], and an exact solve over a tier past its 2^22-page table
+  // (hbm-ddr-pmem's 128 GiB DDR middle tier, or a 32 GiB virtual budget).
+  for (const char* options :
+       {" 256M --threshold 150", " 256M --threshold -1",
+        " 256M --strategy exact --machine hbm-ddr-pmem",
+        " 256M --strategy exact --virtual 32G"}) {
+    EXPECT_EQ(run_tool("hmem_advise " + shard + options), 2) << options;
+  }
+  EXPECT_EQ(run_tool("hmem_advise " + shard + " 256M --strategy exact "
+                     "--machine knl"),
+            0);
   EXPECT_EQ(run_tool("hmem_advise " + shard + " 1e30G"), 2);
   std::remove(shard.c_str());
   std::remove(config.c_str());

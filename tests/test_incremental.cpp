@@ -94,7 +94,7 @@ advisor::MemorySpec spec_for(const memsim::MachineConfig& node) {
   // A quarter GiB ask, clamped to what the preset's fastest tier can
   // physically host — the same derivation hmem_advise --machine performs.
   const std::uint64_t budget = engine::clamp_fast_budget(
-      node, 256ull << 20, nullptr);
+      node, 256ull << 20, /*ranks=*/1);
   return engine::machine_memory_spec(node, budget, /*ranks=*/1);
 }
 

@@ -469,18 +469,21 @@ TEST(Sweep, ShardedStoresMergeByteIdenticalToUnsharded) {
   }
 }
 
-// A budget past the machine's fast tier advises at the tier's capacity, as
-// hmem_advise clamps it; the cell keeps the requested budget in its key.
+// A budget past a rank's share of the machine's fast tier advises at that
+// share; the cell keeps the requested budget in its key.
 TEST(Sweep, BudgetsPastTheFastTierAreClamped) {
   const memsim::MachineConfig knl =
       memsim::MachineConfig::knl7250(memsim::MemMode::kFlat);
+  const apps::AppSpec hpcg = smoke_apps()[0];
+  // hpcg's ranks split the tier evenly: 16 GiB / 64 = 256 MiB each.
   const std::uint64_t capacity =
-      knl.tiers[knl.fastest_tier()].capacity_bytes;
+      knl.tiers[knl.fastest_tier()].capacity_bytes /
+      static_cast<std::uint64_t>(hpcg.ranks);
   const std::uint64_t requested = 1024ULL * kGiB;
   ASSERT_GT(requested, capacity);
-  ASSERT_EQ(engine::clamp_fast_budget(knl, requested), capacity);
+  ASSERT_EQ(engine::clamp_fast_budget(knl, requested, hpcg.ranks), capacity);
   engine::SweepSpec spec;
-  spec.apps = {smoke_apps()[0]};  // hpcg
+  spec.apps = {hpcg};
   spec.machines = {knl};
   spec.baselines = {};
   spec.strategies = {engine::paper_strategies().front()};

@@ -3,9 +3,10 @@
 # repo root):
 #   1. every relative markdown link in README.md / docs/*.md resolves to
 #      an existing file or directory;
-#   2. every CLI flag the hmem_* tools (and the resumable fig4 sweep
-#      bench) accept appears in docs/TOOLS.md, so the reference cannot
-#      silently drift from the argv parsers;
+#   2. each hmem_* tool's docs/TOOLS.md section lists exactly the flags of
+#      its table in tools/flags.hpp, in the usage block and the flag table
+#      (and the resumable fig4 sweep bench's flags appear in TOOLS.md), so
+#      the reference cannot drift from the parsers;
 #   3. every backticked src/, tools/, tests/ or bench/ path cited in
 #      README.md / docs/*.md exists, and a `:N` line suffix lies within
 #      the file.
@@ -34,14 +35,50 @@ for md in README.md docs/*.md; do
 done
 
 # ---- 2. CLI flags documented ----------------------------------------------
-# The tools test argv with string literals ("--machine", "--per-phase",
-# ...); every such literal must be mentioned in docs/TOOLS.md.
-flags=$(grep -ohE '"--[a-z-]+"' tools/hmem_profile.cpp tools/hmem_advise.cpp \
-          tools/hmem_run.cpp tools/hmem_sweep.cpp tools/hmem_workload.cpp \
-          bench/fig4_placement_dynamic.cpp | tr -d '"' | sort -u)
-for flag in $flags; do
+# tools/flags.hpp holds each tool's flag table, HMEM_<TOOL>_FLAGS: rows
+# X(field, "--name", ...) plus shared HMEM_FLAG_* rows. The tool's section
+# of docs/TOOLS.md must list exactly those flags, in its usage block and in
+# its flag table alike: none missing, none stale.
+table_flags() {  # $1: PROFILE | ADVISE | RUN | SWEEP
+  rows=$(sed -n "/^#define HMEM_$1_FLAGS(/,/[^\\\\]\$/p" tools/flags.hpp)
+  for shared in $(printf '%s\n' "$rows" | grep -oE 'HMEM_FLAG_[A-Z_]+'); do
+    rows="$rows $(sed -n "/^#define $shared(/,/[^\\\\]\$/p" tools/flags.hpp)"
+  done
+  printf '%s\n' "$rows" | grep -oE 'X\([a-z_]+, "--[a-z-]+"' |
+    grep -oE -- '--[a-z-]+' | sort -u
+}
+doc_section() {  # $1: tool name; its "## <tool>" section of docs/TOOLS.md
+  awk -v head="## $1" '$0 == head { on = 1; next } /^## / { on = 0 } on' \
+    docs/TOOLS.md
+}
+usage_flags() {  # flags in the section's first code block
+  doc_section "$1" | awk '/^```/ { n++; next } n == 1' |
+    grep -oE -- '--[a-z-]+' | sort -u
+}
+row_flags() {  # flags in the first column of the section's flag table
+  doc_section "$1" | grep -E '^\| `--' | cut -d'|' -f2 |
+    grep -oE -- '--[a-z-]+' | sort -u
+}
+for tool in PROFILE ADVISE RUN SWEEP; do
+  name=hmem_$(echo "$tool" | tr A-Z a-z)
+  want=$(table_flags "$tool")
+  for part in usage row; do
+    have=$("${part}_flags" "$name")
+    if [ -z "$want" ] || [ "$have" != "$want" ]; then
+      echo "FLAG DRIFT: $name's docs/TOOLS.md $part list vs" \
+           "HMEM_${tool}_FLAGS in tools/flags.hpp: missing [" \
+           $(echo "$want" | grep -vxF -e "$have") "] stale [" \
+           $(echo "$have" | grep -vxF -e "$want") "]"
+      fail=1
+    fi
+  done
+done
+# hmem_workload (subcommands) and the resumable fig4 sweep bench keep their
+# own parsers; every "--x" literal there must appear in docs/TOOLS.md.
+for flag in $(grep -ohE '"--[a-z-]+"' tools/hmem_workload.cpp \
+                bench/fig4_placement_dynamic.cpp | tr -d '"' | sort -u); do
   if ! grep -q -- "$flag" docs/TOOLS.md; then
-    echo "UNDOCUMENTED FLAG: $flag (from tools/hmem_*.cpp) missing in docs/TOOLS.md"
+    echo "UNDOCUMENTED FLAG: $flag missing in docs/TOOLS.md"
     fail=1
   fi
 done
@@ -68,4 +105,4 @@ if [ "$fail" -ne 0 ]; then
   echo "check_docs: FAILED"
   exit 1
 fi
-echo "check_docs: OK (links resolve, all CLI flags documented, cited paths exist)"
+echo "check_docs: OK (links resolve, CLI flags match their tables, cited paths exist)"

@@ -12,34 +12,9 @@
 // --jobs N runs up to N of them concurrently with bit-identical shards
 // (each rank's seed derives from its index, each shard is private).
 //
-//   usage: hmem_profile <app> <trace-out> [period] [min-alloc-bytes]
-//                       [--format text|binary] [--ranks N] [--jobs J]
-//                       [--machine preset|config.ini]
-//                       [--period P] [--min-alloc B]
-//                       [--kernel k] [--app-config app.ini]
-//                       [--checksums] [--faults spec]
-//     app              hpcg | lulesh | bt | minife | cgpop | snap |
-//                      maxw-dgtd | gtc-p | churn | transient — or the path
-//                      of an app config file (INI workload DSL); with
-//                      --app-config the app argument is dropped entirely
-//     trace-out        output trace path (suffix .rank<k> when --ranks > 1)
-//     --format f       trace encoding (default text)
-//     --ranks N        simulated ranks -> N shards (default: app default)
-//     --jobs J         profile up to J ranks concurrently (default 1)
-//     --machine m      machine preset (knl, spr-hbm, ddr-cxl,
-//                      hbm-ddr-pmem) or a machine config file (default knl)
-//     --kernel k       access-loop backend: interp | bytecode | native |
-//                      auto (default auto = HMEM_KERNEL, then native,
-//                      else bytecode);
-//                      traces are bit-identical across kernels
-//     --checksums      binary format only: guard every event chunk with a
-//                      CRC-32 so later salvage can drop exactly the
-//                      damaged chunks (off by default; adds 5 bytes per
-//                      4096 events)
-//     --faults spec    fault-injection schedule (overrides HMEM_FAULTS),
-//                      e.g. "io_write:nth=3" or "alloc:p=0.01,seed=7"
-//     period           PEBS sampling period, >= 1 (default 37589)
-//     min-alloc-bytes  allocation monitoring threshold (default 4096)
+// The flags and their usage text live in tools/flags.hpp
+// (HMEM_PROFILE_FLAGS). The positional [period] [min-alloc-bytes] form
+// predates --period/--min-alloc; a flag wins over its positional.
 //
 // Shards are written atomically (temp file + fsync + rename): a crashed or
 // faulted run never leaves a torn shard at the output path.
@@ -48,133 +23,53 @@
 // 4 resource exhaustion.
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "apps/app_config.hpp"
-#include "apps/workloads.hpp"
 #include "common/atomic_file.hpp"
 #include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "engine/execution.hpp"
 #include "engine/pipeline.hpp"
-#include "cli.hpp"
+#include "flags.hpp"
 #include "trace/format.hpp"
-
-namespace {
-
-[[noreturn]] void usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s <app> <trace-out> [period] [min-alloc-bytes]\n"
-               "          [--format text|binary] [--ranks N] [--jobs J]\n"
-               "          [--machine preset|config.ini] [--period P] "
-               "[--min-alloc B]\n"
-               "          [--kernel interp|bytecode|native|auto] "
-               "[--app-config app.ini]\n"
-               "          [--checksums] [--faults spec]\n"
-               "  app: a bundled app name or an app config file; with\n"
-               "  --app-config the <app> argument is dropped\n"
-               "  machine presets: %s\n",
-               argv0, hmem::tools::machine_preset_list().c_str());
-  std::exit(2);
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace hmem;
 
-  tools::cli_init_faults();
-  std::vector<std::string> positional;
-  trace::TraceFormat format = trace::TraceFormat::kText;
-  trace::WriterOptions writer_options;
-  int ranks = 0;  // 0 = single run with the app's default rank count
-  int jobs = 1;
-  memsim::MachineConfig node =
-      memsim::MachineConfig::knl7250(memsim::MemMode::kFlat);
-  std::optional<std::uint64_t> period;     // >= 1: every period-th miss
-  std::optional<std::uint64_t> min_alloc;  // 0 tracks every allocation
-  std::optional<std::string> app_config;
-  engine::kernel::KernelKind kern = engine::kernel::KernelKind::kAuto;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--format") == 0) {
-      const auto f = trace::parse_trace_format(
-          tools::cli_value(argc, argv, i, "--format"));
-      if (!f) {
-        std::fprintf(stderr, "unknown format (expected text or binary)\n");
-        return 2;
-      }
-      format = *f;
-    } else if (std::strcmp(argv[i], "--ranks") == 0) {
-      ranks = tools::cli_int(tools::cli_value(argc, argv, i, "--ranks"),
-                             "--ranks", 1);
-    } else if (std::strcmp(argv[i], "--jobs") == 0) {
-      jobs = tools::cli_int(tools::cli_value(argc, argv, i, "--jobs"),
-                            "--jobs", 1);
-    } else if (std::strcmp(argv[i], "--machine") == 0) {
-      const auto machine =
-          tools::load_machine(tools::cli_value(argc, argv, i, "--machine"));
-      if (!machine) return 2;
-      node = *machine;
-    } else if (std::strcmp(argv[i], "--period") == 0) {
-      period = tools::cli_count(tools::cli_value(argc, argv, i, "--period"),
-                                "--period", 1);
-    } else if (std::strcmp(argv[i], "--min-alloc") == 0) {
-      min_alloc = tools::cli_count(
-          tools::cli_value(argc, argv, i, "--min-alloc"), "--min-alloc");
-    } else if (std::strcmp(argv[i], "--kernel") == 0) {
-      const auto k = engine::kernel::parse_kernel(
-          tools::cli_value(argc, argv, i, "--kernel"));
-      if (!k) {
-        std::fprintf(stderr, "--kernel: expected one of %s\n",
-                     engine::kernel::kernel_list().c_str());
-        return 2;
-      }
-      kern = *k;
-    } else if (std::strcmp(argv[i], "--app-config") == 0) {
-      app_config = tools::cli_value(argc, argv, i, "--app-config");
-    } else if (std::strcmp(argv[i], "--checksums") == 0) {
-      writer_options.checksums = true;
-    } else if (std::strcmp(argv[i], "--faults") == 0) {
-      tools::cli_configure_faults(tools::cli_value(argc, argv, i, "--faults"));
-    } else if (tools::cli_is_flag(argv[i])) {
-      std::fprintf(stderr, "unknown option %s\n", argv[i]);
-      return 2;
-    } else {
-      positional.emplace_back(argv[i]);
-    }
-  }
+  const auto flags = tools::parse<tools::ProfileFlags>(argc, argv);
+  tools::cli_faults(flags.faults);
   // With --app-config the <app> positional disappears; trace-out shifts
   // into its slot.
-  const std::size_t skip = app_config ? 0 : 1;
+  const std::vector<std::string>& positional = flags.positional;
+  const std::size_t skip = flags.app_config ? 0 : 1;
   if (positional.size() < skip + 1 || positional.size() > skip + 3)
-    usage(argv[0]);
-  // Positional period/min-alloc keep the original CLI working; an explicit
-  // flag wins over a positional given on the same command line.
+    tools::usage<tools::ProfileFlags>();
+  std::optional<std::uint64_t> period = flags.period;
+  std::optional<std::uint64_t> min_alloc = flags.min_alloc;
   if (positional.size() > skip + 1 && !period)
     period = tools::cli_count(positional[skip + 1].c_str(), "period", 1);
   if (positional.size() > skip + 2 && !min_alloc)
     min_alloc = tools::cli_count(positional[skip + 2].c_str(), "min-alloc");
   const std::string trace_out = positional[skip];
 
-  std::string app_error;
-  auto app = app_config ? apps::load_app_file(*app_config, &app_error)
-                        : apps::load_app(positional[0], &app_error);
-  if (!app) {
-    std::fprintf(stderr, "%s\n", app_error.c_str());
-    return tools::kExitUsage;
-  }
-  if (ranks > 0) app->ranks = ranks;
-  const int shard_count = ranks > 0 ? ranks : 1;
+  const trace::TraceFormat format =
+      flags.format.value_or(trace::TraceFormat::kText);
+  trace::WriterOptions writer_options;
+  writer_options.checksums = flags.checksums;
+
+  apps::AppSpec app = tools::cli_app(flags.app_config, positional);
+  // Without --ranks: a single run with the app's default rank count.
+  if (flags.ranks) app.ranks = *flags.ranks;
+  const int shard_count = flags.ranks.value_or(1);
 
   engine::RunOptions base;
   base.profile = true;
-  base.node = node;
-  base.kernel = kern;
+  base.node = flags.machine
+                  ? tools::cli_machine(*flags.machine)
+                  : memsim::MachineConfig::knl7250(memsim::MemMode::kFlat);
+  base.kernel = flags.kernel.value_or(engine::kernel::KernelKind::kAuto);
   if (period) base.sampler.period = *period;
   if (min_alloc) base.min_alloc_bytes = *min_alloc;
 
@@ -187,8 +82,8 @@ int main(int argc, char** argv) {
   std::vector<std::string> errors(static_cast<std::size_t>(shard_count));
   std::vector<int> codes(static_cast<std::size_t>(shard_count), 0);
   std::atomic<bool> abort_remaining{false};
-  parallel_for(jobs, static_cast<std::size_t>(shard_count),
-               [&](std::size_t r) {
+  parallel_for(flags.jobs.value_or(1),
+               static_cast<std::size_t>(shard_count), [&](std::size_t r) {
     if (abort_remaining.load(std::memory_order_relaxed)) return;
     const std::string path =
         shard_count == 1 ? trace_out
@@ -205,14 +100,14 @@ int main(int argc, char** argv) {
       opts.seed += static_cast<std::uint64_t>(r) * engine::kRankSeedStride;
       opts.sites = &sites;
       opts.trace_sink = writer.get();
-      const auto run = engine::run_app(*app, opts);
+      const auto run = engine::run_app(app, opts);
       writer->finish();
       out.commit();
       char line[512];
       std::snprintf(line, sizeof(line),
                     "profiled %s rank %zu/%d: %zu trace events (%s), "
                     "%llu samples, %.2f%% monitoring overhead -> %s",
-                    app->name.c_str(), r, shard_count,
+                    app.name.c_str(), r, shard_count,
                     writer->events_written(),
                     trace::trace_format_name(format),
                     static_cast<unsigned long long>(run.samples),

@@ -19,41 +19,15 @@
 // with --period 1); other conditions answer "where would this recorded
 // traffic have been served?". Cache and dynamic cannot be replayed.
 //
-//   usage: hmem_run <app> [--condition c[,c...]] [--placement report.txt]
-//                   [--machine preset|config.ini] [--ranks N] [--jobs J]
-//                   [--kernel k] [--app-config app.ini] [--replay shard ...]
-//     app         bundled app name or an app config file; replaced by
-//                 --app-config (explicit file) or --replay (no app at all)
-//     condition   ddr | numactl | autohbw | cache | dynamic (default ddr;
-//                 dynamic needs a --placement schedule)
-//     placement   hmem_advise output: a placement report (framework
-//                 condition) or a placement schedule (dynamic condition)
-//     machine     machine preset (knl, spr-hbm, ddr-cxl, hbm-ddr-pmem) or
-//                 a machine config file                (default knl)
-//     ranks       override the app's simulated rank count (scaling studies:
-//                 per-rank LLC, capacity and bandwidth shares shrink as N
-//                 grows, exactly as in the profiled multi-rank pipeline);
-//                 with --replay, the rank count the shards represent
-//                 (default: the number of shards)
-//     jobs        run conditions concurrently (default 1)
-//     kernel      access-loop backend: interp | bytecode | native | auto
-//                 (default auto, which honours HMEM_KERNEL then picks
-//                 native, or bytecode where native is unavailable). All
-//                 kernels produce bit-identical reports; unavailable
-//                 choices fall back down the ladder (cache
-//                 condition -> interp, no native support -> bytecode).
-//     replay      recorded trace shard(s); pass every .rank<k> shard of a
-//                 multi-rank profile
-//     --strict    replay only: throw on the first malformed trace byte
-//                 instead of the default chunk-level salvage
-//     --faults s  fault-injection schedule (overrides HMEM_FAULTS)
+// The flags and their usage text live in tools/flags.hpp (HMEM_RUN_FLAGS).
+// --condition and --placement may repeat; their conditions accumulate in
+// the order given.
 //
 // Exit codes: 0 success, 2 usage/config error (including a schedule with
 // no placement for one of the app's phases), 3 data or I/O error, 4 resource
 // exhaustion (an object or the recorded allocation stream exceeding the
 // simulated machine's per-rank tier capacities).
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -61,8 +35,6 @@
 
 #include "advisor/placement_report.hpp"
 #include "advisor/schedule_report.hpp"
-#include "apps/app_config.hpp"
-#include "apps/workloads.hpp"
 #include "common/parallel.hpp"
 #include "common/strings.hpp"
 #include "common/units.hpp"
@@ -71,7 +43,7 @@
 #include "engine/replay.hpp"
 #include "trace/replay.hpp"
 #include "trace/salvage.hpp"
-#include "cli.hpp"
+#include "flags.hpp"
 
 namespace {
 
@@ -132,117 +104,60 @@ std::string report_text(const hmem::engine::RunResult& run) {
 
 int main(int argc, char** argv) {
   using namespace hmem;
-  tools::cli_init_faults();
-  if (argc < 2) {
-    std::fprintf(stderr,
-                 "usage: %s <app> [--condition ddr|numactl|autohbw|cache"
-                 "|dynamic[,...]] [--placement report.txt] "
-                 "[--machine preset|config.ini] [--ranks N] [--jobs J] "
-                 "[--kernel interp|bytecode|native|auto] "
-                 "[--app-config app.ini] [--replay shard ...] "
-                 "[--strict] [--faults spec]\n"
-                 "  machine presets: %s\n",
-                 argv[0], tools::machine_preset_list().c_str());
-    return 2;
-  }
-
-  std::vector<std::string> positional;
-  std::vector<std::string> replay_shards;
-  std::optional<std::string> app_config;
+  const auto flags = tools::parse<tools::RunFlags>(argc, argv);
+  tools::cli_faults(flags.faults);
   std::vector<engine::Condition> conditions;
   advisor::Placement placement;
   advisor::PlacementSchedule schedule;
   bool use_placement = false;
   bool use_schedule = false;
   bool dynamic_requested = false;
-  int ranks = 0;
-  int jobs = 1;
-  bool strict = false;
-  engine::kernel::KernelKind kern = engine::kernel::KernelKind::kAuto;
-  memsim::MachineConfig node =
-      memsim::MachineConfig::knl7250(memsim::MemMode::kFlat);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--condition") == 0) {
-      const std::string list = tools::cli_value(argc, argv, i, "--condition");
-      for (const std::string& c : split(list, ',')) {
-        if (c == "ddr") {
-          conditions.push_back(engine::Condition::kDdr);
-        } else if (c == "numactl") {
-          conditions.push_back(engine::Condition::kNumactl);
-        } else if (c == "autohbw") {
-          conditions.push_back(engine::Condition::kAutoHbw);
-        } else if (c == "cache") {
-          conditions.push_back(engine::Condition::kCacheMode);
-        } else if (c == "dynamic") {
-          // Queued once the schedule is known; order is preserved below by
-          // appending it after the baselines, like the framework condition.
-          dynamic_requested = true;
-        } else {
-          std::fprintf(stderr, "unknown condition %s\n", c.c_str());
-          return 2;
-        }
+  for (const std::string& list : flags.condition) {
+    for (const std::string& name : split(list, ',')) {
+      const auto c = engine::parse_condition(name);
+      if (!c || *c == engine::Condition::kFramework) {
+        tools::cli_bad_value("--condition",
+                             "ddr, numactl, autohbw, cache or dynamic",
+                             name.c_str());
       }
-    } else if (std::strcmp(argv[i], "--placement") == 0) {
-      std::ifstream in(tools::cli_value(argc, argv, i, "--placement"));
-      if (!in) {
-        std::fprintf(stderr, "cannot open placement report\n");
-        return tools::kExitData;
+      // dynamic is queued once the schedule is known: after the baselines,
+      // like the framework condition.
+      if (*c == engine::Condition::kDynamic) {
+        dynamic_requested = true;
+      } else {
+        conditions.push_back(*c);
       }
-      std::ostringstream text;
-      text << in.rdbuf();
-      try {
-        if (advisor::is_schedule_report(text.str())) {
-          schedule = advisor::read_schedule_report(text.str());
-          use_schedule = true;
-        } else {
-          placement = advisor::read_placement_report(text.str());
-          use_placement = true;
-        }
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "placement parse error: %s\n", e.what());
-        return exit_code_for(e);
-      }
-    } else if (std::strcmp(argv[i], "--machine") == 0) {
-      const auto machine =
-          tools::load_machine(tools::cli_value(argc, argv, i, "--machine"));
-      if (!machine) return 2;
-      node = *machine;
-    } else if (std::strcmp(argv[i], "--ranks") == 0) {
-      ranks = tools::cli_int(tools::cli_value(argc, argv, i, "--ranks"),
-                             "--ranks", 1);
-    } else if (std::strcmp(argv[i], "--jobs") == 0) {
-      jobs = tools::cli_int(tools::cli_value(argc, argv, i, "--jobs"),
-                            "--jobs", 1);
-    } else if (std::strcmp(argv[i], "--kernel") == 0) {
-      const auto k = engine::kernel::parse_kernel(
-          tools::cli_value(argc, argv, i, "--kernel"));
-      if (!k) {
-        std::fprintf(stderr, "--kernel: expected one of %s\n",
-                     engine::kernel::kernel_list().c_str());
-        return 2;
-      }
-      kern = *k;
-    } else if (std::strcmp(argv[i], "--app-config") == 0) {
-      app_config = tools::cli_value(argc, argv, i, "--app-config");
-    } else if (std::strcmp(argv[i], "--replay") == 0) {
-      replay_shards.emplace_back(
-          tools::cli_value(argc, argv, i, "--replay"));
-    } else if (std::strcmp(argv[i], "--strict") == 0) {
-      strict = true;
-    } else if (std::strcmp(argv[i], "--faults") == 0) {
-      tools::cli_configure_faults(tools::cli_value(argc, argv, i, "--faults"));
-    } else if (tools::cli_is_flag(argv[i])) {
-      std::fprintf(stderr, "unknown option %s\n", argv[i]);
-      return 2;
-    } else {
-      positional.emplace_back(argv[i]);
     }
   }
+  for (const std::string& path : flags.placement) {
+    std::ifstream in(path);
+    if (!in) {
+      std::fprintf(stderr, "cannot open placement report\n");
+      return tools::kExitData;
+    }
+    std::ostringstream text;
+    text << in.rdbuf();
+    try {
+      if (advisor::is_schedule_report(text.str())) {
+        schedule = advisor::read_schedule_report(text.str());
+        use_schedule = true;
+      } else {
+        placement = advisor::read_placement_report(text.str());
+        use_placement = true;
+      }
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "placement parse error: %s\n", e.what());
+      return exit_code_for(e);
+    }
+  }
+  const memsim::MachineConfig node =
+      flags.machine ? tools::cli_machine(*flags.machine)
+                    : memsim::MachineConfig::knl7250(memsim::MemMode::kFlat);
+  const int ranks = flags.ranks.value_or(0);  // 0: the app's or shards' own
   if (dynamic_requested && !use_schedule) {
-    std::fprintf(stderr,
-                 "--condition dynamic needs a placement *schedule* "
-                 "(hmem_advise --per-phase) via --placement\n");
-    return 2;
+    tools::cli_usage_error("--condition dynamic",
+                           "needs a --placement schedule (hmem_advise "
+                           "--per-phase)");
   }
   if (use_placement) {
     // A placement implies the framework condition; it runs alongside any
@@ -264,10 +179,10 @@ int main(int argc, char** argv) {
   }
 
   // ---- Replay mode ------------------------------------------------------
+  const std::vector<std::string>& replay_shards = flags.replay;
   if (!replay_shards.empty()) {
-    if (app_config || !positional.empty()) {
-      std::fprintf(stderr, "--replay replaces the app argument\n");
-      return 2;
+    if (flags.app_config || !flags.positional.empty()) {
+      tools::cli_usage_error("--replay", "replaces the app argument");
     }
     for (const engine::Condition c : conditions) {
       if (c == engine::Condition::kCacheMode ||
@@ -292,7 +207,7 @@ int main(int argc, char** argv) {
       }
       try {
         trace::ReplayReaderOptions replay_options;
-        replay_options.salvage = !strict;
+        replay_options.salvage = !flags.strict;
         trace::ReplayReader recording(replay_shards, replay_options);
         const engine::RunResult result = engine::replay_run(
             recording.reader(), recording.sites(), opts);
@@ -311,29 +226,24 @@ int main(int argc, char** argv) {
   }
 
   // ---- App mode ---------------------------------------------------------
-  if (positional.size() > 1 ||
-      (positional.empty() && !app_config)) {
+  if (flags.positional.size() > 1 ||
+      (flags.positional.empty() && !flags.app_config)) {
     std::fprintf(stderr, "expected exactly one app (name, config file, "
                          "--app-config or --replay)\n");
-    return 2;
+    tools::usage<tools::RunFlags>();
   }
-  std::string app_error;
-  auto app = app_config ? apps::load_app_file(*app_config, &app_error)
-                        : apps::load_app(positional[0], &app_error);
-  if (!app) {
-    std::fprintf(stderr, "%s\n", app_error.c_str());
-    return tools::kExitUsage;
-  }
-  if (ranks > 0) app->ranks = ranks;
+  apps::AppSpec app = tools::cli_app(flags.app_config, flags.positional);
+  if (ranks > 0) app.ranks = ranks;
 
   std::vector<std::string> reports(conditions.size());
   std::vector<std::string> errors(conditions.size());
   std::vector<int> codes(conditions.size(), 0);
+  const int jobs = flags.jobs.value_or(1);
   parallel_for(jobs, conditions.size(), [&](std::size_t c) {
     engine::RunOptions opts;
     opts.condition = conditions[c];
     opts.node = node;
-    opts.kernel = kern;
+    opts.kernel = flags.kernel.value_or(engine::kernel::KernelKind::kAuto);
     if (conditions[c] == engine::Condition::kFramework) {
       opts.placement = &placement;
     }
@@ -341,7 +251,7 @@ int main(int argc, char** argv) {
       opts.schedule = &schedule;
     }
     try {
-      reports[c] = report_text(engine::run_app(*app, opts));
+      reports[c] = report_text(engine::run_app(app, opts));
     } catch (const std::exception& e) {
       errors[c] = e.what();
       codes[c] = exit_code_for(e);

@@ -4,44 +4,11 @@
 // production runs, per-cell arena scratch, resumable checkpoint stores and
 // deterministic multi-process sharding.
 //
-//   usage: hmem_sweep [options]
-//     --apps a,b,...        workloads (default: the eight paper apps plus
-//                           churn and transient)
-//     --machines m1,m2,...  machine presets or config files (default: knl)
-//     --budgets 64M,256M    fast-tier budget points, unit suffixes allowed
-//                           (default: the paper ladder per app); clamped
-//                           per machine to its fastest tier
-//     --baselines c1,c2     baseline conditions: ddr, numactl, autohbw,
-//                           cache (default: ddr)
-//     --strategies s1,s2    advisor strategies: density, misses:<pct>, or
-//                           the shorthand `paper` for the paper's four
-//                           (default: none)
-//     --dynamic             add one phase-aware (static-vs-dynamic) cell
-//                           per (app, machine, budget)
-//     --sweep-config f.ini  read the [sweep] section of an INI file for
-//                           any of the above; explicit flags win
-//     --jobs N              worker threads for independent cells
-//     --shards I/N          run shard I of N (1-based): this process
-//                           computes cells with (index % N) == I-1
-//     --kernel kind         access-loop backend (auto/interp/bytecode/
-//                           native; default auto = HMEM_KERNEL, then
-//                           native, else bytecode)
-//     --smoke               shrink every app for CI (structure preserved)
-//     --store cells.dat     append finished cells to a checksummed store
-//     --resume              (requires --store) skip cells already stored
-//     --out results.csv     write the cell CSV to a file (atomic) instead
-//                           of only stdout
-//     --bench-out f.json    write sweep throughput metrics (cells/sec,
-//                           per-cell peak scratch, profile and run-memo
-//                           hit rates, peak RSS, the host context, the
-//                           kernel --kernel resolved to) as JSON. Memo
-//                           lookups count framework cells, dynamic static
-//                           legs and one-phase dynamic runs
-//     --faults spec         fault-injection schedule (overrides
-//                           HMEM_FAULTS)
-//     --merge out.dat --stores a.dat,b.dat,...
-//                           no sweep: combine shard stores into one file
-//                           byte-identical to an unsharded run's store
+// The flags and their usage text live in tools/flags.hpp
+// (HMEM_SWEEP_FLAGS). The grid flags (--apps, --machines, --budgets,
+// --baselines, --strategies, --dynamic) may also come from the [sweep]
+// section of a --sweep-config INI file; explicit flags win. --jobs 0 means
+// serial, like 1.
 //
 // Sharding contract: every shard must be launched with the same grid flags.
 // Each shard writes its own store; `--merge` rewrites their union in cell
@@ -51,17 +18,16 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "apps/workloads.hpp"
-#include "cli.hpp"
 #include "common/atomic_file.hpp"
 #include "common/config.hpp"
 #include "common/host_context.hpp"
@@ -70,36 +36,18 @@
 #include "engine/pipeline.hpp"
 #include "engine/sweep.hpp"
 #include "engine/sweep_store.hpp"
+#include "flags.hpp"
 
 namespace {
 
 using namespace hmem;
-
-int usage(const char* argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s [--apps a,b,...] [--machines m1,m2,...]\n"
-      "       [--budgets 64M,256M,...] [--baselines ddr,numactl,...]\n"
-      "       [--strategies density,misses:1,...|paper] [--dynamic]\n"
-      "       [--sweep-config file.ini] [--jobs N] [--shards I/N]\n"
-      "       [--kernel %s] [--smoke]\n"
-      "       [--store cells.dat] [--resume] [--out results.csv]\n"
-      "       [--bench-out bench.json] [--faults spec]\n"
-      "       [--merge out.dat --stores a.dat,b.dat,...]\n"
-      "machine presets: %s\n",
-      argv0, engine::kernel::kernel_list().c_str(),
-      tools::machine_preset_list().c_str());
-  return tools::kExitUsage;
-}
 
 std::vector<apps::AppSpec> parse_apps(const std::string& csv) {
   std::vector<apps::AppSpec> result;
   for (const std::string& name : split(csv, ',')) {
     auto app = apps::find_app(trim(name));
     if (!app) {
-      std::fprintf(stderr, "--apps: unknown workload '%s'\n",
-                   trim(name).c_str());
-      std::exit(tools::kExitUsage);
+      tools::cli_bad_value("--apps", "a bundled app", trim(name).c_str());
     }
     result.push_back(std::move(*app));
   }
@@ -109,9 +57,7 @@ std::vector<apps::AppSpec> parse_apps(const std::string& csv) {
 std::vector<memsim::MachineConfig> parse_machines(const std::string& csv) {
   std::vector<memsim::MachineConfig> result;
   for (const std::string& name : split(csv, ',')) {
-    const auto machine = tools::load_machine(trim(name));
-    if (!machine) std::exit(tools::kExitUsage);
-    result.push_back(*machine);
+    result.push_back(tools::cli_machine(trim(name), "--machines"));
   }
   return result;
 }
@@ -121,9 +67,8 @@ std::vector<std::uint64_t> parse_budgets(const std::string& csv) {
   for (const std::string& item : split(csv, ',')) {
     const auto bytes = parse_bytes(trim(item));
     if (!bytes || *bytes == 0) {
-      std::fprintf(stderr, "--budgets: cannot parse '%s'\n",
-                   trim(item).c_str());
-      std::exit(tools::kExitUsage);
+      tools::cli_bad_value("--budgets", "non-zero sizes such as 256M",
+                           trim(item).c_str());
     }
     result.push_back(*bytes);
   }
@@ -134,21 +79,13 @@ std::vector<engine::Condition> parse_baselines(const std::string& csv) {
   std::vector<engine::Condition> result;
   for (const std::string& item : split(csv, ',')) {
     const std::string name = to_lower(trim(item));
-    if (name == "ddr") {
-      result.push_back(engine::Condition::kDdr);
-    } else if (name == "numactl") {
-      result.push_back(engine::Condition::kNumactl);
-    } else if (name == "autohbw") {
-      result.push_back(engine::Condition::kAutoHbw);
-    } else if (name == "cache") {
-      result.push_back(engine::Condition::kCacheMode);
-    } else {
-      std::fprintf(stderr,
-                   "--baselines: unknown condition '%s' (one of ddr, "
-                   "numactl, autohbw, cache)\n",
-                   name.c_str());
-      std::exit(tools::kExitUsage);
+    const auto c = engine::parse_condition(name);
+    if (!c || *c == engine::Condition::kFramework ||
+        *c == engine::Condition::kDynamic) {
+      tools::cli_bad_value("--baselines", "ddr, numactl, autohbw or cache",
+                           name.c_str());
     }
+    result.push_back(*c);
   }
   return result;
 }
@@ -167,14 +104,8 @@ std::vector<engine::StrategyConfig> parse_strategies(const std::string& csv) {
       s.options.strategy = advisor::Strategy::kDensity;
       result.push_back(std::move(s));
     } else if (name.rfind("misses:", 0) == 0) {
-      char* end = nullptr;
-      const std::string pct = name.substr(7);
-      const double threshold = std::strtod(pct.c_str(), &end);
-      if (end != pct.c_str() + pct.size() || threshold < 0) {
-        std::fprintf(stderr, "--strategies: bad threshold in '%s'\n",
-                     name.c_str());
-        std::exit(tools::kExitUsage);
-      }
+      const double threshold = tools::cli_real(
+          name.c_str() + 7, "--strategies misses:<pct>", 0, 100);
       engine::StrategyConfig s;
       char buf[32];
       std::snprintf(buf, sizeof(buf), "Misses(%g%%)", threshold);
@@ -183,11 +114,8 @@ std::vector<engine::StrategyConfig> parse_strategies(const std::string& csv) {
       s.options.threshold_pct = threshold;
       result.push_back(std::move(s));
     } else {
-      std::fprintf(stderr,
-                   "--strategies: unknown strategy '%s' (density, "
-                   "misses:<pct>, or paper)\n",
-                   name.c_str());
-      std::exit(tools::kExitUsage);
+      tools::cli_bad_value("--strategies", "density, misses:<pct> or paper",
+                           name.c_str());
     }
   }
   return result;
@@ -203,100 +131,43 @@ std::size_t peak_rss_bytes() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  tools::cli_init_faults();
-
-  // Grid selection, as raw strings so the INI file and explicit flags can
-  // share one parsing path (flags win).
-  std::string apps_csv;
-  std::string machines_csv;
-  std::string budgets_csv;
-  std::string baselines_csv;
-  std::string strategies_csv;
-  bool dynamic_cells = false;
-  bool dynamic_set = false;
-  std::string sweep_config;
-  int jobs = 1;
+  const auto flags = tools::parse<tools::SweepFlags>(argc, argv);
+  tools::cli_faults(flags.faults);
+  if (!flags.positional.empty()) {
+    std::fprintf(stderr, "unexpected argument %s\n",
+                 flags.positional.front().c_str());
+    tools::usage<tools::SweepFlags>();
+  }
+  // 0 means serial, like 1.
+  const int jobs = std::max(flags.jobs.value_or(1), 1);
   int shard_index = 0;
   int shard_count = 1;
-  engine::kernel::KernelKind kernel = engine::kernel::KernelKind::kAuto;
-  bool smoke = false;
-  std::string store_path;
-  bool resume = false;
-  std::string out_path;
-  std::string bench_out;
-  std::string merge_out;
-  std::string merge_stores_csv;
-
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strcmp(arg, "--apps") == 0) {
-      apps_csv = tools::cli_value(argc, argv, i, arg);
-    } else if (std::strcmp(arg, "--machines") == 0) {
-      machines_csv = tools::cli_value(argc, argv, i, arg);
-    } else if (std::strcmp(arg, "--budgets") == 0) {
-      budgets_csv = tools::cli_value(argc, argv, i, arg);
-    } else if (std::strcmp(arg, "--baselines") == 0) {
-      baselines_csv = tools::cli_value(argc, argv, i, arg);
-    } else if (std::strcmp(arg, "--strategies") == 0) {
-      strategies_csv = tools::cli_value(argc, argv, i, arg);
-    } else if (std::strcmp(arg, "--dynamic") == 0) {
-      dynamic_cells = true;
-      dynamic_set = true;
-    } else if (std::strcmp(arg, "--sweep-config") == 0) {
-      sweep_config = tools::cli_value(argc, argv, i, arg);
-    } else if (std::strcmp(arg, "--jobs") == 0) {
-      // 0 means serial, like 1.
-      jobs = std::max(tools::cli_int(tools::cli_value(argc, argv, i, arg),
-                                     arg, 0),
-                      1);
-    } else if (std::strcmp(arg, "--shards") == 0) {
-      const char* value = tools::cli_value(argc, argv, i, arg);
-      int index = 0;
-      int count = 0;
-      if (std::sscanf(value, "%d/%d", &index, &count) != 2 || count < 1 ||
-          index < 1 || index > count) {
-        std::fprintf(stderr,
-                     "--shards: expected I/N with 1 <= I <= N, got '%s'\n",
-                     value);
-        return tools::kExitUsage;
-      }
-      shard_index = index - 1;
-      shard_count = count;
-    } else if (std::strcmp(arg, "--kernel") == 0) {
-      const char* value = tools::cli_value(argc, argv, i, arg);
-      const auto kind = engine::kernel::parse_kernel(value);
-      if (!kind) {
-        std::fprintf(stderr, "--kernel: unknown kernel '%s' (one of %s)\n",
-                     value, engine::kernel::kernel_list().c_str());
-        return tools::kExitUsage;
-      }
-      kernel = *kind;
-    } else if (std::strcmp(arg, "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(arg, "--store") == 0) {
-      store_path = tools::cli_value(argc, argv, i, arg);
-    } else if (std::strcmp(arg, "--resume") == 0) {
-      resume = true;
-    } else if (std::strcmp(arg, "--out") == 0) {
-      out_path = tools::cli_value(argc, argv, i, arg);
-    } else if (std::strcmp(arg, "--bench-out") == 0) {
-      bench_out = tools::cli_value(argc, argv, i, arg);
-    } else if (std::strcmp(arg, "--faults") == 0) {
-      tools::cli_configure_faults(tools::cli_value(argc, argv, i, arg));
-    } else if (std::strcmp(arg, "--merge") == 0) {
-      merge_out = tools::cli_value(argc, argv, i, arg);
-    } else if (std::strcmp(arg, "--stores") == 0) {
-      merge_stores_csv = tools::cli_value(argc, argv, i, arg);
-    } else {
-      return usage(argv[0]);
+  if (flags.shards) {
+    const std::vector<std::string> halves = split(*flags.shards, '/');
+    if (halves.size() != 2) {
+      tools::cli_bad_value("--shards", "I/N", flags.shards->c_str());
     }
+    shard_count = static_cast<int>(tools::cli_count(
+        halves[1].c_str(), "--shards", 1, std::numeric_limits<int>::max()));
+    shard_index = static_cast<int>(tools::cli_count(
+                      halves[0].c_str(), "--shards", 1, shard_count)) -
+                  1;
   }
+  // Grid selection, as raw strings so the INI file and explicit flags can
+  // share one parsing path (flags win).
+  std::string apps_csv = flags.apps.value_or("");
+  std::string machines_csv = flags.machines.value_or("");
+  std::string budgets_csv = flags.budgets.value_or("");
+  std::string baselines_csv = flags.baselines.value_or("");
+  std::string strategies_csv = flags.strategies.value_or("");
+  bool dynamic_cells = flags.dynamic;
 
   // Merge mode: no sweep, just rewrite the union of the shard stores.
+  const std::string merge_out = flags.merge.value_or("");
+  const std::string merge_stores_csv = flags.stores.value_or("");
   if (!merge_out.empty() || !merge_stores_csv.empty()) {
     if (merge_out.empty() || merge_stores_csv.empty()) {
-      std::fprintf(stderr, "--merge and --stores go together\n");
-      return tools::kExitUsage;
+      tools::cli_usage_error("--merge", "goes together with --stores");
     }
     std::vector<std::string> inputs;
     for (const std::string& path : split(merge_stores_csv, ',')) {
@@ -312,36 +183,29 @@ int main(int argc, char** argv) {
                 merge_out.c_str(), merged.size());
     return tools::kExitOk;
   }
-  if (resume && store_path.empty()) {
-    std::fprintf(stderr, "--resume requires --store\n");
-    return tools::kExitUsage;
+  if (flags.resume && !flags.store) {
+    tools::cli_usage_error("--resume", "requires --store");
   }
 
   // INI sweep config fills whatever the flags left unset.
-  if (!sweep_config.empty()) {
-    std::ifstream in(sweep_config);
+  if (flags.sweep_config) {
+    std::ifstream in(*flags.sweep_config);
     if (!in) {
       std::fprintf(stderr, "--sweep-config: cannot read %s\n",
-                   sweep_config.c_str());
+                   flags.sweep_config->c_str());
       return tools::kExitData;
     }
     std::ostringstream text;
     text << in.rdbuf();
     const Config config = Config::parse(text.str());
-    if (apps_csv.empty()) apps_csv = config.get_string("sweep", "apps", "");
-    if (machines_csv.empty()) {
-      machines_csv = config.get_string("sweep", "machines", "");
+    for (const auto& [csv, key] : {std::pair{&apps_csv, "apps"},
+                                   {&machines_csv, "machines"},
+                                   {&budgets_csv, "budgets"},
+                                   {&baselines_csv, "baselines"},
+                                   {&strategies_csv, "strategies"}}) {
+      if (csv->empty()) *csv = config.get_string("sweep", key, "");
     }
-    if (budgets_csv.empty()) {
-      budgets_csv = config.get_string("sweep", "budgets", "");
-    }
-    if (baselines_csv.empty()) {
-      baselines_csv = config.get_string("sweep", "baselines", "");
-    }
-    if (strategies_csv.empty()) {
-      strategies_csv = config.get_string("sweep", "strategies", "");
-    }
-    if (!dynamic_set) {
+    if (!flags.dynamic) {
       dynamic_cells = config.get_bool("sweep", "dynamic", false);
     }
   }
@@ -372,11 +236,11 @@ int main(int argc, char** argv) {
     spec.budgets_for = [budgets](const apps::AppSpec&) { return budgets; };
   }
   spec.dynamic_cells = dynamic_cells;
-  spec.base.kernel = kernel;
+  spec.base.kernel = flags.kernel.value_or(engine::kernel::KernelKind::kAuto);
   spec.jobs = jobs;
   spec.shard_index = shard_index;
   spec.shard_count = shard_count;
-  if (smoke) {
+  if (flags.smoke) {
     for (apps::AppSpec& app : spec.apps) {
       app.iterations = std::min<std::uint64_t>(app.iterations, 4);
       app.accesses_per_iteration =
@@ -385,9 +249,9 @@ int main(int argc, char** argv) {
   }
 
   std::unique_ptr<engine::SweepStore> store;
-  if (!store_path.empty()) {
+  if (flags.store) {
     try {
-      store = std::make_unique<engine::SweepStore>(store_path);
+      store = std::make_unique<engine::SweepStore>(*flags.store);
     } catch (const std::exception& e) {
       return tools::cli_fail(e);
     }
@@ -400,33 +264,34 @@ int main(int argc, char** argv) {
   }
 
   engine::SweepEngine sweep_engine(std::move(spec));
-  // Framework and dynamic cells advise a budget past the fast tier at the
-  // tier's capacity, as hmem_advise does; say so once per machine and budget.
-  std::set<std::pair<std::size_t, std::uint64_t>> clamp_warned;
+  const engine::SweepSpec& grid = sweep_engine.spec();
+  // Framework and dynamic cells advise a budget past a rank's share of the
+  // fast tier at that share, as hmem_advise clamps to the tier's capacity;
+  // say so once per machine, budget and rank count.
+  std::set<std::tuple<std::size_t, std::uint64_t, int>> clamp_warned;
   for (const engine::SweepCell& cell : sweep_engine.cells()) {
     if (cell.kind == engine::CellKind::kBaseline) continue;
-    const memsim::MachineConfig& node =
-        sweep_engine.spec().machines[cell.machine];
+    const memsim::MachineConfig& node = grid.machines[cell.machine];
+    const int ranks = grid.apps[cell.app].ranks;
     bool clamped = false;
     const std::uint64_t usable =
-        engine::clamp_fast_budget(node, cell.budget_bytes, &clamped);
+        engine::clamp_fast_budget(node, cell.budget_bytes, ranks, &clamped);
     if (clamped &&
-        clamp_warned.emplace(cell.machine, cell.budget_bytes).second) {
+        clamp_warned.emplace(cell.machine, cell.budget_bytes, ranks).second) {
       std::fprintf(stderr,
-                   "warning: budget %s exceeds %s's %s tier capacity %s; "
-                   "clamping\n",
-                   format_bytes(cell.budget_bytes).c_str(), node.name.c_str(),
-                   node.tiers[node.fastest_tier()].name.c_str(),
-                   format_bytes(usable).c_str());
+                   "warning: budget %s exceeds the %d-rank share %s of %s's "
+                   "%s tier; clamping\n",
+                   format_bytes(cell.budget_bytes).c_str(), ranks,
+                   format_bytes(usable).c_str(), node.name.c_str(),
+                   node.tiers[node.fastest_tier()].name.c_str());
     }
   }
   std::vector<engine::SweepOutcome> outcomes;
   try {
-    outcomes = sweep_engine.run(store.get(), resume);
+    outcomes = sweep_engine.run(store.get(), flags.resume);
   } catch (const std::exception& e) {
     return tools::cli_fail(e);
   }
-  const engine::SweepSpec& grid = sweep_engine.spec();
   const engine::SweepStats& stats = sweep_engine.stats();
 
   std::printf("sweep: %zu cell(s)", stats.cells_total);
@@ -481,19 +346,19 @@ int main(int argc, char** argv) {
                   r.migration_cost_s);
     csv += buf;
   }
-  if (out_path.empty()) {
+  if (!flags.out) {
     std::printf("\n--- CSV ---\n%s", csv.c_str());
   } else {
     std::string error;
-    if (!write_file_atomic(out_path, csv, &error)) {
-      std::fprintf(stderr, "cannot write %s: %s\n", out_path.c_str(),
+    if (!write_file_atomic(*flags.out, csv, &error)) {
+      std::fprintf(stderr, "cannot write %s: %s\n", flags.out->c_str(),
                    error.c_str());
       return tools::kExitData;
     }
-    std::printf("wrote %s\n", out_path.c_str());
+    std::printf("wrote %s\n", flags.out->c_str());
   }
 
-  if (!bench_out.empty()) {
+  if (flags.bench_out) {
     char buf[2048];
     std::snprintf(
         buf, sizeof(buf),
@@ -530,15 +395,16 @@ int main(int argc, char** argv) {
         stats.arena_reserved_bytes, peak_rss_bytes(), jobs,
         host_context_json().c_str(),
         engine::kernel::kernel_name(
-            engine::kernel::select_kernel(kernel, /*cache_mode=*/false)),
-        smoke ? "true" : "false");
+            engine::kernel::select_kernel(grid.base.kernel,
+                                          /*cache_mode=*/false)),
+        flags.smoke ? "true" : "false");
     std::string error;
-    if (!write_file_atomic(bench_out, buf, &error)) {
-      std::fprintf(stderr, "cannot write %s: %s\n", bench_out.c_str(),
+    if (!write_file_atomic(*flags.bench_out, buf, &error)) {
+      std::fprintf(stderr, "cannot write %s: %s\n", flags.bench_out->c_str(),
                    error.c_str());
       return tools::kExitData;
     }
-    std::printf("wrote %s\n", bench_out.c_str());
+    std::printf("wrote %s\n", flags.bench_out->c_str());
   }
   return tools::kExitOk;
 }
