@@ -8,17 +8,26 @@
 // track the trajectory. The binary format's reason to exist is read
 // throughput at production trace volumes: the JSON records the speedup.
 //
+// The merge row measures stage 2's other half: k in {4, 16, 64} shards
+// (each the first 1/k of the stream, rebased by kRankAddressStride like a
+// k-rank run's, so the total stays one stream's worth of events) merged by
+// MergeTraceReader alone, and merged into an AggregateVisitor.
+//
 //   usage: bench_trace_io [--smoke] [--events N] [--reps R] [--out file]
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "analysis/aggregator.hpp"
 #include "common/atomic_file.hpp"
 #include "common/host_context.hpp"
 #include "common/prng.hpp"
 #include "trace/format.hpp"
+#include "trace/merge.hpp"
 #include "trace/visitor.hpp"
 
 namespace {
@@ -125,6 +134,53 @@ Measurement measure(const callstack::SiteDb& sites,
   return m;
 }
 
+struct MergeMeasurement {
+  double merge_eps = 0;      ///< events/second, merge into a null sink
+  double aggregate_eps = 0;  ///< events/second, merge + AggregateVisitor
+};
+
+MergeMeasurement measure_merge(const callstack::SiteDb& sites,
+                               const trace::TraceBuffer& buf,
+                               std::size_t shards, int reps) {
+  trace::TraceBuffer shard;
+  for (std::size_t i = 0; i < buf.size() / shards; ++i) {
+    shard.add(buf.events()[i]);
+  }
+  const auto merged = [&] {
+    std::vector<std::unique_ptr<trace::TraceReader>> inputs;
+    for (std::size_t r = 0; r < shards; ++r) {
+      inputs.push_back(std::make_unique<trace::OffsetTraceReader>(
+          std::make_unique<trace::BufferTraceReader>(shard),
+          static_cast<trace::Address>(r) * trace::kRankAddressStride));
+    }
+    return trace::MergeTraceReader(std::move(inputs));
+  };
+  const std::size_t total = shard.size() * shards;
+  double best_merge = 1e300;
+  double best_aggregate = 1e300;
+  for (int rep = 0; rep < reps; ++rep) {
+    NullSink sink;
+    auto reader = merged();
+    const auto m0 = std::chrono::steady_clock::now();
+    trace::pump(reader, sink);
+    best_merge = std::min(best_merge, seconds_since(m0));
+
+    analysis::AggregateVisitor aggregate(sites);
+    reader = merged();
+    const auto a0 = std::chrono::steady_clock::now();
+    const std::size_t n = trace::pump(reader, aggregate);
+    const analysis::AggregateResult result = aggregate.finish();
+    best_aggregate = std::min(best_aggregate, seconds_since(a0));
+    if (sink.count != total || n != total || result.total_samples == 0) {
+      std::fprintf(stderr, "merge of %zu shards: %zu/%zu of %zu events\n",
+                   shards, sink.count, n, total);
+      std::exit(1);
+    }
+  }
+  const auto n = static_cast<double>(total);
+  return MergeMeasurement{n / best_merge, n / best_aggregate};
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -173,6 +229,19 @@ int main(int argc, char** argv) {
   std::printf("  binary read speedup: %.2fx, size ratio: %.2fx\n",
               read_speedup, size_ratio);
 
+  std::printf("  %-8s %12s %12s\n", "shards", "merge ev/s", "+agg ev/s");
+  std::string merge_json;
+  for (const std::size_t k : {4, 16, 64}) {
+    const MergeMeasurement m = measure_merge(sites, buf, k, reps);
+    std::printf("  %-8zu %12.0f %12.0f\n", k, m.merge_eps, m.aggregate_eps);
+    char row[160];
+    std::snprintf(row, sizeof(row),
+                  "%s\"k%zu\": {\"merge_eps\": %.0f, \"aggregate_eps\": %.0f}",
+                  merge_json.empty() ? "" : ", ", k, m.merge_eps,
+                  m.aggregate_eps);
+    merge_json += row;
+  }
+
   char buffer[2048];
   std::snprintf(buffer, sizeof(buffer),
                 "{\n"
@@ -185,11 +254,12 @@ int main(int argc, char** argv) {
                 "  \"binary\": {\"write_eps\": %.0f, \"read_eps\": %.0f, "
                 "\"bytes\": %zu},\n"
                 "  \"binary_read_speedup\": %.3f,\n"
-                "  \"binary_size_ratio\": %.3f\n"
+                "  \"binary_size_ratio\": %.3f,\n"
+                "  \"merge\": {%s}\n"
                 "}\n",
                 events, reps, host_context_json().c_str(), text.write_eps,
                 text.read_eps, text.bytes, binary.write_eps, binary.read_eps,
-                binary.bytes, read_speedup, size_ratio);
+                binary.bytes, read_speedup, size_ratio, merge_json.c_str());
   std::string error;
   if (!write_file_atomic(out_path, buffer, &error)) {
     std::fprintf(stderr, "cannot write %s: %s\n", out_path, error.c_str());

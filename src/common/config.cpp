@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <string>
 
+#include "common/error.hpp"
 #include "common/strings.hpp"
 #include "common/units.hpp"
 
@@ -11,7 +13,9 @@ namespace hmem {
 Config Config::parse(const std::string& text) {
   Config cfg;
   std::string section;
+  std::size_t line_no = 0;
   for (const std::string& raw_line : split(text, '\n')) {
+    ++line_no;
     std::string line = trim(raw_line);
     // Strip comments ('#' or ';') that are not inside a value; values never
     // legitimately contain those characters in our configs.
@@ -26,12 +30,17 @@ Config Config::parse(const std::string& text) {
       }
       continue;
     }
+    // Anything else is a typo (an unclosed header, a key without '='), and
+    // silently skipping it would quietly drop a setting.
     const auto eq = line.find('=');
-    if (eq == std::string::npos) continue;  // tolerate malformed lines
-    const std::string key = trim(line.substr(0, eq));
-    const std::string value = trim(line.substr(eq + 1));
-    if (key.empty()) continue;
-    cfg.set(section, key, value);
+    const std::string key =
+        eq == std::string::npos ? std::string() : trim(line.substr(0, eq));
+    if (key.empty()) {
+      throw ConfigError("config line " + std::to_string(line_no) +
+                        ": expected [section] or key = value, got '" + line +
+                        "'");
+    }
+    cfg.set(section, key, trim(line.substr(eq + 1)));
   }
   return cfg;
 }
@@ -89,7 +98,10 @@ bool Config::get_bool(const std::string& section, const std::string& key,
     return true;
   if (lower == "false" || lower == "no" || lower == "off" || lower == "0")
     return false;
-  return fallback;
+  throw ConfigError("config " +
+                    (section.empty() ? "" : "[" + section + "] ") + key +
+                    ": expected a boolean (true/false, yes/no, on/off, 1/0), "
+                    "got '" + *v + "'");
 }
 
 unsigned long long Config::get_bytes(const std::string& section,

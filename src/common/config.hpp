@@ -4,6 +4,7 @@
 // by small configuration files describing the memory tiers and the runtime
 // options (Figure 2 shows a `config` input on every stage). We mirror that
 // with a simple `[section]` + `key = value` format, '#' and ';' comments.
+// Any other line is a ConfigError naming its line number.
 #pragma once
 
 #include <map>
@@ -17,6 +18,8 @@ namespace hmem {
 /// Keys outside any section land in the "" section.
 class Config {
  public:
+  /// Throws ConfigError on a line that is not blank, a comment, a
+  /// `[section]` header or `key = value`.
   static Config parse(const std::string& text);
 
   /// Raw lookup; nullopt when section/key absent.
@@ -24,7 +27,8 @@ class Config {
                                  const std::string& key) const;
 
   /// Typed lookups with defaults. Byte sizes accept unit suffixes via
-  /// parse_bytes (e.g. "16G", "256M").
+  /// parse_bytes (e.g. "16G", "256M"). get_bool throws ConfigError on a
+  /// value that is not a boolean.
   std::string get_string(const std::string& section, const std::string& key,
                          const std::string& fallback) const;
   long long get_int(const std::string& section, const std::string& key,

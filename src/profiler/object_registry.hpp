@@ -3,13 +3,18 @@
 // Extrae "registers the allocated address range through the returned pointer
 // and the size of the allocation" and attributes each sampled reference "by
 // matching the accessed address against the previously allocated object's
-// address ranges". This is that matcher: an ordered map of disjoint live
-// ranges supporting O(log n) point lookup.
+// address ranges". This is that matcher: disjoint live ranges kept as two
+// parallel arrays sorted by base address (the bases alone, densely packed
+// for the search, and the LiveObject records beside them). A point lookup
+// is a branch-free upper-bound search over the bases whose trip count
+// depends only on the number of live ranges; alloc and free shift the
+// arrays, which at the few hundred live ranges a trace holds costs less
+// than a tree's node chasing on every sample.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
+#include <vector>
 
 #include "callstack/sitedb.hpp"
 #include "memsim/address.hpp"
@@ -45,7 +50,12 @@ class ObjectRegistry {
   void clear();
 
  private:
-  std::map<Address, LiveObject> objects_;  ///< keyed by base address
+  /// Number of live ranges whose base is <= addr: the index of the first
+  /// base above it.
+  std::size_t upper_bound(Address addr) const;
+
+  std::vector<Address> bases_;  ///< ascending
+  std::vector<LiveObject> objects_;  ///< objects_[i].addr == bases_[i]
   std::uint64_t live_bytes_ = 0;
 };
 

@@ -307,6 +307,10 @@ class BinaryTraceReader final : public TraceReader {
     }
   }
 
+  ErrorContext where() const override {
+    return ErrorContext{source_, shard_, chunk_index_};
+  }
+
  private:
   [[noreturn]] void corrupt(const char* what) const {
     throw FormatError(std::string("malformed binary trace: ") + what,

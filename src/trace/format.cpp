@@ -164,6 +164,9 @@ class TextTraceReader final : public TraceReader {
     return false;
   }
 
+
+  ErrorContext where() const override { return ctx_; }
+
  private:
   /// Returns true when the line carried an event ('S' lines only update the
   /// site database and yield no event).

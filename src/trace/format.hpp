@@ -46,6 +46,7 @@
 #include <string>
 
 #include "callstack/sitedb.hpp"
+#include "common/error.hpp"
 #include "trace/event.hpp"
 #include "trace/visitor.hpp"
 
@@ -102,6 +103,11 @@ class TraceReader {
  public:
   virtual ~TraceReader() = default;
   virtual bool next(Event& out) = 0;
+  /// Where the event next() last returned came from: the source and shard
+  /// the reader was opened with and, in binary, its event chunk. Lets
+  /// checks made above the reader (the merge's time-order check) name the
+  /// data at fault.
+  virtual ErrorContext where() const { return {}; }
 };
 
 std::unique_ptr<TraceWriter> make_trace_writer(std::ostream& out,

@@ -75,6 +75,9 @@ class RecoveringTraceReader final : public TraceReader {
                         ReaderOptions options = {});
 
   bool next(Event& out) override;
+  ErrorContext where() const override {
+    return inner_ ? inner_->where() : ErrorContext{source_, shard_, {}};
+  }
 
   const SalvageReport& report() const { return *report_; }
   /// True once the stream was abandoned (header damage or a stream-level

@@ -4,10 +4,13 @@
 #include <cmath>
 #include <set>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "common/alias.hpp"
 #include "common/config.hpp"
 #include "common/csv.hpp"
+#include "common/error.hpp"
 #include "common/host_context.hpp"
 #include "common/prng.hpp"
 #include "common/stats.hpp"
@@ -175,6 +178,28 @@ TEST(Config, FallbacksOnMalformedValues) {
   EXPECT_EQ(cfg.get_int("s", "x", 7), 7);
   EXPECT_DOUBLE_EQ(cfg.get_double("s", "x", 1.5), 1.5);
   EXPECT_EQ(cfg.get_bytes("s", "x", 9), 9u);
+}
+
+TEST(Config, MalformedLinesThrowWithTheirLineNumber) {
+  for (const auto& [text, line] :
+       {std::pair{"[sweep\n", "config line 1:"},
+        std::pair{"[s]\nx = 1\nfoo\n", "config line 3:"},
+        std::pair{"[s]\n\n# note\n= 4\n", "config line 4:"}}) {
+    try {
+      (void)Config::parse(text);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find(line), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(Config, GetBoolRejectsNonBooleans) {
+  const auto cfg = Config::parse("[s]\nflag = maybe\nset = On\n");
+  EXPECT_THROW((void)cfg.get_bool("s", "flag", false), ConfigError);
+  EXPECT_TRUE(cfg.get_bool("s", "set", false));
+  EXPECT_TRUE(cfg.get_bool("s", "missing", true));
 }
 
 TEST(Config, SectionOrderPreserved) {

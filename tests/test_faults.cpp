@@ -17,13 +17,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #ifndef _WIN32
@@ -399,6 +402,97 @@ TEST_F(FaultsTest, MergeDropsDeadShardsAndKeepsGoing) {
   EXPECT_EQ(report.incidents[0].file, "bad.bin");
 }
 
+/// A two-sample shard whose second timestamp is `second_ns`. In binary a
+/// backwards time is a negative delta inside one event chunk.
+std::string bad_time_shard(double second_ns, trace::TraceFormat format) {
+  std::ostringstream out(std::ios::binary);
+  callstack::SiteDb sites;
+  const auto writer = trace::make_trace_writer(out, sites, format);
+  writer->on_event(trace::SampleEvent{100.0, 0x1000, false, 1});
+  writer->on_event(trace::SampleEvent{second_ns, 0x1040, false, 1});
+  writer->finish();
+  return out.str();
+}
+
+TEST_F(FaultsTest, MergeRejectsNonFiniteAndBackwardsTimes) {
+  // The merge orders inputs by time, so a NaN, negative or backwards
+  // timestamp is malformed data there: strict merges throw a FormatError
+  // naming the input (and its chunk, in binary); degraded merges drop that
+  // input and keep the others. Neither reaches the aggregator's time-order
+  // invariant.
+  struct Case {
+    double second_ns;
+    trace::TraceFormat format;
+    const char* expect;
+  };
+  for (const Case& c :
+       {Case{std::nan(""), trace::TraceFormat::kText, "non-finite"},
+        Case{-5.0, trace::TraceFormat::kText, "out of time order"},
+        Case{40.0, trace::TraceFormat::kBinary, "out of time order"}}) {
+    const bool binary = c.format == trace::TraceFormat::kBinary;
+    const std::string bad = bad_time_shard(c.second_ns, c.format);
+    const ChecksummedShard good = make_checksummed_shard(50);
+    for (const bool drop : {false, true}) {
+      callstack::SiteDb sites;
+      std::istringstream good_in(good.bytes, std::ios::binary);
+      std::istringstream bad_in(bad, std::ios::binary);
+      std::vector<std::unique_ptr<trace::TraceReader>> inputs;
+      inputs.push_back(trace::open_trace_reader(good_in, sites));
+      inputs.push_back(trace::open_trace_reader(bad_in, sites));
+      trace::SalvageReport report;
+      trace::MergeOptions options;
+      options.drop_failed_inputs = drop;
+      options.report = &report;
+      options.labels = {"good", "bad"};
+      trace::MergeTraceReader merge(std::move(inputs), std::move(options));
+      std::size_t n = 0;
+      trace::Event event;
+      if (!drop) {
+        try {
+          while (merge.next(event)) ++n;
+          ADD_FAILURE() << c.expect << ": no error";
+        } catch (const FormatError& e) {
+          const std::string what = e.what();
+          EXPECT_NE(what.find(c.expect), std::string::npos) << what;
+          EXPECT_NE(what.find("bad, shard 1"), std::string::npos) << what;
+          EXPECT_EQ(what.find("chunk 0") != std::string::npos, binary)
+              << what;
+        }
+        continue;
+      }
+      while (merge.next(event)) ++n;
+      // The bad input's first sample (t = 100) merged before it died.
+      EXPECT_EQ(n, good.events.size() + 1) << c.expect;
+      EXPECT_EQ(report.shards_dropped, 1u);
+      ASSERT_EQ(report.incidents_total, 1u);
+      EXPECT_EQ(report.incidents[0].file, "bad");
+    }
+  }
+}
+
+TEST_F(FaultsTest, SalvageNamesTheShardPastAnUnopenableOne) {
+  // Shard 0 cannot be opened and gets no merge input, so the bad shard is
+  // merge input 0 but shard 1: the incident must say shard 1.
+  const std::string bad = temp_path("bad_time.trace");
+  {
+    std::ofstream out(bad, std::ios::binary);
+    out << bad_time_shard(std::nan(""), trace::TraceFormat::kText);
+  }
+  trace::ReplayReaderOptions salvage;
+  salvage.salvage = true;
+  trace::ReplayReader replay({temp_path("does_not_exist.trace"), bad},
+                             salvage);
+  trace::Event event;
+  std::size_t n = 0;
+  while (replay.reader().next(event)) ++n;
+  EXPECT_EQ(n, 1u);
+  const trace::SalvageReport& report = replay.salvage_report();
+  ASSERT_EQ(report.incidents.size(), 2u);
+  EXPECT_EQ(report.incidents[1].file, bad);
+  EXPECT_EQ(report.incidents[1].shard, std::optional<std::size_t>(1));
+  std::remove(bad.c_str());
+}
+
 TEST_F(FaultsTest, ReplayFrontRefusesAllDeadShards) {
   trace::ReplayReaderOptions salvage;
   salvage.salvage = true;
@@ -564,6 +658,17 @@ TEST_F(FaultsTest, CliExitCodes) {
     ini << "[sweep]\nstrategies = misses:200\n";
   }
   EXPECT_EQ(run_tool("hmem_sweep --sweep-config " + sweep_ini), 2);
+  // A misspelt sweep INI is an error, not a silently different grid: a
+  // line that is neither a header nor key = value, a non-boolean, an
+  // unknown key.
+  for (const char* body : {"[sweep\nfoo\n", "[sweep]\ndynamic = maybe\n",
+                           "[sweep]\nbudget = 256M\n"}) {
+    {
+      std::ofstream ini(sweep_ini);
+      ini << body;
+    }
+    EXPECT_EQ(run_tool("hmem_sweep --sweep-config " + sweep_ini), 2) << body;
+  }
   std::remove(sweep_ini.c_str());
   // --shards parses both halves whole: trailing text or a sign is an error.
   for (const char* shards : {"1/2x", "1/2/3", "+1/2", "3/2", "0/2", "1/"}) {
@@ -657,6 +762,23 @@ TEST_F(FaultsTest, CliExitCodes) {
     garbage << "garbage body that is not a chunk stream";
   }
   EXPECT_EQ(run_tool("hmem_advise " + shard + " 64M --strict"), 3);
+  // A NaN, negative or backwards timestamp: exit 3 under --strict; the
+  // default salvage mode drops the shard with a warning and runs on.
+  for (const auto& [second_ns, format] :
+       {std::pair{std::nan(""), trace::TraceFormat::kText},
+        std::pair{-5.0, trace::TraceFormat::kText},
+        std::pair{40.0, trace::TraceFormat::kBinary}}) {
+    {
+      std::ofstream bad(shard, std::ios::binary);
+      bad << bad_time_shard(second_ns, format);
+    }
+    const std::string what = std::to_string(second_ns);
+    EXPECT_EQ(run_tool("hmem_advise " + shard + " 64M --strict"), 3) << what;
+    EXPECT_EQ(run_tool("hmem_advise " + shard + " 64M"), 0) << what;
+    EXPECT_EQ(run_tool("hmem_run --replay " + shard + " --strict"), 3)
+        << what;
+    EXPECT_EQ(run_tool("hmem_run --replay " + shard), 0) << what;
+  }
 
   // 0: a real profile -> advise round trip, with checksums on.
   const std::string config = temp_path("cli_app.ini");

@@ -1,6 +1,12 @@
 // Tests for the object registry and the Extrae-substitute profiler.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <optional>
+#include <vector>
+
+#include "common/prng.hpp"
 #include "profiler/object_registry.hpp"
 #include "profiler/profiler.hpp"
 
@@ -47,6 +53,89 @@ TEST(ObjectRegistry, AddressReuseAfterFree) {
   reg.on_free(0x1000);
   reg.on_alloc(0x1000, 128, 2);  // same base, new object
   EXPECT_EQ(reg.lookup(0x1040)->site, 2u);
+}
+
+TEST(ObjectRegistry, MatchesLinearScanOracle) {
+  // Differential check of the sorted-array registry against a linear scan
+  // over the same live set, through random alloc/free/lookup sequences.
+  // Lookups probe each live object's first byte, last byte and first byte
+  // past it, addresses below the lowest base, and random addresses.
+  struct Live {
+    Address addr;
+    std::uint64_t size;
+    SiteId site;
+  };
+  Xoshiro256 rng(0x0B1EC7);
+  for (int iter = 0; iter < 40; ++iter) {
+    ObjectRegistry reg;
+    std::vector<Live> oracle;
+    std::uint64_t oracle_bytes = 0;
+    const auto scan = [&](Address addr) -> std::optional<Live> {
+      for (const Live& o : oracle) {
+        if (addr >= o.addr && addr < o.addr + o.size) return o;
+      }
+      return std::nullopt;
+    };
+    const auto check = [&](Address addr) {
+      const auto want = scan(addr);
+      const auto got = reg.lookup(addr);
+      ASSERT_EQ(got.has_value(), want.has_value()) << std::hex << addr;
+      if (want) {
+        EXPECT_EQ(got->addr, want->addr);
+        EXPECT_EQ(got->size, want->size);
+        EXPECT_EQ(got->site, want->site);
+      }
+    };
+    for (int step = 0; step < 400; ++step) {
+      const std::uint64_t op = rng.below(10);
+      if (op < 4) {
+        // Slot-aligned bases keep most allocations disjoint; sizes run up
+        // to the whole slot, so neighbours often touch exactly.
+        const Address addr = 0x10000 + rng.below(256) * 0x100;
+        const std::uint64_t size = 1 + rng.below(0x100);
+        const bool overlaps =
+            std::any_of(oracle.begin(), oracle.end(), [&](const Live& o) {
+              return addr < o.addr + o.size && o.addr < addr + size;
+            });
+        if (overlaps) continue;  // overlap is a logic error (death test)
+        const auto site = static_cast<SiteId>(rng.below(50));
+        reg.on_alloc(addr, size, site);
+        oracle.push_back(Live{addr, size, site});
+        oracle_bytes += size;
+      } else if (op < 6) {
+        // Free a live base, or an address that is no base at all.
+        const bool live = !oracle.empty() && rng.below(4) != 0;
+        const std::size_t victim = live ? rng.below(oracle.size()) : 0;
+        const Address addr =
+            live ? oracle[victim].addr : 0x10000 + rng.below(0x10000);
+        const bool is_base =
+            std::any_of(oracle.begin(), oracle.end(),
+                        [&](const Live& o) { return o.addr == addr; });
+        const auto got = reg.on_free(addr);
+        ASSERT_EQ(got.has_value(), is_base) << std::hex << addr;
+        if (is_base) {
+          const auto it =
+              std::find_if(oracle.begin(), oracle.end(),
+                           [&](const Live& o) { return o.addr == addr; });
+          EXPECT_EQ(got->size, it->size);
+          EXPECT_EQ(got->site, it->site);
+          oracle_bytes -= it->size;
+          oracle.erase(it);
+        }
+      } else {
+        for (const Live& o : oracle) {
+          check(o.addr);
+          check(o.addr + o.size - 1);
+          check(o.addr + o.size);
+        }
+        check(0);
+        check(0xFFFF);
+        check(0x10000 + rng.below(0x11000));
+      }
+      ASSERT_EQ(reg.live_count(), oracle.size());
+      ASSERT_EQ(reg.live_bytes(), oracle_bytes);
+    }
+  }
 }
 
 TEST(ObjectRegistryDeathTest, OverlapAsserts) {

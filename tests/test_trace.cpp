@@ -3,7 +3,10 @@
 // the k-way merge reader.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <sstream>
+#include <stdexcept>
 
 #include "common/prng.hpp"
 #include "trace/event.hpp"
@@ -482,6 +485,106 @@ TEST(MergeReader, OffsetReaderRebasesAddressCarryingEvents) {
   EXPECT_EQ(std::get<PhaseEvent>(e).name, "p");  // untouched
   ASSERT_TRUE(reader.next(e));
   EXPECT_EQ(std::get<FreeEvent>(e).addr, 0x1000 + kRankAddressStride);
+}
+
+/// Yields a buffer's events, but throws in place of event `fail_at` —
+/// an input that dies mid-stream.
+class FailingReader final : public TraceReader {
+ public:
+  FailingReader(const TraceBuffer& buffer, std::size_t fail_at)
+      : buffer_(&buffer), fail_at_(fail_at) {}
+
+  bool next(Event& out) override {
+    if (pos_ == fail_at_) throw std::runtime_error("input died");
+    if (pos_ >= buffer_->size()) return false;
+    out = buffer_->events()[pos_++];
+    return true;
+  }
+
+ private:
+  const TraceBuffer* buffer_;
+  std::size_t fail_at_;
+  std::size_t pos_ = 0;
+};
+
+TEST(MergeReader, MatchesStableSortOracle) {
+  // Differential check of the loser tree against the definition of the
+  // merge: every delivered event tagged (time, input, seq) and stably
+  // sorted. Times repeat heavily within and across inputs, some inputs
+  // are empty, and (in degraded mode) some die mid-stream, losing their
+  // tail.
+  struct Tagged {
+    double time;
+    std::size_t input;
+    std::size_t seq;
+    Event event;
+  };
+  Xoshiro256 rng(0x4E46E);
+  for (const std::size_t k : {1, 2, 3, 7, 16, 17, 64}) {
+    for (int iter = 0; iter < 20; ++iter) {
+      const bool drop = iter % 2 == 1;
+      std::vector<TraceBuffer> buffers(k);
+      std::vector<std::size_t> fail_at(k, SIZE_MAX);
+      std::vector<Tagged> oracle;
+      for (std::size_t i = 0; i < k; ++i) {
+        const std::size_t n = rng.below(4) == 0 ? 0 : rng.below(40);
+        double t = static_cast<double>(rng.below(5));
+        for (std::size_t seq = 0; seq < n; ++seq) {
+          t += static_cast<double>(rng.below(3) / 2);  // mostly repeats
+          Event event;
+          switch (rng.below(3)) {
+            case 0:
+              event = SampleEvent{t, (i << 32) | seq, false, 1};
+              break;
+            case 1:
+              event = PhaseEvent{t, "phase-" + std::to_string(i),
+                                 seq % 2 == 0};
+              break;
+            default:
+              event = CounterEvent{t, "c", static_cast<double>(seq)};
+              break;
+          }
+          buffers[i].add(event);
+        }
+        if (drop && n > 0 && rng.below(3) == 0) fail_at[i] = rng.below(n);
+        for (std::size_t seq = 0; seq < std::min(n, fail_at[i]); ++seq) {
+          const Event& event = buffers[i].events()[seq];
+          oracle.push_back(Tagged{event_time_ns(event), i, seq, event});
+        }
+      }
+      std::stable_sort(oracle.begin(), oracle.end(),
+                       [](const Tagged& a, const Tagged& b) {
+                         if (a.time != b.time) return a.time < b.time;
+                         return a.input < b.input;
+                       });
+
+      std::vector<std::unique_ptr<TraceReader>> inputs;
+      for (std::size_t i = 0; i < k; ++i) {
+        inputs.push_back(
+            std::make_unique<FailingReader>(buffers[i], fail_at[i]));
+      }
+      MergeOptions options;
+      options.drop_failed_inputs = drop;
+      MergeTraceReader merged(std::move(inputs), std::move(options));
+      std::size_t n = 0;
+      Event event;
+      while (merged.next(event)) {
+        ASSERT_LT(n, oracle.size()) << "k=" << k << " iter=" << iter;
+        ASSERT_TRUE(event == oracle[n].event)
+            << "k=" << k << " iter=" << iter << " event " << n << " (input "
+            << oracle[n].input << ", seq " << oracle[n].seq << ")";
+        ++n;
+      }
+      EXPECT_EQ(n, oracle.size()) << "k=" << k << " iter=" << iter;
+      EXPECT_FALSE(merged.next(event));  // stays exhausted
+    }
+  }
+}
+
+TEST(MergeReader, NoInputsIsAnEmptyStream) {
+  MergeTraceReader merged({});
+  Event e;
+  EXPECT_FALSE(merged.next(e));
 }
 
 }  // namespace

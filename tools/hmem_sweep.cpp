@@ -19,6 +19,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <set>
@@ -30,6 +31,7 @@
 #include "apps/workloads.hpp"
 #include "common/atomic_file.hpp"
 #include "common/config.hpp"
+#include "common/error.hpp"
 #include "common/host_context.hpp"
 #include "common/strings.hpp"
 #include "common/units.hpp"
@@ -197,16 +199,29 @@ int main(int argc, char** argv) {
     }
     std::ostringstream text;
     text << in.rdbuf();
-    const Config config = Config::parse(text.str());
-    for (const auto& [csv, key] : {std::pair{&apps_csv, "apps"},
-                                   {&machines_csv, "machines"},
-                                   {&budgets_csv, "budgets"},
-                                   {&baselines_csv, "baselines"},
-                                   {&strategies_csv, "strategies"}}) {
-      if (csv->empty()) *csv = config.get_string("sweep", key, "");
-    }
-    if (!flags.dynamic) {
-      dynamic_cells = config.get_bool("sweep", "dynamic", false);
+    const std::pair<std::string*, const char*> list_keys[] = {
+        {&apps_csv, "apps"},           {&machines_csv, "machines"},
+        {&budgets_csv, "budgets"},     {&baselines_csv, "baselines"},
+        {&strategies_csv, "strategies"}};
+    try {
+      const Config config = Config::parse(text.str());
+      for (const std::string& key : config.keys("sweep")) {
+        const bool known =
+            key == "dynamic" ||
+            std::any_of(std::begin(list_keys), std::end(list_keys),
+                        [&](const auto& entry) { return key == entry.second; });
+        if (!known) throw ConfigError("[sweep] unknown key '" + key + "'");
+      }
+      for (const auto& [csv, key] : list_keys) {
+        if (csv->empty()) *csv = config.get_string("sweep", key, "");
+      }
+      if (!flags.dynamic) {
+        dynamic_cells = config.get_bool("sweep", "dynamic", false);
+      }
+    } catch (const ConfigError& e) {
+      std::fprintf(stderr, "--sweep-config: %s: %s\n",
+                   flags.sweep_config->c_str(), e.what());
+      return tools::kExitUsage;
     }
   }
 
