@@ -5,6 +5,7 @@
 
 #include "advisor/advisor.hpp"
 #include "advisor/phase_advisor.hpp"
+#include "advisor/placement_report.hpp"
 #include "advisor/schedule_report.hpp"
 #include "common/assert.hpp"
 #include "common/parallel.hpp"
@@ -61,6 +62,19 @@ RunOptions profile_options(const PipelineOptions& options) {
 }
 
 }  // namespace
+
+bool dynamic_run_is_framework_run(
+    const RunOptions& dynamic_opts,
+    const advisor::Placement& framework_placement) {
+  HMEM_ASSERT(dynamic_opts.condition == Condition::kDynamic &&
+              dynamic_opts.schedule != nullptr &&
+              !dynamic_opts.schedule->phases.empty());
+  const advisor::Placement& dynamic_placement =
+      dynamic_opts.schedule->phases.front().placement;
+  return !schedule_transitions(dynamic_opts) &&
+         advisor::runtime_key(dynamic_placement) ==
+             advisor::runtime_key(framework_placement);
+}
 
 PipelineResult run_pipeline(const apps::AppSpec& app_in,
                             const PipelineOptions& options) {
@@ -162,7 +176,9 @@ PipelineResult run_pipeline(const apps::AppSpec& app_in,
 
   // Phase-aware stages: per-phase knapsacks over the folded profiles, then
   // a dynamic production run consuming the parsed schedule report (same
-  // text round-trip and ASLR discipline as the static path).
+  // text round-trip and ASLR discipline as the static path). A schedule
+  // that never leaves the static placement is the framework run already
+  // simulated, so that run is served instead of repeated.
   if (options.per_phase) {
     advisor::PhaseAdvisor phase_adv(spec, options.advisor);
     result.schedule = phase_adv.advise(result.report.phases);
@@ -177,7 +193,14 @@ PipelineResult run_pipeline(const apps::AppSpec& app_in,
     dynamic_opts.seed = options.production_seed;
     dynamic_opts.node = options.node;
     dynamic_opts.kernel = options.kernel;
-    result.dynamic_run = run_app(app, dynamic_opts);
+    result.dynamic_from_framework =
+        dynamic_run_is_framework_run(dynamic_opts, parsed);
+    if (result.dynamic_from_framework) {
+      result.dynamic_run = result.production_run;
+      result.dynamic_run.condition = condition_name(Condition::kDynamic);
+    } else {
+      result.dynamic_run = run_app(app, dynamic_opts);
+    }
   }
   return result;
 }

@@ -80,10 +80,12 @@ struct PipelineOptions {
   /// see RunOptions::kernel for the fallback ladder).
   kernel::KernelKind kernel = kernel::KernelKind::kAuto;
   /// Phase-aware mode: additionally run the PhaseAdvisor over the folded
-  /// per-phase profiles (stage 3) and a second production run under the
-  /// dynamic condition, filling PipelineResult::schedule / dynamic_run.
-  /// The static placement and production run are always produced, so
-  /// per_phase gives the static-vs-dynamic comparison in one call.
+  /// per-phase profiles (stage 3) and a production run under the dynamic
+  /// condition, filling PipelineResult::schedule / dynamic_run. The static
+  /// placement and production run are always produced, so per_phase gives
+  /// the static-vs-dynamic comparison in one call. A dynamic run that
+  /// dynamic_run_is_framework_run() proves equal to the framework run is
+  /// copied from it instead of simulated again.
   bool per_phase = false;
 };
 
@@ -98,7 +100,11 @@ struct PipelineResult {
   /// through its text report exactly like the static placement does.
   advisor::PlacementSchedule schedule;
   std::string schedule_report_text;
+  /// The dynamic production run: simulated, or — when
+  /// dynamic_from_framework — production_run with the dynamic condition
+  /// name, equal on every other field to what simulating it would give.
   RunResult dynamic_run;
+  bool dynamic_from_framework = false;
 
   /// Multi-rank stage-1 artefacts (profile_ranks > 1 only).
   std::vector<RunResult> rank_profile_runs;  ///< one per rank
@@ -109,6 +115,15 @@ struct PipelineResult {
   std::vector<std::size_t> shard_bytes;      ///< serialized shard sizes
   std::size_t merged_events = 0;  ///< events seen by the merged aggregation
 };
+
+/// True when a kDynamic run under `dynamic_opts` is the kFramework run on
+/// `framework_placement`, every other run input being equal: its schedule
+/// never transitions (schedule_transitions) and its one placement has the
+/// same advisor::runtime_key, so the runtime reads the same placement.
+/// run_pipeline copies its framework run instead of simulating such a run.
+bool dynamic_run_is_framework_run(
+    const RunOptions& dynamic_opts,
+    const advisor::Placement& framework_placement);
 
 /// Runs all four stages for one application.
 PipelineResult run_pipeline(const apps::AppSpec& app,

@@ -388,11 +388,61 @@ void expect_same_autohbw_stats(const runtime::AutoHbwStats& a,
   EXPECT_EQ(a.tier_budget_rejections, b.tier_budget_rejections);
 }
 
-// The contract the sweep's run memo relies on (engine::schedule_transitions):
-// a kDynamic run on a one-phase schedule is the kFramework run on that
-// phase's placement, on every RunResult field but the condition name. Every
-// single-phase bundled app, shrunk, on knl at the two ends of its paper
-// budget ladder (bt's is the node-wide OpenMP one).
+// Every RunResult field but the condition name. The stage-1 artefacts are
+// null on production runs.
+void expect_same_run(const engine::RunResult& a, const engine::RunResult& b) {
+  EXPECT_EQ(a.app, b.app);
+  EXPECT_EQ(a.fom_unit, b.fom_unit);
+  EXPECT_EQ(a.fom, b.fom);  // bit-identical, not approximately
+  EXPECT_EQ(a.time_s, b.time_s);
+  EXPECT_EQ(a.fast_hwm_bytes, b.fast_hwm_bytes);
+  EXPECT_EQ(a.total_hwm_bytes, b.total_hwm_bytes);
+  ASSERT_EQ(a.tier_traffic.size(), b.tier_traffic.size());
+  for (std::size_t t = 0; t < a.tier_traffic.size(); ++t) {
+    EXPECT_EQ(a.tier_traffic[t].name, b.tier_traffic[t].name);
+    EXPECT_EQ(a.tier_traffic[t].bytes, b.tier_traffic[t].bytes);
+    EXPECT_EQ(a.tier_traffic[t].migration_bytes,
+              b.tier_traffic[t].migration_bytes);
+  }
+  EXPECT_EQ(a.achieved_bw_gbs, b.achieved_bw_gbs);
+  EXPECT_EQ(a.migration_bytes, b.migration_bytes);
+  EXPECT_EQ(a.migration_count, b.migration_count);
+  EXPECT_EQ(a.migration_cost_s, b.migration_cost_s);
+  EXPECT_EQ(a.llc_misses, b.llc_misses);
+  EXPECT_EQ(a.samples, b.samples);
+  EXPECT_EQ(a.monitoring_overhead, b.monitoring_overhead);
+  EXPECT_EQ(a.alloc_calls, b.alloc_calls);
+  EXPECT_EQ(a.allocs_per_second, b.allocs_per_second);
+  EXPECT_EQ(a.interposition_overhead_ns, b.interposition_overhead_ns);
+  EXPECT_EQ(a.trace, nullptr);
+  EXPECT_EQ(b.trace, nullptr);
+  EXPECT_EQ(a.sites, nullptr);
+  EXPECT_EQ(b.sites, nullptr);
+  ASSERT_TRUE(a.autohbw.has_value());
+  ASSERT_TRUE(b.autohbw.has_value());
+  expect_same_autohbw_stats(*a.autohbw, *b.autohbw);
+}
+
+/// The run options run_pipeline simulates a dynamic run under.
+engine::RunOptions dynamic_options(const engine::PipelineOptions& options,
+                                   const advisor::PlacementSchedule& schedule) {
+  engine::RunOptions o;
+  o.condition = engine::Condition::kDynamic;
+  o.schedule = &schedule;
+  o.runtime_options = options.runtime_options;
+  o.seed = options.production_seed;
+  o.node = options.node;
+  o.kernel = options.kernel;
+  return o;
+}
+
+// The contract the sweep's run memo and run_pipeline rely on
+// (engine::schedule_transitions): a kDynamic run on a one-phase schedule is
+// the kFramework run on that phase's placement, on every RunResult field
+// but the condition name. Every single-phase bundled app, shrunk, on knl at
+// the two ends of its paper budget ladder (bt's is the node-wide OpenMP
+// one). Both runs are simulated here: run_pipeline serves its dynamic run
+// from the framework run, so it cannot witness the contract itself.
 TEST(DynamicCondition, BitIdenticalToFrameworkOnSinglePhaseWorkload) {
   for (const char* name :
        {"bt", "cgpop", "gtc-p", "hpcg", "maxw-dgtd", "minife"}) {
@@ -415,7 +465,8 @@ TEST(DynamicCondition, BitIdenticalToFrameworkOnSinglePhaseWorkload) {
       fw.node = options.node;
       fw.kernel = options.kernel;
       const engine::RunResult s = engine::run_app(app, fw);
-      const engine::RunResult& d = result.dynamic_run;
+      const engine::RunResult d =
+          engine::run_app(app, dynamic_options(options, result.schedule));
 
       // The advised one-phase placement is the static one, so the sweep's
       // static leg already holds this run.
@@ -425,33 +476,91 @@ TEST(DynamicCondition, BitIdenticalToFrameworkOnSinglePhaseWorkload) {
 
       EXPECT_EQ(s.condition, "framework");
       EXPECT_EQ(d.condition, "dynamic");
-      EXPECT_EQ(s.app, d.app);
-      EXPECT_EQ(s.fom_unit, d.fom_unit);
-      EXPECT_EQ(s.fom, d.fom);  // bit-identical, not approximately
-      EXPECT_EQ(s.time_s, d.time_s);
-      EXPECT_EQ(s.fast_hwm_bytes, d.fast_hwm_bytes);
-      EXPECT_EQ(s.total_hwm_bytes, d.total_hwm_bytes);
-      ASSERT_EQ(s.tier_traffic.size(), d.tier_traffic.size());
-      for (std::size_t t = 0; t < s.tier_traffic.size(); ++t) {
-        EXPECT_EQ(s.tier_traffic[t].name, d.tier_traffic[t].name);
-        EXPECT_EQ(s.tier_traffic[t].bytes, d.tier_traffic[t].bytes);
-        EXPECT_EQ(d.tier_traffic[t].migration_bytes, 0u);
-      }
-      EXPECT_EQ(s.achieved_bw_gbs, d.achieved_bw_gbs);
+      expect_same_run(s, d);
       EXPECT_EQ(d.migration_bytes, 0u);
       EXPECT_EQ(d.migration_count, 0u);
       EXPECT_EQ(d.migration_cost_s, 0.0);
-      EXPECT_EQ(s.llc_misses, d.llc_misses);
-      EXPECT_EQ(s.samples, d.samples);
-      EXPECT_EQ(s.monitoring_overhead, d.monitoring_overhead);
-      EXPECT_EQ(s.alloc_calls, d.alloc_calls);
-      EXPECT_EQ(s.allocs_per_second, d.allocs_per_second);
-      EXPECT_EQ(s.interposition_overhead_ns, d.interposition_overhead_ns);
-      EXPECT_EQ(s.trace, nullptr);
-      EXPECT_EQ(d.trace, nullptr);
-      ASSERT_TRUE(s.autohbw.has_value());
-      ASSERT_TRUE(d.autohbw.has_value());
-      expect_same_autohbw_stats(*s.autohbw, *d.autohbw);
+      for (const engine::TierTraffic& traffic : d.tier_traffic) {
+        EXPECT_EQ(traffic.migration_bytes, 0u);
+      }
+
+      // And run_pipeline's copy is that run.
+      EXPECT_TRUE(result.dynamic_from_framework);
+      EXPECT_EQ(result.dynamic_run.condition, "dynamic");
+      expect_same_run(result.dynamic_run, d);
+    }
+  }
+}
+
+// The skip decision itself, on a single-phase app's advised schedule: only
+// a schedule that never transitions and keeps the static placement's
+// runtime key is served from the framework run.
+TEST(Pipeline, DynamicRunIsFrameworkRunOnlyForAnUnchangedStaticPlacement) {
+  const apps::AppSpec app = shrunk(apps::app_by_name("hpcg"));
+  engine::PipelineOptions options;
+  options.per_phase = true;
+  options.sampler.period = 4000;
+  const engine::PipelineResult result = engine::run_pipeline(app, options);
+  ASSERT_EQ(result.schedule.phases.size(), 1u);
+  const advisor::Placement& framework = result.placement;
+
+  // A one-phase schedule with the framework placement's key: served.
+  EXPECT_TRUE(engine::dynamic_run_is_framework_run(
+      dynamic_options(options, result.schedule), framework));
+
+  // One object dropped from the fast tier: a different placement.
+  advisor::PlacementSchedule dropped = result.schedule;
+  std::vector<advisor::ObjectInfo>& fast =
+      dropped.phases.front().placement.tiers.front().objects;
+  ASSERT_FALSE(fast.empty());
+  fast.pop_back();
+  EXPECT_FALSE(engine::dynamic_run_is_framework_run(
+      dynamic_options(options, dropped), framework));
+
+  // Two phases whose placements share the key: the run still transitions
+  // (each boundary re-applies the placement), so it is simulated.
+  advisor::PlacementSchedule two = result.schedule;
+  two.phases.push_back(two.phases.front());
+  two.phases.back().phase += "-again";
+  EXPECT_FALSE(engine::dynamic_run_is_framework_run(
+      dynamic_options(options, two), framework));
+
+  // A hook may grow the schedule mid-run.
+  engine::RunOptions hooked = dynamic_options(options, result.schedule);
+  hooked.advisor_hook = [](const std::string&, std::uint64_t) {
+    return static_cast<const advisor::PlacementSchedule*>(nullptr);
+  };
+  EXPECT_FALSE(engine::dynamic_run_is_framework_run(hooked, framework));
+}
+
+// run_pipeline's dynamic run, served or simulated, equals a direct kDynamic
+// run_app on the advised schedule, for every bundled app at perfbench's
+// fast-tier budget (96 MiB) and at 256 MiB. Exactly the six single-phase
+// apps are served from the framework run.
+TEST(Pipeline, DynamicRunEqualsDirectDynamicRunOnEveryApp) {
+  const std::vector<std::string> single_phase = {
+      "bt", "cgpop", "gtc-p", "hpcg", "maxw-dgtd", "minife"};
+  std::vector<apps::AppSpec> bundled = apps::all_apps();
+  for (apps::AppSpec& app : apps::phase_shift_apps()) bundled.push_back(app);
+  ASSERT_EQ(bundled.size(), 10u);
+  for (const apps::AppSpec& full : bundled) {
+    const apps::AppSpec app = shrunk(full);
+    for (const std::uint64_t budget : {96ULL << 20, 256ULL << 20}) {
+      SCOPED_TRACE(app.name + " @ " + format_bytes(budget));
+      engine::PipelineOptions options;
+      options.per_phase = true;
+      options.sampler.period = 4000;
+      options.fast_budget_per_rank = budget;
+      const engine::PipelineResult result = engine::run_pipeline(app, options);
+      const bool one_phase =
+          std::find(single_phase.begin(), single_phase.end(), app.name) !=
+          single_phase.end();
+      EXPECT_EQ(result.dynamic_from_framework, one_phase);
+
+      const engine::RunResult direct =
+          engine::run_app(app, dynamic_options(options, result.schedule));
+      EXPECT_EQ(result.dynamic_run.condition, "dynamic");
+      expect_same_run(result.dynamic_run, direct);
     }
   }
 }

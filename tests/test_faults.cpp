@@ -602,12 +602,19 @@ TEST_F(FaultsTest, SweepStoreResumesAcrossReopenAndTornTail) {
 
 /// Runs a tool through the shell with HMEM_FAULTS scrubbed (the suite may
 /// run under a CI fault preset; the exit-code contract is about the
-/// arguments, not the ambient schedule). Returns the exit status.
-int run_tool(const std::string& command_tail) {
+/// arguments, not the ambient schedule). Returns the exit status, -1 on a
+/// signal. Stderr goes to `*stderr_text` when given, else to /dev/null.
+int run_tool(const std::string& command_tail,
+             std::string* stderr_text = nullptr) {
+  const std::string stderr_path = temp_path("tool_stderr.txt");
   const std::string command =
       "HMEM_FAULTS= " + std::string(HMEM_TOOLS_DIR) + "/" + command_tail +
-      " >/dev/null 2>&1";
+      " >/dev/null 2>" + (stderr_text ? stderr_path : "&1");
   const int status = std::system(command.c_str());
+  if (stderr_text != nullptr) {
+    *stderr_text = slurp(stderr_path);
+    std::remove(stderr_path.c_str());
+  }
   if (status < 0 || !WIFEXITED(status)) return -1;
   return WEXITSTATUS(status);
 }
@@ -719,6 +726,27 @@ TEST_F(FaultsTest, CliExitCodes) {
     placement_file << advisor::write_placement_report(lulesh.placement);
   }
   EXPECT_EQ(run_tool("hmem_run snap --placement " + schedule), 2);
+  // A second report of a kind already given would silently replace the
+  // first: it is a usage error naming both files, caught before any run.
+  const std::string placement2 = temp_path("cli_placement2.txt");
+  const std::string schedule2 = temp_path("cli_schedule2.txt");
+  std::filesystem::copy_file(placement, placement2,
+                             std::filesystem::copy_options::overwrite_existing);
+  std::filesystem::copy_file(schedule, schedule2,
+                             std::filesystem::copy_options::overwrite_existing);
+  for (const auto& [first, second] :
+       {std::pair{placement, placement2}, std::pair{schedule, schedule2}}) {
+    std::string message;
+    EXPECT_EQ(run_tool("hmem_run lulesh --placement " + first +
+                           " --placement " + second,
+                       &message),
+              2)
+        << first << " " << second;
+    EXPECT_NE(message.find(first), std::string::npos) << message;
+    EXPECT_NE(message.find(second), std::string::npos) << message;
+  }
+  std::remove(placement2.c_str());
+  std::remove(schedule2.c_str());
 
   // Every condition but ddr needs a second tier; on the one-tier machine
   // above each is a configuration error naming the tier count.

@@ -109,8 +109,9 @@ int main(int argc, char** argv) {
   std::vector<engine::Condition> conditions;
   advisor::Placement placement;
   advisor::PlacementSchedule schedule;
-  bool use_placement = false;
-  bool use_schedule = false;
+  // The file each report came from; empty until one is read.
+  std::string placement_path;
+  std::string schedule_path;
   bool dynamic_requested = false;
   for (const std::string& list : flags.condition) {
     for (const std::string& name : split(list, ',')) {
@@ -137,13 +138,23 @@ int main(int argc, char** argv) {
     }
     std::ostringstream text;
     text << in.rdbuf();
+    // One report of each kind at most: a second would silently replace
+    // the first.
+    const bool is_schedule = advisor::is_schedule_report(text.str());
+    std::string& seen = is_schedule ? schedule_path : placement_path;
+    if (!seen.empty()) {
+      tools::cli_usage_error(
+          "--placement",
+          std::string(is_schedule ? "two schedules" : "two placement reports") +
+              ", '" + seen + "' and '" + path +
+              "' (give at most one of each)");
+    }
+    seen = path;
     try {
-      if (advisor::is_schedule_report(text.str())) {
+      if (is_schedule) {
         schedule = advisor::read_schedule_report(text.str());
-        use_schedule = true;
       } else {
         placement = advisor::read_placement_report(text.str());
-        use_placement = true;
       }
     } catch (const std::exception& e) {
       std::fprintf(stderr, "placement parse error: %s\n", e.what());
@@ -154,6 +165,8 @@ int main(int argc, char** argv) {
       flags.machine ? tools::cli_machine(*flags.machine)
                     : memsim::MachineConfig::knl7250(memsim::MemMode::kFlat);
   const int ranks = flags.ranks.value_or(0);  // 0: the app's or shards' own
+  const bool use_placement = !placement_path.empty();
+  const bool use_schedule = !schedule_path.empty();
   if (dynamic_requested && !use_schedule) {
     tools::cli_usage_error("--condition dynamic",
                            "needs a --placement schedule (hmem_advise "
