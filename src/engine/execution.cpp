@@ -713,8 +713,11 @@ RunResult run_app(const AppSpec& app, const RunOptions& options) {
   std::pmr::vector<std::uint64_t> total_tier_sim(n_tiers, 0, scratch);
   std::uint64_t total_misses_sim = 0;
   double cumulative_instructions = 0;
-  // Sized for the worst case: every access of the longest phase misses.
-  std::uint64_t max_accesses = 0;
+  // Sized for the worst case: every access of the longest phase misses. A
+  // profiled run holds at least one record even when every phase rounds to
+  // no accesses, so its bursts always have a buffer: the native loop
+  // emitted profiled requires one.
+  std::uint64_t max_accesses = prof ? 1 : 0;
   if (prof) {
     for (const auto& phase : app.phases) {
       max_accesses = std::max(

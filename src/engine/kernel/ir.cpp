@@ -305,10 +305,10 @@ void run_impl(const Program& p, Frame& f, Xoshiro256& rng) {
   const Insn* const code = p.code.data();
   const InstanceSlot* const insts = p.instances.data();
   apps::AccessGenerator* const* const gens = p.gens.data();
-  memsim::Address* const tags = f.tags;
+  std::uint32_t* const tags = f.tags;
   std::uint64_t* const order = f.order;
-  const std::uint64_t ways = f.ways;
-  const std::uint32_t top_shift = static_cast<std::uint32_t>(4 * (ways - 1));
+  const auto ways = static_cast<std::uint32_t>(f.ways);
+  const std::uint32_t top_shift = 4 * (ways - 1);
   const std::uint64_t line_shift = f.line_shift;
   const std::uint64_t set_mask = f.set_mask;
   double latency = f.latency_ns;
@@ -377,21 +377,15 @@ void run_impl(const Program& p, Frame& f, Xoshiro256& rng) {
     // evict on a miss), minus the interpreter-only hit/miss counters.
     const std::uint64_t tag = addr >> line_shift;
     const std::uint64_t set = tag & set_mask;
-    memsim::Address* const set_tags = tags + set * ways;
-    bool hit = false;
-    for (std::uint64_t w = 0; w < ways; ++w) {
-      if (set_tags[w] == tag) {
-        memsim::Cache::touch(order[set], static_cast<std::uint32_t>(w),
-                             top_shift);
-        hit = true;
-        break;
-      }
-    }
-    if (hit) {
+    std::uint32_t* const row = tags + set * 2 * ways;
+    const std::uint32_t way = memsim::Cache::find_way(row, ways, tag);
+    if (way < ways) {
+      memsim::Cache::touch(order[set], way, top_shift);
       latency += p.llc_latency_ns;
       continue;
     }
-    set_tags[memsim::Cache::evict(order[set], top_shift)] = tag;
+    memsim::Cache::set_way_tag(
+        row, ways, memsim::Cache::evict(order[set], top_shift), tag);
     latency += miss_latency;
     f.tier_sim[miss_tier] += memsim::kCacheLineBytes;
     if constexpr (Profiled) {

@@ -157,8 +157,10 @@ struct SlotColumn;  // native.hpp
 /// one phase burst, and reads the accumulated results back. The native
 /// backend addresses the frame by offsetof displacements baked into its
 /// code, and reads the bound phase's tables through it. The LLC way state
-/// is the cache's own arrays, mutated in place: tags per way and one
-/// recency word per set (memsim::Cache::touch/evict define its encoding).
+/// is the cache's own arrays, mutated in place: one tag row per set (the
+/// ways' low tag dwords, then their high dwords: memsim::Cache::way_tag)
+/// and one recency word per set (memsim::Cache::touch/evict define its
+/// encoding).
 struct Frame {
   std::uint64_t rng_state[4] = {0, 0, 0, 0};  ///< xoshiro256** state in/out
   double latency_ns = 0.0;          ///< out: summed in access order
@@ -172,7 +174,7 @@ struct Frame {
   std::uint64_t spill[2] = {0, 0};  ///< native spill slots (call-outs)
   std::uint64_t draw = 0;           ///< native spill slot (profiled draw)
   // LLC geometry + way state (memsim::Cache::Tables, flattened).
-  memsim::Address* tags = nullptr;   ///< sets * ways
+  std::uint32_t* tags = nullptr;     ///< sets rows of 2 * ways dwords
   std::uint64_t* order = nullptr;    ///< recency word per set
   std::uint64_t ways = 0;
   std::uint64_t line_shift = 0;

@@ -285,11 +285,12 @@ class Asm {
       imm32(static_cast<std::uint32_t>(disp));
     }
   }
-  void sib_mem(int reg, int base, int index, int scale_log) {
-    // [base + index*scale], disp 0; base never rbp/r13.
-    modrm(0, reg, 4);
+  void sib_mem(int reg, int base, int index, int scale_log, int disp = 0) {
+    // [base + index*scale + disp], disp 0 or a disp8; base never rbp/r13.
+    modrm(disp == 0 ? 0 : 1, reg, 4);
     byte(static_cast<std::uint8_t>((scale_log << 6) | ((index & 7) << 3) |
                                    (base & 7)));
+    if (disp != 0) byte(static_cast<std::uint8_t>(disp));
   }
 
   // ---- instructions ----
@@ -303,8 +304,11 @@ class Asm {
   void mov32_r_sib(int dst, int base, int index, int scale_log) {
     rex_opt(dst, index, base); byte(0x8B); sib_mem(dst, base, index, scale_log);
   }
-  void mov_sib_r(int base, int index, int scale_log, int src) {
-    rex(true, src, index, base); byte(0x89); sib_mem(src, base, index, scale_log);
+  void mov32_sib_r(int base, int index, int scale_log, int disp, int src) {
+    rex_opt(src, index, base); byte(0x89); sib_mem(src, base, index, scale_log, disp);
+  }
+  void cmp32_r_sib(int r, int base, int index, int scale_log, int disp) {
+    rex_opt(r, index, base); byte(0x3B); sib_mem(r, base, index, scale_log, disp);
   }
   void movzx8_r_mem(int dst, int base, int disp) {
     rex_opt(dst, 0, base); byte(0x0F); byte(0xB6); mem(dst, base, disp);
@@ -370,12 +374,9 @@ class Asm {
   void jne_label(Label& l) { byte(0x0F); byte(0x85); rel32(l); }
   // 32-bit forms (the upper half of the destination is zeroed).
   void and32_rr(int dst, int src) { rex_opt(src, 0, dst); byte(0x21); modrm(3, src, dst); }
-  void or32_rr(int dst, int src) { rex_opt(src, 0, dst); byte(0x09); modrm(3, src, dst); }
   void and32_ri(int r, std::uint32_t v) { rex_opt(0, 0, r); byte(0x81); modrm(3, 4, r); imm32(v); }
   void test32_ri(int r, std::uint32_t v) { rex_opt(0, 0, r); byte(0xF7); modrm(3, 0, r); imm32(v); }
   void cmp32_ri8(int r, std::uint8_t v) { rex_opt(0, 0, r); byte(0x83); modrm(3, 7, r); byte(v); }
-  void shl32_ri(int r, int n) { rex_opt(0, 0, r); byte(0xC1); modrm(3, 4, r); byte(static_cast<std::uint8_t>(n)); }
-  void shr32_ri(int r, int n) { rex_opt(0, 0, r); byte(0xC1); modrm(3, 5, r); byte(static_cast<std::uint8_t>(n)); }
   void bsf32_rr(int dst, int src) { rex_opt(dst, 0, src); byte(0x0F); byte(0xBC); modrm(3, dst, src); }
   void imul_rr(int dst, int src) { rex(true, dst, 0, src); byte(0x0F); byte(0xAF); modrm(3, dst, src); }
   // SSE2 packed-integer ops for the tag probe (xmm0..xmm7).
@@ -384,8 +385,9 @@ class Asm {
   }
   void sse_rr(std::uint8_t op, int x, int x2) { byte(0x66); byte(0x0F); byte(op); modrm(3, x, x2); }
   void movdqu_x_mem(int x, int base, int disp) { sse_rm(0xF3, 0x6F, x, base, disp); }
-  void movq_x_mem(int x, int base, int disp) { sse_rm(0xF3, 0x7E, x, base, disp); }  // upper qword zeroed
-  void punpcklqdq(int x, int x2) { sse_rr(0x6C, x, x2); }
+  void movd_x_mem(int x, int base, int disp) { sse_rm(0x66, 0x6E, x, base, disp); }  // upper dwords zeroed
+  void movd_x_r(int x, int r) { byte(0x66); rex_opt(x, 0, r); byte(0x0F); byte(0x6E); modrm(3, x, r); }
+  void pshufd(int x, int x2, std::uint8_t order) { sse_rr(0x70, x, x2); byte(order); }
   void pcmpeqd(int x, int x2) { sse_rr(0x76, x, x2); }
   void packssdw(int x, int x2) { sse_rr(0x6B, x, x2); }
   void packsswb(int x, int x2) { sse_rr(0x63, x, x2); }
@@ -394,9 +396,6 @@ class Asm {
   void movsd_x_mem(int x, int base, int disp) { sse_rm(0xF2, 0x10, x, base, disp); }
   void movsd_mem_x(int base, int disp, int x) { sse_rm(0xF2, 0x11, x, base, disp); }
   void addsd_x_mem(int x, int base, int disp) { sse_rm(0xF2, 0x58, x, base, disp); }
-  void movq_x_r(int x, int r) {
-    byte(0x66); rex(true, x, 0, r); byte(0x0F); byte(0x6E); modrm(3, x, r);
-  }
 };
 
 }  // namespace
@@ -414,8 +413,8 @@ bool NativeKernel::emit(std::uint32_t ways, std::uint32_t line_shift,
 
   Asm a;
   Asm::Label loop, walk, clamp, addr, other, random, random_rare, random_ok,
-      not_random, draw_retry, draw_rare, drawn, pick, shape, permute, hit,
-      next, done;
+      not_random, draw_retry, draw_rare, drawn, pick, shape, permute,
+      candidate, candidate_next, miss, hit, next, done;
 
   // ---- prologue: 6 pushes + sub 8 leaves rsp 16-aligned at call sites.
   a.push_r(kRbx);
@@ -505,7 +504,7 @@ bool NativeKernel::emit(std::uint32_t ways, std::uint32_t line_shift,
   a.jne_label(clamp);
 
   // ---- the LLC probe: the exact Cache::access sequence with the geometry
-  // baked in. r10 = addr, rax = tag, rsi = &tags[set * ways], rdx =
+  // baked in. r10 = addr, rax = tag, rsi = the set's tag row, rdx =
   // &order[set]; r9 = the record a miss is served from.
   a.bind(addr);  // rax = the offset
   a.mov_r_mem(kR10, kR9, 0);
@@ -523,50 +522,37 @@ bool NativeKernel::emit(std::uint32_t ways, std::uint32_t line_shift,
     a.imul_rri(kRcx, kRcx, ways);
   }
   a.mov_r_mem(kRsi, kRbx, kFrameTags);
-  a.lea_sib(kRsi, kRsi, kRcx, 3);
-  // SSE2 tag match, branch-free until the one hit test: the tag broadcast
-  // in xmm2 is compared two ways (16 bytes) at a time, an odd last way
-  // loaded alone (movq zeroes the upper half, so nothing past the set — or
-  // past the array, for the last set — is read). Up to four compares pack
-  // to one byte per dword and pmovmskb gives one bit per dword; ways 8..15
-  // fill the upper half of ecx. A way matches when both of its dword bits
-  // are set; bits of absent ways (an odd tail, or a repeated register when
-  // a group is short) are masked off, and bsf picks the lowest way —
-  // Cache::access's first match.
-  a.movq_x_r(2, kRax);
-  a.punpcklqdq(2, 2);
-  const std::uint32_t chunks = (ways + 1) / 2;
-  for (std::uint32_t g = 0; g * 4 < chunks; ++g) {
-    const std::uint32_t n = std::min<std::uint32_t>(4, chunks - g * 4);
-    for (std::uint32_t c = 0; c < n; ++c) {
-      const std::uint32_t chunk = g * 4 + c;
-      const int x = 3 + static_cast<int>(c);
-      if (2 * chunk + 1 < ways) {
-        a.movdqu_x_mem(x, kRsi, static_cast<int>(chunk) * 16);
-      } else {
-        a.movq_x_mem(x, kRsi, static_cast<int>(chunk) * 16);
-      }
-      a.pcmpeqd(x, 2);
-    }
-    a.packssdw(3, n > 1 ? 4 : 3);
-    if (n > 2) a.packssdw(5, n > 3 ? 6 : 5);
-    a.packsswb(3, n > 2 ? 5 : 3);
-    if (g == 0) {
-      a.pmovmskb(kRcx, 3);
+  a.lea_sib(kRsi, kRsi, kRcx, 3);  // a row is 8 bytes a way
+  // SSE2 tag match on the row's low dwords (memsim::Cache::way_tag): the
+  // tag's low dword, broadcast in xmm2, is compared four ways (16 bytes)
+  // at a time — one way loads alone, and otherwise every load ends inside
+  // the row, whose high dwords follow its low ones. Up to four compares
+  // pack to one byte per way and pmovmskb gives one bit per way; bits of
+  // absent ways (high dwords past the last way, or a repeated register
+  // when the group is short) are masked off. Any candidate leaves on the
+  // one jne, to confirm its high dword out of line.
+  const int row_highs = 4 * static_cast<int>(ways);  // bytes to the highs
+  a.movd_x_r(2, kRax);
+  a.pshufd(2, 2, 0);
+  const std::uint32_t chunks = (ways + 3) / 4;
+  for (std::uint32_t c = 0; c < chunks; ++c) {
+    const int x = 3 + static_cast<int>(c);
+    if (ways == 1) {
+      a.movd_x_mem(x, kRsi, 0);
     } else {
-      a.pmovmskb(kRdi, 3);
-      a.shl32_ri(kRdi, 16);
-      a.or32_rr(kRcx, kRdi);
+      a.movdqu_x_mem(x, kRsi, static_cast<int>(c) * 16);
     }
+    a.pcmpeqd(x, 2);
   }
-  a.mov32_rr(kRdi, kRcx);
-  a.shr32_ri(kRdi, 1);
-  a.and32_rr(kRcx, kRdi);  // bit 2w: both dwords of way w match
-  const std::uint64_t way_bits =
-      0x5555555555555555ULL & ((1ULL << (2 * ways)) - 1);
-  a.and32_ri(kRcx, static_cast<std::uint32_t>(way_bits));
-  a.jne_label(hit);
-  // Miss (Cache::evict): pop the least-recent way, push it on top, install.
+  a.packssdw(3, chunks > 1 ? 4 : 3);
+  if (chunks > 2) a.packssdw(5, chunks > 3 ? 6 : 5);
+  a.packsswb(3, chunks > 2 ? 5 : 3);
+  a.pmovmskb(kRcx, 3);
+  a.and32_ri(kRcx, static_cast<std::uint32_t>((1ULL << ways) - 1));
+  a.jne_label(candidate);
+  // Miss (Cache::evict): pop the least-recent way, push it on top, install
+  // both tag halves.
+  a.bind(miss);
   a.mov_r_mem(kR8, kRdx, 0);
   a.mov_ri32(kRcx, 0xF);
   a.and_rr(kRcx, kR8);              // victim
@@ -575,7 +561,9 @@ bool NativeKernel::emit(std::uint32_t ways, std::uint32_t line_shift,
   a.shl_ri(kR11, top_shift);
   a.or_rr(kR8, kR11);
   a.mov_mem_r(kRdx, 0, kR8);
-  a.mov_sib_r(kRsi, kRcx, 3, kRax);  // tags[victim] = tag
+  a.mov32_sib_r(kRsi, kRcx, 2, 0, kRax);  // the low dword
+  a.shr_ri(kRax, 32);
+  a.mov32_sib_r(kRsi, kRcx, 2, row_highs, kRax);  // the high dword
   a.addsd_x_mem(7, kR9, 8);         // latency += the server's latency
   a.mov_r_mem(kRcx, kRbx, kFrameTierSim);
   a.mov_r_mem(kR11, kR9, 16);
@@ -597,40 +585,7 @@ bool NativeKernel::emit(std::uint32_t ways, std::uint32_t line_shift,
     a.mov_mem_r(kRdx, 16, kR8);
   }
   a.inc_mem(kRbx, kFrameMisses);
-  a.jmp_label(next);
-
-  // Hit (Cache::touch), ecx = the match bits: flag the way's nibble, splice
-  // it out below/above, push it on top. Inline — no call.
-  a.bind(hit);
-  a.bsf32_rr(kRcx, kRcx);
-  a.shr32_ri(kRcx, 1);              // way
-  a.mov_ri64(kRax, kNibbleOnes);
-  a.mov_rr(kR11, kRax);
-  a.imul_rr(kR11, kRcx);            // the way's id in every nibble
-  a.mov_r_mem(kR8, kRdx, 0);        // order
-  a.xor_rr(kR11, kR8);              // x: zero nibble at the way
-  a.mov_rr(kRdi, kR11);
-  a.sub_rr(kRdi, kRax);
-  a.not_r(kR11);
-  a.and_rr(kRdi, kR11);
-  a.mov_ri64(kRax, kNibbleHighs);
-  a.and_rr(kRdi, kRax);             // zero = (x - ones) & ~x & highs
-  a.mov_rr(kRax, kRdi);
-  a.neg_r(kRax);
-  a.and_rr(kRax, kRdi);             // zero & -zero
-  a.shr_ri(kRax, 3);
-  a.dec_r(kRax);                    // below
-  a.mov_rr(kR11, kR8);
-  a.and_rr(kR11, kRax);             // order & below
-  a.shr_ri(kR8, 4);
-  a.not_r(kRax);
-  a.and_rr(kR8, kRax);              // (order >> 4) & ~below
-  a.or_rr(kR8, kR11);
-  a.shl_ri(kRcx, top_shift);
-  a.or_rr(kR8, kRcx);
-  a.mov_mem_r(kRdx, 0, kR8);
-  a.addsd_x_mem(7, kRbx, kFrameLlcLatency);
-
+  // On to the next access; the hit path below rejoins here.
   a.bind(next);
   a.inc_r(kRbp);
   a.cmp_r_mem(kRbp, kRbx, kFrameAccesses);
@@ -749,6 +704,54 @@ bool NativeKernel::emit(std::uint32_t ways, std::uint32_t line_shift,
   a.mov_mem_r(kR8, kPermutePosition, kRcx);
   a.shl_ri(kRax, 6);
   a.jmp_label(clamp);
+
+  // Hit (Cache::touch), edi = the way: flag the way's nibble, splice it out
+  // below/above, push it on top. Out of line — hits are rare — but no call.
+  a.bind(hit);
+  a.mov32_rr(kRcx, kRdi);           // way
+  a.mov_ri64(kRax, kNibbleOnes);
+  a.mov_rr(kR11, kRax);
+  a.imul_rr(kR11, kRcx);            // the way's id in every nibble
+  a.mov_r_mem(kR8, kRdx, 0);        // order
+  a.xor_rr(kR11, kR8);              // x: zero nibble at the way
+  a.mov_rr(kRdi, kR11);
+  a.sub_rr(kRdi, kRax);
+  a.not_r(kR11);
+  a.and_rr(kRdi, kR11);
+  a.mov_ri64(kRax, kNibbleHighs);
+  a.and_rr(kRdi, kRax);             // zero = (x - ones) & ~x & highs
+  a.mov_rr(kRax, kRdi);
+  a.neg_r(kRax);
+  a.and_rr(kRax, kRdi);             // zero & -zero
+  a.shr_ri(kRax, 3);
+  a.dec_r(kRax);                    // below
+  a.mov_rr(kR11, kR8);
+  a.and_rr(kR11, kRax);             // order & below
+  a.shr_ri(kR8, 4);
+  a.not_r(kRax);
+  a.and_rr(kR8, kRax);              // (order >> 4) & ~below
+  a.or_rr(kR8, kR11);
+  a.shl_ri(kRcx, top_shift);
+  a.or_rr(kR8, kRcx);
+  a.mov_mem_r(kRdx, 0, kR8);
+  a.addsd_x_mem(7, kRbx, kFrameLlcLatency);
+  a.jmp_label(next);
+
+  // Low-dword candidates in ecx, lowest first (Cache::find_way's order): a
+  // way whose high dword matches too is the hit; none is a miss. The tag in
+  // rax survives for the miss path.
+  a.bind(candidate);
+  a.mov_rr(kR11, kRax);
+  a.shr_ri(kR11, 32);               // the tag's high dword
+  a.bind(candidate_next);
+  a.bsf32_rr(kRdi, kRcx);
+  a.cmp32_r_sib(kR11, kRsi, kRdi, 2, row_highs);
+  a.je_label(hit);
+  a.mov_rr(kR8, kRcx);
+  a.dec_r(kR8);
+  a.and32_rr(kRcx, kR8);            // drop the lowest candidate
+  a.jne_label(candidate_next);
+  a.jmp_label(miss);
 
   a.bind(draw_rare);
   emit_lemire_rare(drawn, draw_retry);
@@ -909,7 +912,7 @@ struct SelfTestOutcome {
   std::uint64_t misses = 0;
   std::uint64_t rng[4] = {0, 0, 0, 0};
   std::uint64_t tier_sim[2] = {0, 0};
-  std::vector<memsim::Address> tags;
+  std::vector<std::uint32_t> tags;
   std::vector<std::uint64_t> order;
   std::vector<MissRecord> records;
   std::vector<std::uint64_t> gen_next;  ///< each stream's next offsets after
@@ -940,9 +943,10 @@ struct SelfTestOutcome {
 /// burst must agree with the bytecode VM from identical state on every
 /// output bit: frame results, LLC state, RNG state, each generator's
 /// stream position and every miss record. It runs in three geometries, one
-/// per shape of the emitted tag probe — 4 ways, 16 ways (every preset) and
-/// an odd 3 — and in each, every group of slots by block shape alone and
-/// all of them together must both hit and miss. A failure (broken mmap
+/// per shape of the emitted tag probe — 4 ways (one load), 16 ways (every
+/// preset; four loads) and 3 (one load whose last lane, way 0's high dword,
+/// is masked off) — and in each, every group of slots by block shape alone
+/// and all of them together must both hit and miss. A failure (broken mmap
 /// policy, emitter regression on an exotic toolchain) downgrades the
 /// process to the bytecode VM, so a mis-emitted path can never reach a
 /// result or a trace.
@@ -984,7 +988,7 @@ bool native_self_test() {
     }
     const Program p = self_test_program(variant, gens, active);
     if (!verify_program(p).empty()) return false;
-    out->tags.assign(kSets * ways, memsim::Cache::kInvalidTag);
+    out->tags.assign(kSets * 2 * ways, memsim::Cache::kInvalidTagHalf);
     out->order.assign(kSets, memsim::Cache::initial_order(ways));
     if (profiled) out->records.resize(kAccesses);
     Frame f;

@@ -29,12 +29,16 @@
 // streams are independent, so a C call is bit-identity-safe). Offsets are
 // clamped exactly as the interpreter clamps them, except where binding
 // proved a walk or random stream cannot pass its object. The LLC probe is
-// an SSE2 tag match: the tag is broadcast into xmm2 and compared two ways
-// per 16-byte load (an odd last way loaded alone, so no read passes the
-// tag array), packed to one bit per dword with pmovmskb; whole-tag matches
-// take the single jne to the hit path, where bsf picks the lowest way —
-// Cache::access's first match. SSE2 is the x86-64 baseline, so there is no
-// CPUID dispatch. The recency-word update is inline (pop/push on a miss,
+// an SSE2 tag match on the set's row, which holds the ways' low tag dwords
+// first and their high dwords after them (memsim::Cache::way_tag): the
+// tag's low dword is broadcast into xmm2 and compared four ways per 16-byte
+// unaligned load (every load ends inside the row; a one-way row loads its
+// one dword), packed to one bit per way with pmovmskb. Any low-dword
+// candidate takes the single jne to an out-of-line path, where bsf picks
+// the lowest candidate and its high dword confirms it or passes to the
+// next — Cache::access's first match. Almost every simulated access
+// misses, so that path is rare. SSE2 is the x86-64 baseline, so there is
+// no CPUID dispatch. The recency-word update is inline (pop/push on a miss,
 // SWAR splice on a hit — memsim::Cache::evict/touch). The latency sum
 // stays in a register. Profiled bursts keep each access's draw and, on a
 // miss, store {access index, address, write coin} into the frame's miss

@@ -19,7 +19,7 @@ Cache::Cache(const CacheConfig& config) : config_(config) {
       static_cast<std::uint32_t>(std::countr_zero(config.line_bytes));
   set_mask_ = sets_ - 1;
   top_shift_ = 4 * (config.ways - 1);
-  tags_.resize(sets_ * config.ways, kInvalidTag);
+  tags_.resize(sets_ * 2 * config.ways, kInvalidTagHalf);
   order_.resize(sets_, initial_order(config.ways));
 }
 
@@ -27,36 +27,30 @@ bool Cache::access(Address addr) {
   ++stats_.accesses;
   const Address tag = tag_of(addr);
   const std::uint64_t set = set_of(addr);
-  Address* tags = &tags_[set * config_.ways];
+  const std::uint32_t ways = config_.ways;
+  std::uint32_t* row = &tags_[set * 2 * ways];
 
-  // Hit scan: pure tag compares against the compact tag array (an invalid
-  // way holds kInvalidTag, which no real address produces, so no validity
-  // check is needed). A tag appears in at most one way.
-  for (std::uint32_t w = 0; w < config_.ways; ++w) {
-    if (tags[w] == tag) {
-      touch(order_[set], w, top_shift_);
-      ++stats_.hits;
-      return true;
-    }
+  const std::uint32_t way = find_way(row, ways, tag);
+  if (way < ways) {
+    touch(order_[set], way, top_shift_);
+    ++stats_.hits;
+    return true;
   }
   const std::uint32_t victim = evict(order_[set], top_shift_);
   ++stats_.misses;
-  if (tags[victim] != kInvalidTag) ++stats_.evictions;
-  tags[victim] = tag;
+  if (way_tag(row, ways, victim) != kInvalidTag) ++stats_.evictions;
+  set_way_tag(row, ways, victim, tag);
   return false;
 }
 
 bool Cache::contains(Address addr) const {
-  const Address tag = tag_of(addr);
-  const std::size_t base = set_of(addr) * config_.ways;
-  for (std::uint32_t w = 0; w < config_.ways; ++w) {
-    if (tags_[base + w] == tag) return true;
-  }
-  return false;
+  const std::uint32_t ways = config_.ways;
+  return find_way(&tags_[set_of(addr) * 2 * ways], ways, tag_of(addr)) <
+         ways;
 }
 
 void Cache::flush() {
-  tags_.assign(tags_.size(), kInvalidTag);
+  tags_.assign(tags_.size(), kInvalidTagHalf);
   order_.assign(order_.size(), initial_order(config_.ways));
 }
 

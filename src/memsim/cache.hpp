@@ -40,6 +40,8 @@ class Cache {
   /// Tag value marking an invalid way. Real tags are line addresses
   /// (addr >> log2(line_bytes)), so no simulated address reaches it.
   static constexpr Address kInvalidTag = ~Address{0};
+  /// Either half of kInvalidTag: every dword of an empty set's tag row.
+  static constexpr std::uint32_t kInvalidTagHalf = ~std::uint32_t{0};
 
   /// Most ways a recency word can order (16 nibbles of 4 bits).
   static constexpr std::uint32_t kMaxWays = 16;
@@ -81,6 +83,40 @@ class Cache {
             (std::uint64_t{way} << top_shift);
   }
 
+  // ---- tag rows: shared by access() and the compiled kernels ----
+  //
+  // A set's row is 2 * ways dwords (8 bytes a way, as one Address each
+  // would take): the ways' low tag dwords first, then their high dwords.
+  // A probe then compares only low halves, four ways to a 16-byte vector
+  // compare in the native kernel, and confirms a candidate against its
+  // high half.
+
+  /// The tag way `w` of `row` holds.
+  static Address way_tag(const std::uint32_t* row, std::uint32_t ways,
+                         std::uint32_t w) {
+    return (Address{row[ways + w]} << 32) | row[w];
+  }
+
+  /// Installs `tag` in way `w` of `row`.
+  static void set_way_tag(std::uint32_t* row, std::uint32_t ways,
+                          std::uint32_t w, Address tag) {
+    row[w] = static_cast<std::uint32_t>(tag);
+    row[ways + w] = static_cast<std::uint32_t>(tag >> 32);
+  }
+
+  /// The lowest way of `row` holding `tag`, or `ways` when none does. A
+  /// tag is in at most one way, and an invalid way holds kInvalidTag, which
+  /// no real address produces, so no validity check is needed.
+  static std::uint32_t find_way(const std::uint32_t* row, std::uint32_t ways,
+                                Address tag) {
+    const auto lo = static_cast<std::uint32_t>(tag);
+    const auto hi = static_cast<std::uint32_t>(tag >> 32);
+    for (std::uint32_t w = 0; w < ways; ++w) {
+      if (row[w] == lo && row[ways + w] == hi) return w;
+    }
+    return ways;
+  }
+
   explicit Cache(const CacheConfig& config);
 
   /// Simulates one access; returns true on hit. Misses install the line,
@@ -102,11 +138,13 @@ class Cache {
   /// set/tag shift+mask constants and the tag/recency arrays, so a kernel
   /// can bake the index math and mutate the cache in place. A kernel
   /// driving the cache through this view must replicate access() exactly
-  /// (touch on a hit, evict on a miss) — the differential tests assert it
-  /// does. Hit/miss counters are interpreter-maintained only; kernels leave
-  /// stats() untouched.
+  /// (touch on a hit, evict on a miss, both tag halves stored) — the
+  /// differential tests assert it does. Hit/miss counters are
+  /// interpreter-maintained only; kernels leave stats() untouched.
   struct Tables {
-    Address* tags = nullptr;         ///< sets * ways, row-major by set
+    /// One row of 2 * ways dwords per set, set s at tags + 2 * ways * s:
+    /// the ways' low tag dwords, then their high dwords (way_tag).
+    std::uint32_t* tags = nullptr;
     std::uint64_t* order = nullptr;  ///< one recency word per set
     std::uint32_t ways = 0;
     std::uint32_t line_shift = 0;
@@ -131,7 +169,7 @@ class Cache {
   std::uint32_t line_shift_;  ///< log2(line_bytes)
   std::uint64_t set_mask_;    ///< sets_ - 1
   std::uint32_t top_shift_;   ///< 4 * (ways - 1): the most-recent nibble
-  std::vector<Address> tags_;         ///< sets_ * ways, row-major by set
+  std::vector<std::uint32_t> tags_;   ///< sets_ rows of 2 * ways dwords
   std::vector<std::uint64_t> order_;  ///< recency word per set
   CacheStats stats_;
 };

@@ -780,6 +780,40 @@ TEST_F(FaultsTest, CliExitCodes) {
             4);
   std::remove(huge.c_str());
 
+  // 0: an app whose every phase rounds to zero accesses still profiles on
+  // every kernel, native included, to the same trace bytes.
+  const std::string tiny = temp_path("cli_tiny.ini");
+  {
+    apps::AppSpec app;
+    app.name = "tiny";
+    app.fom_unit = "it/s";
+    app.accesses_per_iteration = 1;
+    app.objects = {apps::ObjectSpec{.name = "buf", .size_bytes = 1ULL << 20}};
+    for (const auto& [name, share] :
+         {std::pair{"a", 0.34}, std::pair{"b", 0.33}, std::pair{"c", 0.33}}) {
+      apps::PhaseSpec phase;
+      phase.name = name;
+      phase.access_share = share;
+      phase.object_weights = {1.0};
+      app.phases.push_back(phase);
+    }
+    ASSERT_EQ(apps::validate(app), "");
+    std::ofstream ini(tiny);
+    ini << apps::to_config_text(app);
+  }
+  std::string traces[2];
+  for (int k = 0; k < 2; ++k) {
+    const char* kernel = k == 0 ? "native" : "bytecode";
+    EXPECT_EQ(run_tool("hmem_profile " + tiny + " " + out + " --kernel " +
+                       kernel),
+              0)
+        << kernel;
+    traces[k] = slurp(out);
+  }
+  EXPECT_FALSE(traces[1].empty());
+  EXPECT_TRUE(traces[0] == traces[1]);
+  std::remove(tiny.c_str());
+
   // 3: data and I/O errors, in both strict and (all-dead) salvage mode.
   EXPECT_EQ(run_tool("hmem_advise /nonexistent.trace 64M"), 3);
   EXPECT_EQ(run_tool("hmem_advise /nonexistent.trace 64M --strict"), 3);

@@ -632,13 +632,12 @@ void mutate_kernel_program(Xoshiro256& rng, engine::kernel::Program& p) {
   }
 }
 
-/// True when a set's recency word is well formed against its tags: each of
+/// True when a set's recency word is well formed against its tag row: each of
 /// the ways 0..ways-1 sits in the low `ways` nibbles exactly once, nothing
 /// sits above them, and the still-empty ways are the least-recent ones in
 /// ascending id order (an empty way is only ever reached by evict()).
-bool recency_word_consistent(std::uint64_t order,
-                             const memsim::Address* set_tags,
-                             std::uint64_t ways) {
+bool recency_word_consistent(std::uint64_t order, const std::uint32_t* row,
+                             std::uint32_t ways) {
   std::uint32_t seen = 0;
   std::uint64_t empty_seen = 0;
   bool valid_seen = false;
@@ -646,7 +645,8 @@ bool recency_word_consistent(std::uint64_t order,
     const std::uint64_t way = (order >> (4 * n)) & 0xF;
     if (way >= ways) return false;
     seen |= 1u << way;
-    if (set_tags[way] == memsim::Cache::kInvalidTag) {
+    if (memsim::Cache::way_tag(row, ways, static_cast<std::uint32_t>(way)) ==
+        memsim::Cache::kInvalidTag) {
       if (valid_seen || way < empty_seen) return false;
       empty_seen = way + 1;
     } else {
@@ -681,10 +681,11 @@ TEST(Fuzz, MutatedKernelProgramsAreRejectedOrRunSafely) {
     // n_tiers — valid but unexecutable within test memory — is skipped.)
     if (fuzz.p.n_tiers > 4096) continue;
     const std::uint64_t sets = 1ULL << rng.below(5);
-    const std::uint64_t ways = rng.below(4) + 1;
-    std::vector<memsim::Address> tags(sets * ways, ~0ULL);
-    std::vector<std::uint64_t> order(
-        sets, memsim::Cache::initial_order(static_cast<std::uint32_t>(ways)));
+    const auto ways = static_cast<std::uint32_t>(rng.below(4) + 1);
+    std::vector<std::uint32_t> tags(sets * 2 * ways,
+                                    memsim::Cache::kInvalidTagHalf);
+    std::vector<std::uint64_t> order(sets,
+                                     memsim::Cache::initial_order(ways));
     std::vector<std::uint64_t> tier_sim(fuzz.p.n_tiers, 0);
     Frame frame;
     frame.n_accesses = 128;
@@ -713,10 +714,12 @@ TEST(Fuzz, MutatedKernelProgramsAreRejectedOrRunSafely) {
     // every filled way must be paid for by a miss.
     std::uint64_t filled = 0;
     for (std::uint64_t s = 0; s < sets; ++s) {
-      EXPECT_TRUE(recency_word_consistent(order[s], &tags[s * ways], ways))
+      const std::uint32_t* row = &tags[s * 2 * ways];
+      EXPECT_TRUE(recency_word_consistent(order[s], row, ways))
           << "iteration " << i << " set " << s;
-      for (std::uint64_t w = 0; w < ways; ++w) {
-        filled += tags[s * ways + w] != memsim::Cache::kInvalidTag;
+      for (std::uint32_t w = 0; w < ways; ++w) {
+        filled += memsim::Cache::way_tag(row, ways, w) !=
+                  memsim::Cache::kInvalidTag;
       }
     }
     EXPECT_LE(filled, frame.misses) << "iteration " << i;

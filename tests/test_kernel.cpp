@@ -488,10 +488,12 @@ TEST(ExecAlloc, RegionsAreIndependent) {
 // ---- native tag probe ------------------------------------------------------
 
 #if defined(__unix__) || defined(__APPLE__)
-// The native probe compares two ways per 16-byte load, as dword pairs, and
-// loads an odd last way alone. Placing the tag array flush against an inaccessible page
-// turns any read past the last set into a fault; every legal way count runs
-// the native burst against the bytecode VM from identical state.
+// The native probe compares the low tag dwords of four ways per 16-byte
+// load, reading past a row's low half into its high half but never past
+// the row, and loads a one-way row's one dword alone. Placing the tag rows
+// flush against an inaccessible page turns any read past the last set's
+// row into a fault; every legal way count runs the native burst against
+// the bytecode VM from identical state.
 TEST(NativeProbe, EveryWayCountMatchesBytecodeWithinTheTagArray) {
   if (!engine::kernel::native_available()) {
     GTEST_SKIP() << "native backend unavailable on this build";
@@ -507,19 +509,19 @@ TEST(NativeProbe, EveryWayCountMatchesBytecodeWithinTheTagArray) {
   ASSERT_EQ(mprotect(static_cast<char*>(region) + bytes, bytes, PROT_NONE),
             0);
   // The second stack's tags equal the first's in the low dword only (2^38
-  // bytes apart), so a probe that matched dwords instead of whole tags
-  // would report false hits.
+  // bytes apart), so a probe that trusted a low-dword match would report
+  // false hits.
   engine::kernel::Program p = valid_program();
   p.code[2].imm0 = p.code[0].imm0 + (1ULL << 38);
   for (std::uint32_t ways = 1; ways <= memsim::Cache::kMaxWays; ++ways) {
-    const std::size_t n_tags = kSets * ways;
-    auto* guarded = reinterpret_cast<memsim::Address*>(
-        static_cast<char*>(region) + bytes - n_tags * sizeof(memsim::Address));
-    std::vector<memsim::Address> tags(n_tags, memsim::Cache::kInvalidTag);
+    const std::size_t n_dwords = kSets * 2 * ways;
+    auto* guarded = reinterpret_cast<std::uint32_t*>(
+        static_cast<char*>(region) + bytes - n_dwords * sizeof(std::uint32_t));
+    std::vector<std::uint32_t> tags(n_dwords, memsim::Cache::kInvalidTagHalf);
     std::vector<std::uint64_t> order(kSets,
                                      memsim::Cache::initial_order(ways));
     std::uint64_t tier_sim[2] = {0, 0};
-    const auto frame = [&](memsim::Address* tag_array,
+    const auto frame = [&](std::uint32_t* tag_array,
                            std::uint64_t* order_words) {
       engine::kernel::Frame f;
       f.tags = tag_array;
@@ -537,7 +539,7 @@ TEST(NativeProbe, EveryWayCountMatchesBytecodeWithinTheTagArray) {
     engine::kernel::run_bytecode(p, vm, rng);
     const std::uint64_t vm_tier_sim[2] = {tier_sim[0], tier_sim[1]};
 
-    std::fill(guarded, guarded + n_tags, memsim::Cache::kInvalidTag);
+    std::fill(guarded, guarded + n_dwords, memsim::Cache::kInvalidTagHalf);
     std::vector<std::uint64_t> native_order(
         kSets, memsim::Cache::initial_order(ways));
     tier_sim[0] = tier_sim[1] = 0;
@@ -635,7 +637,7 @@ TEST(NativeKernel, LemireRejectionMatchesBytecode) {
   };
   struct Outcome {
     engine::kernel::Frame frame;
-    std::vector<memsim::Address> tags;
+    std::vector<std::uint32_t> tags;
     std::vector<std::uint64_t> order;
     std::uint64_t tier_sim[2] = {0, 0};
     std::uint64_t rng[4] = {0, 0, 0, 0};
@@ -645,7 +647,7 @@ TEST(NativeKernel, LemireRejectionMatchesBytecode) {
     const auto gens = make_gens();
     const engine::kernel::Program p = program(gens);
     ASSERT_EQ(engine::kernel::verify_program(p), "");
-    out->tags.assign(kSets * kWays, memsim::Cache::kInvalidTag);
+    out->tags.assign(kSets * 2 * kWays, memsim::Cache::kInvalidTagHalf);
     out->order.assign(kSets, memsim::Cache::initial_order(kWays));
     engine::kernel::Frame& f = out->frame;
     f.tags = out->tags.data();
@@ -1141,6 +1143,66 @@ TEST(KernelDifferential, ManySlotPhaseOfEveryShape) {
       opts.sampler.period = 53;
       expect_kernels_agree(app, opts,
                            app.name + (profiled ? "/profiled" : ""));
+    }
+  }
+}
+
+/// One phase over stride walks whose stride is 2^32 lines (2^38 bytes) and
+/// whose objects are whole multiples of it: a walk over P planes cycles
+/// through P lines of one set whose tags differ only in the high dword. At
+/// any way count the one-plane walk hits, the 17-plane walk misses (it
+/// thrashes even 16 ways), and the probe must tell every colliding low
+/// dword apart by its high half. A small random object puts lines with
+/// other low dwords into the same sets.
+apps::AppSpec low_dword_collision_app() {
+  apps::AppSpec app;
+  app.name = "low-dword-collisions";
+  app.fom_unit = "it/s";
+  app.ranks = 1;
+  app.iterations = 2;
+  app.accesses_per_iteration = 20000;
+  app.access_scale = 1;
+  app.stack_bytes = 64ULL << 10;
+  apps::PhaseSpec phase;
+  phase.name = "main";
+  for (const std::uint64_t planes : {1, 2, 3, 5, 8, 13, 17}) {
+    app.objects.push_back(
+        apps::ObjectSpec{.name = "planes" + std::to_string(planes),
+                         .size_bytes = planes << 38,
+                         .pattern = apps::AccessPattern::kStrided,
+                         .stride_lines = 1ULL << 32});
+    phase.object_weights.push_back(1.0 / static_cast<double>(planes));
+  }
+  app.objects.push_back(apps::ObjectSpec{.name = "scattered",
+                                         .size_bytes = 1ULL << 20,
+                                         .pattern = apps::AccessPattern::kRandom});
+  phase.object_weights.push_back(1.0);
+  phase.stack_weight = 0.05;
+  app.phases = {phase};
+  return app;
+}
+
+TEST(KernelDifferential, LowDwordTagCollisionsAtEveryWayCount) {
+  const apps::AppSpec app = low_dword_collision_app();
+  ASSERT_EQ(apps::validate(app), "");
+  memsim::MachineConfig node =
+      memsim::MachineConfig::knl7250(memsim::MemMode::kFlat);
+  for (memsim::TierSpec& tier : node.tiers) tier.capacity_bytes = 16ULL << 40;
+  const std::uint64_t accesses = app.iterations * app.accesses_per_iteration;
+  for (std::uint32_t ways = 1; ways <= memsim::Cache::kMaxWays; ++ways) {
+    node.llc.ways = ways;
+    node.llc.size_bytes = 1024ULL * ways * node.llc.line_bytes;  // 1024 sets
+    for (const bool profiled : {false, true}) {
+      engine::RunOptions opts;
+      opts.condition = engine::Condition::kDdr;
+      opts.node = node;
+      opts.profile = profiled;
+      opts.sampler.period = 53;
+      const std::string label = "ways " + std::to_string(ways) +
+                                (profiled ? "/profiled" : "");
+      const engine::RunResult oracle = expect_kernels_agree(app, opts, label);
+      EXPECT_GT(oracle.llc_misses, 0u) << label;
+      EXPECT_LT(oracle.llc_misses, accesses) << label;
     }
   }
 }

@@ -258,14 +258,54 @@ TEST_P(RecencyWordOracle, MatchesStampLruAccessForAccess) {
       const bool hit = cache.access(addr);
       ASSERT_EQ(hit, want.hit) << "access " << i << " ways " << ways;
       const Cache::Tables t = cache.tables();
-      const Address* set_tags = t.tags + cache.set_of(addr) * ways;
-      ASSERT_EQ(set_tags[want.way], cache.tag_of(addr))
+      const std::uint32_t* row = t.tags + cache.set_of(addr) * 2 * ways;
+      ASSERT_EQ(Cache::way_tag(row, ways, want.way), cache.tag_of(addr))
           << "access " << i << " ways " << ways;
       evictions += want.evicted ? 1 : 0;
     }
   }
   EXPECT_EQ(cache.stats().evictions, evictions);
   EXPECT_GT(cache.stats().hits, 0u);
+  EXPECT_GT(evictions, 0u);
+}
+
+// A set's tag row keeps the ways' low tag dwords apart from their high
+// ones, and a probe matches the low halves first. Lines 2^38 bytes apart
+// have tags equal in the low dword and different in the high one, so only
+// the high half tells them apart; the low line 2^32 - 1 also matches every
+// empty way's low half. Each access must still hit, miss and evict exactly
+// as the reference model does.
+TEST_P(RecencyWordOracle, TagsEqualInTheLowDwordStayDistinct) {
+  const std::uint32_t ways = GetParam();
+  constexpr std::uint64_t kSets = 64;
+  Cache cache(CacheConfig{kSets * ways * kCacheLineBytes, 64, ways});
+  StampLru oracle(kSets, ways);
+  Xoshiro256 rng(0x10D3ULL + ways);
+  const std::uint64_t low_lines[] = {0, 1, 0xFFFFFFFFULL};
+  std::uint64_t hits = 0, evictions = 0;
+  for (int i = 0; i < 6000; ++i) {
+    // ways + 2 planes per line: each set sees more colliding tags than it
+    // has ways, so hits and evictions interleave.
+    const Address addr = low_lines[rng.below(3)] * kCacheLineBytes +
+                         (rng.below(ways + 2) << 38);
+    const Address tag = cache.tag_of(addr);
+    const StampLru::Outcome want = oracle.access(cache.set_of(addr), tag);
+    ASSERT_EQ(cache.access(addr), want.hit)
+        << "access " << i << " ways " << ways;
+    const Cache::Tables t = cache.tables();
+    const std::uint32_t* row = t.tags + cache.set_of(addr) * 2 * ways;
+    ASSERT_EQ(Cache::way_tag(row, ways, want.way), tag)
+        << "access " << i << " ways " << ways;
+    ASSERT_TRUE(cache.contains(addr));
+    // The same low dword on the next plane up, never resident.
+    ASSERT_FALSE(cache.contains(addr + (Address{ways + 2} << 38)));
+    hits += want.hit ? 1 : 0;
+    evictions += want.evicted ? 1 : 0;
+  }
+  EXPECT_EQ(cache.stats().hits, hits);
+  EXPECT_EQ(cache.stats().evictions, evictions);
+  EXPECT_GT(hits, 0u);
+  EXPECT_GT(cache.stats().misses, 0u);
   EXPECT_GT(evictions, 0u);
 }
 
